@@ -28,10 +28,13 @@ phi = mc.cyclic_vector(w)
 print("weights alpha_n (geometric, normalised):")
 print("  ", np.array2string(w.alpha, precision=4))
 
-# polar decomposition S = J Delta^{1/2}
-sqrt_delta = np.diag(np.sqrt(np.diag(t.delta)))
-print("\n|| S - J Delta^(1/2) ||_F     =", frob(t.S.matrix - t.J.matrix @ sqrt_delta.conj()))
-print("|| S*S - Delta ||_F           =", frob(t.S.matrix.T @ t.S.matrix.conj() - t.delta))
+# polar decomposition S = J Delta^{1/2}; the superoperators are sparse, so
+# the norms run over the stored entries of each difference
+sqrt_delta = t.delta.sqrt()
+print("\n|| S - J Delta^(1/2) ||_F     =",
+      frob((t.S.matrix - t.J.matrix @ sqrt_delta.conj()).data))
+print("|| S*S - Delta ||_F           =",
+      frob((t.S.matrix.T @ t.S.matrix.conj() - t.delta).data))
 
 # the cyclic vector is fixed by J and by Delta
 print("|| J phi - phi ||_F           =", frob(t.J(phi) - phi))

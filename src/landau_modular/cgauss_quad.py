@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TextIO
 
 import numpy as np
 from scipy.special import roots_laguerre
@@ -70,19 +70,9 @@ def covers_degree(rule: ComplexGaussRule, deg: int) -> bool:
     return all(covers(rule, m, k) for m in range(deg + 1) for k in range(deg + 1))
 
 
-def integrate(rule: ComplexGaussRule, f: Callable[[complex], complex]) -> complex:
-    """Sum of w_i f(z_i) in fixed node order; rejects non-finite values."""
-    total = 0.0 + 0.0j
-    for z, w in zip(rule.nodes, rule.weights):
-        v = complex(f(z))
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"integrand is not finite at node {z}")
-        total += w * v
-    return total
-
-
 def integrate_values(rule: ComplexGaussRule, values: np.ndarray) -> complex:
-    """Weighted sum over precomputed node values, same fixed order."""
+    """Sum of w_i v_i over the integrand's values v_i at the rule's nodes, in
+    fixed node order; rejects non-finite values."""
     values = np.asarray(values)
     if values.shape != rule.nodes.shape:
         raise ValueError("values must align with the rule's nodes")
@@ -110,10 +100,10 @@ def real_gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w * np.exp(x**2)
 
 
-def export_rule_csv(rule: ComplexGaussRule, path: str) -> None:
-    """Write nodes and weights as CSV with 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im", "weight"])
-        for i, (z, w) in enumerate(zip(rule.nodes, rule.weights)):
-            writer.writerow([i, f"{z.real:.17g}", f"{z.imag:.17g}", f"{w:.17g}"])
+def export_rule_csv(rule: ComplexGaussRule, out: TextIO) -> None:
+    """Write nodes and weights as CSV with 17 significant digits to a text
+    stream (open files with newline="")."""
+    writer = csv.writer(out)
+    writer.writerow(["index", "re", "im", "weight"])
+    for i, (z, w) in enumerate(zip(rule.nodes, rule.weights)):
+        writer.writerow([i, f"{z.real:.17g}", f"{z.imag:.17g}", f"{w:.17g}"])

@@ -90,11 +90,7 @@ def _export_hermite_coeffs(args, out) -> None:
 
 
 def _export_quad_rule(args, out) -> None:
-    rule = quad.build_rule(args.radial, args.angular)
-    writer = csv.writer(out)
-    writer.writerow(["index", "re", "im", "weight"])
-    for i, (z, w) in enumerate(zip(rule.nodes, rule.weights)):
-        writer.writerow([i, f"{z.real:.17g}", f"{z.imag:.17g}", f"{w:.17g}"])
+    quad.export_rule_csv(quad.build_rule(args.radial, args.angular), out)
 
 
 def _export_delta_spectrum(args, out) -> None:

@@ -75,13 +75,6 @@ def coeff_eval(v: CoherentCoeffs, w: complex) -> complex:
     return total
 
 
-def coeff_inner(x: CoherentCoeffs, y: CoherentCoeffs) -> complex:
-    """Inner product, conjugate-linear in the first slot."""
-    if x.cutoff != y.cutoff:
-        raise ValueError("cutoff mismatch")
-    return complex(np.vdot(x.c, y.c))
-
-
 def J_swap(v: CoherentCoeffs) -> CoherentCoeffs:
     """The modular conjugation on coefficients: c'[n, k] = conj(c[k, n])."""
     return CoherentCoeffs(cutoff=v.cutoff, c=v.c.T.conj())

@@ -116,10 +116,6 @@ def poly_const(c=1) -> BivarPoly:
     return BivarPoly.from_dict({(0, 0): c})
 
 
-def poly_zero() -> BivarPoly:
-    return BivarPoly(())
-
-
 ZBAR = BivarPoly.from_dict({(1, 0): _ONE})
 Z = BivarPoly.from_dict({(0, 1): _ONE})
 
@@ -322,10 +318,3 @@ def real_hermite(n: int) -> list:
             nxt[j] -= 2 * m * c
         prev, cur = cur, nxt
     return cur
-
-
-def eval_real(coeffs: list, x: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total

@@ -3,7 +3,9 @@
 An element X of this space is stored as a plain N x N complex array.  The
 inner product is <X|Y> = Tr[X* Y], so the matrix units E_ij form an
 orthonormal basis.  Linear maps on the space ("superoperators") are stored
-as N^2 x N^2 matrices in the flattened matrix-unit basis.
+as N^2 x N^2 scipy.sparse CSR arrays in the flattened matrix-unit basis,
+so the transpose, J and a sandwich with diagonal factors hold N^2 stored
+entries where a dense array would hold N^4.
 
 Flattening convention (fixed for the whole library): row-major over the
 (i, j) index of X, i.e. flatten(X)[i*N + j] = X[i, j].  Antilinear maps
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dense_linalg import adjoint
 
@@ -36,10 +39,6 @@ def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return complex(np.trace(x.conj().T @ y))
-
-
-def hs_norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
@@ -89,12 +88,13 @@ def sandwich_adjoint(op: SandwichOp) -> SandwichOp:
     return SandwichOp(adjoint(op.left), adjoint(op.right))
 
 
-def sandwich_superop(op: SandwichOp) -> np.ndarray:
-    """N^2 x N^2 matrix of X -> A X B* in the flattening convention.
+def sandwich_superop(op: SandwichOp) -> sp.csr_array:
+    """Sparse N^2 x N^2 matrix of X -> A X B* in the flattening convention.
 
     Row-major vec gives vec(A X B*) = (A kron conj(B)) vec(X).
     """
-    return np.kron(op.left, op.right.conj())
+    # a sparse-array factor makes kron return csr_array, not csr_matrix
+    return sp.kron(sp.csr_array(op.left), op.right.conj(), format="csr")
 
 
 def superop_matrix(fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
@@ -110,37 +110,27 @@ def superop_matrix(fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray
 class AntilinearOp:
     """An antilinear map stored as linear-part-after-conjugation.
 
-    Action: X -> unflatten(matrix @ conj(flatten(X))).
+    Action: X -> unflatten(matrix @ conj(flatten(X))).  The matrix may be a
+    dense or a sparse array.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | sp.sparray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return unflatten(self.matrix @ flatten(x).conj())
 
 
-def antilinear_compose(p: AntilinearOp, q: AntilinearOp) -> np.ndarray:
+def antilinear_compose(p: AntilinearOp, q: AntilinearOp) -> np.ndarray | sp.sparray:
     """The linear superoperator matrix of p after q."""
     return p.matrix @ q.matrix.conj()
 
 
-def antilinear_adjoint(p: AntilinearOp) -> AntilinearOp:
-    """Adjoint with the antilinear pairing <p* y, x> = <p x, y>."""
-    return AntilinearOp(p.matrix.T)
-
-
-def compose_antilinear_linear(p: AntilinearOp, m: np.ndarray) -> AntilinearOp:
-    """The antilinear map X -> p(unflatten(m @ flatten(X)))."""
-    return AntilinearOp(p.matrix @ m.conj())
-
-
-def transpose_permutation(n: int) -> np.ndarray:
-    """Permutation matrix sending flattened index (i, j) to (j, i)."""
-    t = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            t[j * n + i, i * n + j] = 1.0
-    return t
+def transpose_permutation(n: int) -> sp.csr_array:
+    """Sparse permutation matrix sending flattened index (i, j) to (j, i)."""
+    # row i*n + j holds its one entry in column j*n + i
+    cols = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    return sp.csr_array((np.ones(n * n), cols, np.arange(n * n + 1)),
+                        shape=(n * n, n * n))
 
 
 def conjugation_J(n: int) -> AntilinearOp:
@@ -149,25 +139,28 @@ def conjugation_J(n: int) -> AntilinearOp:
 
 
 def commutant_basis(
-    generators: Sequence[np.ndarray], svd_rtol: float = 1e-8
+    generators: Sequence[np.ndarray | sp.sparray], svd_rtol: float = 1e-8
 ) -> tuple[int, list[np.ndarray]]:
     """Dimension and basis of all superoperators commuting with the generators.
 
     Solves the stacked linear system [M, G_k] = 0 over all k by a null-space
     SVD; singular values below svd_rtol times the largest count as zero.
+    Generators may be dense or sparse; the basis comes back dense.
     """
     if len(generators) == 0:
         raise ValueError("commutant of an empty generator list is undefined here")
     d = generators[0].shape[0]
     blocks = []
-    eye = np.eye(d)
+    eye = sp.eye_array(d)
     for g in generators:
         if g.shape != (d, d):
             raise ValueError("generators must share one dimension")
         # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec
-        blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
-    stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked)
+        blocks.append(sp.kron(g, eye) - sp.kron(eye, g.T))
+    stacked = sp.vstack(blocks).toarray()
+    # the stack has at least as many rows as columns, so the economy vh is
+    # square and still spans the null space
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     cutoff = svd_rtol * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     null = vh[rank:].conj()
@@ -175,9 +168,10 @@ def commutant_basis(
     return len(basis), basis
 
 
-def in_span(basis: Sequence[np.ndarray], target: np.ndarray, tol: float = 1e-8) -> bool:
+def in_span(basis: Sequence[np.ndarray], target: np.ndarray | sp.sparray,
+            tol: float = 1e-8) -> bool:
     """Whether target lies in the linear span of basis (least-squares residual)."""
     a = np.column_stack([b.reshape(-1) for b in basis])
-    t = target.reshape(-1)
+    t = sp.csr_array(target).toarray().reshape(-1)
     coef, *_ = np.linalg.lstsq(a, t, rcond=None)
     return float(np.linalg.norm(a @ coef - t)) <= tol * max(1.0, float(np.linalg.norm(t)))

@@ -263,15 +263,6 @@ def fock_psi(cut: ModeCut, n: int, l: int,
     return psi / math.sqrt(math.factorial(n) * math.factorial(l))
 
 
-def mode_swap(n: int) -> np.ndarray:
-    """Permutation matrix exchanging the two tensor factors |n_x, n_y>."""
-    s = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            s[j * n + i, i * n + j] = 1.0
-    return s
-
-
 def displacement(ncut: int, x: float, y: float) -> np.ndarray:
     """Single-mode phase-space displacement U(x, y) = exp(-i(xQ + yP))."""
     a = ladder(ncut)

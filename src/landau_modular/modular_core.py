@@ -3,7 +3,8 @@
 The state is the Gibbs state of a truncated harmonic ladder: weights
 alpha_n proportional to exp(-n * beta), renormalized to sum to one so
 every modular identity is exact at finite truncation.  In the matrix-unit
-basis everything is diagonal:
+basis everything is diagonal or a transpose, so every superoperator here is
+a scipy.sparse array with N^2 stored entries:
 
     Delta E_ij     = (alpha_i / alpha_j) E_ij
     S E_ij         = sqrt(alpha_i / alpha_j) E_ji      (antilinear)
@@ -18,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hs_space import (
     AntilinearOp,
     SandwichOp,
-    antilinear_compose,
     conjugation_J,
     sandwich_superop,
     transpose_permutation,
@@ -88,18 +89,20 @@ def hamiltonian(w: GibbsWeights) -> np.ndarray:
 class ModularTriple:
     """The modular data attached to the Gibbs cyclic vector.
 
-    J and S are antilinear; delta, delta_sqrt and big_h are plain
-    superoperator matrices in the flattened matrix-unit basis.  h_state is
-    the one-body Hamiltonian with rho = exp(-beta * h_state).
+    J and S are antilinear, each stored as a CSR transpose permutation
+    times a diagonal; delta, delta_sqrt and big_h are diagonal superoperator
+    matrices in the flattened matrix-unit basis, stored as DIA arrays so the
+    zero diagonal of big_h on E_ii stays stored.  h_state is the dense
+    one-body Hamiltonian with rho = exp(-beta * h_state).
     """
 
     weights: GibbsWeights
     J: AntilinearOp
     S: AntilinearOp
-    delta: np.ndarray
-    delta_sqrt: np.ndarray
+    delta: sp.dia_array
+    delta_sqrt: sp.dia_array
     h_state: np.ndarray
-    big_h: np.ndarray
+    big_h: sp.dia_array
 
 
 def build_modular_triple(w: GibbsWeights) -> ModularTriple:
@@ -108,12 +111,12 @@ def build_modular_triple(w: GibbsWeights) -> ModularTriple:
     sq = np.sqrt(ratio)
     # store Delta as the literal square of the stored square roots so the
     # polar identities Delta = S*S and S = J Delta^(1/2) are float-exact
-    delta = np.diag(sq * sq).astype(complex)
-    delta_sqrt = np.diag(sq).astype(complex)
+    delta = sp.diags_array(sq * sq, dtype=complex)
+    delta_sqrt = sp.diags_array(sq, dtype=complex)
     t = transpose_permutation(n).astype(complex)
     j = conjugation_J(n)
     s = AntilinearOp(t @ delta_sqrt)
-    big_h = np.diag(-np.log(ratio) / w.beta).astype(complex)
+    big_h = sp.diags_array(-np.log(ratio) / w.beta, dtype=complex)
     return ModularTriple(
         weights=w, J=j, S=s, delta=delta, delta_sqrt=delta_sqrt,
         h_state=hamiltonian(w), big_h=big_h,
@@ -130,8 +133,8 @@ def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:
     return (phases[:, None] * a) * phases.conj()[None, :]
 
 
-def flow_superop(w: GibbsWeights, t: float) -> np.ndarray:
-    """Superoperator of X -> exp(iHt) X exp(-iHt)."""
+def flow_superop(w: GibbsWeights, t: float) -> sp.csr_array:
+    """Sparse diagonal superoperator of X -> exp(iHt) X exp(-iHt)."""
     u = np.diag(np.exp(1j * t * (-np.log(w.alpha) / w.beta)))
     return sandwich_superop(SandwichOp(u, u))
 

@@ -35,9 +35,9 @@ def test_criterion_01_modular_triple():
     w = mc.build_weights(BETA, N)
     t = mc.build_modular_triple(w)
     phi = mc.cyclic_vector(w)
-    sqrt_delta = np.diag(np.sqrt(np.diag(t.delta)))
+    sqrt_delta = np.diag(np.sqrt(t.delta.diagonal()))
     assert frob(t.S.matrix - t.J.matrix @ sqrt_delta.conj()) <= 1e-12
-    assert frob(t.S.matrix.T @ t.S.matrix.conj() - t.delta) <= 1e-12
+    assert frob((t.S.matrix.T @ t.S.matrix.conj() - t.delta).toarray()) <= 1e-12
     assert frob(t.J(phi) - phi) <= 1e-13
     assert np.linalg.norm(t.delta @ flatten(phi) - flatten(phi)) <= 1e-13
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from landau_modular import modular_core as mc
-from landau_modular.hs_space import matrix_unit
+from landau_modular.hs_space import flatten, matrix_unit, unflatten
 from landau_modular.rng import SplitMix64
 
 LN2 = math.log(2.0)
@@ -46,14 +46,32 @@ def test_state_eval_examples():
 
 
 def test_modular_triple_actions_at_ln2():
-    w = mc.build_weights(LN2, 4)
+    # at beta = ln 2 the weight ratio alpha_i / alpha_j is 2^(j - i)
+    n = 4
+    t = mc.build_modular_triple(mc.build_weights(LN2, n))
+    c = 1.0 + 2.0j  # S and J are antilinear: they conjugate the coefficient
+    for i in range(n):
+        for j in range(n):
+            x, xt = matrix_unit(n, i, j), matrix_unit(n, j, i)
+            ratio = 2.0 ** (j - i)
+            assert np.allclose(unflatten(t.delta @ flatten(x)), ratio * x, atol=1e-13)
+            assert np.allclose(unflatten(t.delta_sqrt @ flatten(x)),
+                               math.sqrt(ratio) * x, atol=1e-13)
+            assert np.allclose(t.S(c * x), math.sqrt(ratio) * c.conjugate() * xt,
+                               atol=1e-13)
+            assert np.allclose(t.J(c * x), c.conjugate() * xt)
+            assert np.allclose(unflatten(t.big_h @ flatten(x)), (i - j) * x, atol=1e-13)
+
+
+def test_superoperators_store_one_entry_per_matrix_unit():
+    # each is a diagonal or a transpose times a diagonal: N^2 stored
+    # entries, where a dense array would hold N^4
+    n = 64
+    w = mc.build_weights(0.7, n)
     t = mc.build_modular_triple(w)
-    x01 = matrix_unit(4, 0, 1)
-    x10 = matrix_unit(4, 1, 0)
-    from landau_modular.hs_space import flatten, unflatten
-    assert np.allclose(unflatten(t.delta @ flatten(x01)), 2.0 * x01, atol=1e-13)
-    assert np.allclose(t.S(x01), math.sqrt(2.0) * x10, atol=1e-13)
-    assert np.allclose(t.J(x01), x10)
+    for m in (t.delta, t.delta_sqrt, t.big_h, t.J.matrix, t.S.matrix,
+              mc.flow_superop(w, 0.8)):
+        assert m.nnz == n ** 2
 
 
 def test_s_conjugates_algebra_orbit():
