@@ -71,17 +71,15 @@ def covers_degree(rule: ComplexGaussRule, deg: int) -> bool:
 
 
 def integrate_values(rule: ComplexGaussRule, values: np.ndarray) -> complex:
-    """Sum of w_i v_i over the integrand's values v_i at the rule's nodes, in
-    fixed node order; rejects non-finite values."""
+    """Sum of w_i v_i over the integrand's values v_i at the rule's nodes, by
+    pairwise np.sum (no BLAS, so independent of the BLAS thread count);
+    rejects misaligned or non-finite values."""
     values = np.asarray(values)
     if values.shape != rule.nodes.shape:
         raise ValueError("values must align with the rule's nodes")
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand values must all be finite")
-    total = 0.0 + 0.0j
-    for v, w in zip(values, rule.weights):
-        total += w * v
-    return complex(total)
+    return complex(np.sum(rule.weights * values))
 
 
 def gauss_moment(m: int, k: int) -> float:

@@ -122,11 +122,9 @@ def sector_projector(kind: str, cutoff: int) -> TruncatedMap:
     m = cutoff + 1
     diag = np.zeros(m * m)
     if kind == "a-hol":
-        for n in range(m):
-            diag[n * m] = 1.0
+        diag[::m] = 1.0  # the entries (n, 0)
     elif kind == "hol":
-        for k in range(m):
-            diag[k] = 1.0
+        diag[:m] = 1.0  # the entries (0, k)
     else:
         raise ValueError(f"unknown sector {kind!r}; expected 'a-hol' or 'hol'")
     return TruncatedMap(cutoff=cutoff, matrix=np.diag(diag).astype(complex))
@@ -136,20 +134,15 @@ def _require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
     if not covers_degree(rule, cutoff):
         raise ValueError(
             f"quadrature certificate does not cover monomial degree {cutoff}: "
-            f"need radial order >= {(cutoff + 1) // 2 + 1} and angular order > {cutoff}")
+            f"need radial order >= {cutoff // 2 + 1} and angular order > {cutoff}")
 
 
 def _moment_matrix(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
     """G[n, m] = integral of (z^n / sqrt(n!)) conj(z^m / sqrt(m!)) dnu."""
-    m = cutoff + 1
-    pows = np.empty((m, rule.nodes.shape[0]), dtype=complex)
-    for n in range(m):
-        pows[n] = rule.nodes**n / math.sqrt(math.factorial(n))
-    g = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            g[a, b] = integrate_values(rule, pows[a] * pows[b].conj())
-    return g
+    pows = np.array([rule.nodes**n / math.sqrt(math.factorial(n))
+                     for n in range(cutoff + 1)])
+    return np.array([[integrate_values(rule, pa * pb.conj()) for pb in pows]
+                     for pa in pows])
 
 
 def resolution_check(kind: str, cutoff: int, rule: ComplexGaussRule) -> float:
@@ -163,20 +156,14 @@ def resolution_check(kind: str, cutoff: int, rule: ComplexGaussRule) -> float:
     _require_coverage(rule, cutoff)
     m = cutoff + 1
     g = _moment_matrix(rule, cutoff)
-    if kind == "a-hol":
+    if kind in ("a-hol", "hol"):
         p = np.zeros((m * m, m * m), dtype=complex)
-        for a in range(m):
-            for b in range(m):
-                p[a * m, b * m] = g[a, b]
-        target = sector_projector("a-hol", cutoff).matrix
-        return float(np.max(np.abs(p - target)))
-    if kind == "hol":
-        p = np.zeros((m * m, m * m), dtype=complex)
-        for a in range(m):
-            for b in range(m):
-                # element ((0,a),(0,b)) = integral zbar^a z^b dnu / norms
-                p[a, b] = g[a, b].conjugate()
-        target = sector_projector("hol", cutoff).matrix
+        if kind == "a-hol":
+            p[::m, ::m] = g
+        else:
+            # element ((0,a),(0,b)) = integral zbar^a z^b dnu / norms
+            p[:m, :m] = g.conj()
+        target = sector_projector(kind, cutoff).matrix
         return float(np.max(np.abs(p - target)))
     if kind == "bcs":
         # c[n, k](u, v) factorizes, so the double integral is a Kronecker
@@ -200,14 +187,10 @@ def partial_isometry(kind: str, cutoff: int, rule: ComplexGaussRule) -> Truncate
     if kind == "a-hol->hol":
         # row index (0, k), column index (n, 0):
         # matrix[a, b] = integral eta_breve[a] * eta[b] dnu
-        for k in range(m):
-            for n in range(m):
-                mat[k, n * m] = g[k, n].conjugate()  # integral zbar^k z^n dnu
+        mat[:m, ::m] = g.conj()  # integral zbar^k z^n dnu
         return TruncatedMap(cutoff=cutoff, matrix=mat, antilinear=True)
     if kind == "hol->a-hol":
-        for n in range(m):
-            for k in range(m):
-                mat[n * m, k] = g[n, k]
+        mat[::m, :m] = g
         return TruncatedMap(cutoff=cutoff, matrix=mat, antilinear=True)
     raise ValueError(f"unknown isometry kind {kind!r}")
 

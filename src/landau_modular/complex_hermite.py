@@ -4,7 +4,8 @@ A polynomial in the pair (zbar, z) is stored as a map (m, k) -> exact
 Gaussian-rational coefficient for the monomial zbar^m z^k.  All identities
 (recursion, Rodrigues form, explicit double sum, generating function,
 ladder and number actions) are checked as exact equalities of coefficient
-maps; floating point enters only at evaluation time.
+maps; floating point enters only at evaluation time.  The recursion route
+builds each h[n, k] once per process, into a table no other route reads.
 
 Conventions:
     h[n, k]     degree-(n, k) polynomial; h[0, 0] = 1, h[1, 1] = zbar z - 1
@@ -151,28 +152,33 @@ def eval_poly(p: BivarPoly, z: complex) -> complex:
 # The complex Hermite family by three independent constructions.
 # ---------------------------------------------------------------------------
 
+_TABLE = {(0, 0): poly_const(1)}  # (n, k) -> h[n, k]
+
+
 def ch_recursion(n: int, k: int) -> BivarPoly:
     """h[n, k] by the two coupled recursions from h[0, 0] = 1.
 
     Raising the first index: h[n+1, k] = zbar h[n, k] - k h[n, k-1].
     Raising the second:      h[n, k+1] = z    h[n, k] - n h[n-1, k].
+
+    Each entry is built once into the table, iteratively: a recursive fill
+    would exhaust the Python stack at large degree.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
-    # build row n = 0 first, then raise the first index k times per column
-    row = [poly_const(1)]
-    for j in range(k):
-        row.append(mul_z(row[j]))  # h[0, j+1] = z h[0, j]
-    prev_col = row  # h[0, j] for j = 0..k
-    for i in range(n):
-        col = []
-        for j in range(k + 1):
-            p = mul_zbar(prev_col[j])
-            if j > 0:
-                p = p - prev_col[j - 1].scale(j)
-            col.append(p)  # h[i+1, j] = zbar h[i, j] - j h[i, j-1]
-        prev_col = col
-    return prev_col[k]
+    if (n, k) not in _TABLE:
+        for i in range(n + 1):
+            for j in range(k + 1):
+                if (i, j) in _TABLE:
+                    continue
+                if i == 0:
+                    p = mul_z(_TABLE[0, j - 1])  # h[0, j] = z h[0, j-1]
+                else:
+                    p = mul_zbar(_TABLE[i - 1, j])
+                    if j > 0:
+                        p = p - _TABLE[i - 1, j - 1].scale(j)
+                _TABLE[i, j] = p
+    return _TABLE[n, k]
 
 
 def ch_rodrigues(n: int, k: int) -> BivarPoly:

@@ -116,6 +116,9 @@ class RotatedLadders:
     a_minus_dag: sp.csr_array
 
 
+_LADDERS: dict = {}  # (cut, literal) -> RotatedLadders
+
+
 def build_A_pm(cut: ModeCut, literal: bool = False) -> RotatedLadders:
     """The rotated ladder pair from the mode operators.
 
@@ -126,18 +129,23 @@ def build_A_pm(cut: ModeCut, literal: bool = False) -> RotatedLadders:
     With literal=True the A+ line uses -(1/4)(a_x* + i a_y*) instead — a
     historically printed variant kept so tests can witness that it breaks
     the commutation relations ([A+, A-*] = -1/8 instead of 0).
+
+    Each (cut, literal) pair is built once per process and shared.
     """
-    ax, ay = mode_ops(cut)
-    axd, ayd = _dag(ax), _dag(ay)
-    if literal:
-        a_plus = 0.75 * (ax - 1j * ay) - 0.25 * (axd + 1j * ayd)
-    else:
-        a_plus = 0.75 * (ax - 1j * ay) - 0.25 * (axd - 1j * ayd)
-    a_minus = 0.75 * (ax + 1j * ay) - 0.25 * (axd + 1j * ayd)
-    return RotatedLadders(
-        a_plus=a_plus, a_plus_dag=_dag(a_plus),
-        a_minus=a_minus, a_minus_dag=_dag(a_minus),
-    )
+    ops = _LADDERS.get((cut, literal))
+    if ops is None:
+        ax, ay = mode_ops(cut)
+        axd, ayd = _dag(ax), _dag(ay)
+        if literal:
+            a_plus = 0.75 * (ax - 1j * ay) - 0.25 * (axd + 1j * ayd)
+        else:
+            a_plus = 0.75 * (ax - 1j * ay) - 0.25 * (axd - 1j * ayd)
+        a_minus = 0.75 * (ax + 1j * ay) - 0.25 * (axd + 1j * ayd)
+        ops = _LADDERS[cut, literal] = RotatedLadders(
+            a_plus=a_plus, a_plus_dag=_dag(a_plus),
+            a_minus=a_minus, a_minus_dag=_dag(a_minus),
+        )
+    return ops
 
 
 def build_A_pm_from_qp(cut: ModeCut) -> RotatedLadders:

@@ -64,6 +64,8 @@ def test_integrate_rejects_non_finite():
     rule = quad.build_rule(4, 4)
     with pytest.raises(ValueError, match="finite"):
         quad.integrate_values(rule, np.full(rule.nodes.shape, np.nan))
+    with pytest.raises(ValueError, match="align"):
+        quad.integrate_values(rule, np.ones(rule.nodes.shape[0] - 1))
 
 
 def test_monotone_convergence_on_kernel():

@@ -72,6 +72,12 @@ def test_resolution_refuses_uncovered_rule():
     small = quad.build_rule(2, 3)
     with pytest.raises(ValueError, match="certificate"):
         cs.resolution_check("a-hol", 8, small)
+    # the message names the smallest radial order that covers the cutoff
+    for cutoff in (9, 10, 11):
+        need = min(r for r in range(1, cutoff + 2)
+                   if quad.covers_degree(quad.build_rule(r, 64), cutoff))
+        with pytest.raises(ValueError, match=f"radial order >= {need} and"):
+            cs.resolution_check("a-hol", cutoff, quad.build_rule(need - 1, 64))
 
 
 def test_partial_isometry_mapping():

@@ -18,6 +18,12 @@ def test_pure_power_rows():
     for k in range(6):
         assert chp.ch_rodrigues(0, k) == poly({(0, k): (1, 0)})
         assert chp.ch_rodrigues(k, 0) == poly({(k, 0): (1, 0)})
+    # deep enough that a recursive table fill would exhaust the Python stack
+    assert chp.ch_recursion(1200, 0) == poly({(1200, 0): (1, 0)})
+
+
+def test_recursion_builds_each_entry_once():
+    assert chp.ch_recursion(7, 5) is chp.ch_recursion(7, 5)
 
 
 def test_three_constructions_agree_exactly():

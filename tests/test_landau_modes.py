@@ -62,6 +62,13 @@ def test_two_constructions_agree():
     assert np.max(np.abs(a.a_minus - b.a_minus)) < 1e-12
 
 
+def test_ladders_built_once_per_cut():
+    cut = lm.ModeCut(24)
+    assert lm.build_A_pm(cut) is lm.build_A_pm(lm.ModeCut(24))
+    # the covariant-momentum route stays a separate build each time
+    assert lm.build_A_pm_from_qp(cut) is not lm.build_A_pm_from_qp(cut)
+
+
 def test_hamiltonian_relations():
     cut = lm.ModeCut(12)
     mask = lm.interior_mask(cut)
