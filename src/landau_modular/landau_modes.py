@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dense_linalg import adjoint, hermitian_function
+from .dense_linalg import HermitianEig, adjoint, hermitian_eig, hermitian_function
 from . import complex_hermite as ch
 
 
@@ -271,8 +271,19 @@ def fock_psi(cut: ModeCut, n: int, l: int,
     return psi / math.sqrt(math.factorial(n) * math.factorial(l))
 
 
+def _finite_point(x: float, y: float) -> None:
+    for name, v in (("x", x), ("y", y)):
+        if not math.isfinite(v):
+            raise ValueError(f"phase-space coordinate {name} must be finite, got {v}")
+
+
 def displacement(ncut: int, x: float, y: float) -> np.ndarray:
-    """Single-mode phase-space displacement U(x, y) = exp(-i(xQ + yP))."""
+    """Single-mode phase-space displacement U(x, y) = exp(-i(xQ + yP)).
+
+    The direct route: one eigensolve of xQ + yP on the ncut-dimensional
+    space.  It is the independent reference for displacement_block.
+    """
+    _finite_point(x, y)
     a = ladder(ncut)
     ad = adjoint(a)
     s2 = math.sqrt(2.0)
@@ -281,19 +292,57 @@ def displacement(ncut: int, x: float, y: float) -> np.ndarray:
     return hermitian_function(x * q + y * p, lambda lam: np.exp(-1j * lam))
 
 
+_POSITION: dict = {}  # ncut -> HermitianEig of Q = (a + a*)/sqrt2
+
+
+def _position_eig(ncut: int) -> HermitianEig:
+    """The eigensystem of the truncated position operator, solved once per
+    cut per process and shared."""
+    eig = _POSITION.get(ncut)
+    if eig is None:
+        a = ladder(ncut)
+        eig = _POSITION[ncut] = hermitian_eig((a + adjoint(a)) / math.sqrt(2.0))
+    return eig
+
+
+def displacement_block(ncut: int, x: float, y: float, n: int) -> np.ndarray:
+    """Top-left n x n block of displacement(ncut, x, y), by rotation.
+
+    With x = r cos(theta), y = r sin(theta) and N the number operator,
+    xQ + yP = r e^(i theta N) Q e^(-i theta N), so
+
+        U(x, y) = D V e^(-i r Lambda) V* D*,   D = diag(e^(i theta m)),
+
+    where Q = V Lambda V* is solved once per cut.  The rotation is exact at
+    the truncation: N is diagonal and e^(i theta N) a e^(-i theta N) =
+    e^(-i theta) a entry by entry for the truncated ladder.  Only the
+    n x n block is formed, in O(n^2 ncut) by an unoptimized einsum, whose
+    summation order does not depend on the BLAS thread count.
+    """
+    _finite_point(x, y)
+    if not 0 <= n <= ncut:
+        raise ValueError(f"block size {n} outside 0..{ncut}")
+    eig = _position_eig(ncut)
+    r, theta = math.hypot(x, y), math.atan2(y, x)
+    v = eig.eigenvectors[:n]
+    d = np.exp(1j * theta * np.arange(n))
+    block = np.einsum("ik,k,jk->ij", v, np.exp(-1j * r * eig.eigenvalues), v.conj())
+    return d[:, None] * block * d.conj()
+
+
 def wigner_sample(x_op: np.ndarray, x: float, y: float, ncut: int) -> complex:
     """The phase-space sample (2 pi)^(-1/2) Tr[U(x, y)* X].
 
-    x_op may live on a smaller truncation; it is embedded in the top-left
-    block of the ncut-dimensional single-mode space.
+    x_op may live on a smaller truncation n <= ncut; it is embedded in the
+    top-left block of the ncut-dimensional single-mode space, so the trace
+    needs only the n x n block of U, taken from displacement_block (one
+    eigensolve of Q per cut, shared by every sample).
     """
     n = x_op.shape[0]
     if x_op.shape != (n, n) or n > ncut:
         raise ValueError(f"operator shape {x_op.shape} incompatible with cut {ncut}")
-    big = np.zeros((ncut, ncut), dtype=complex)
-    big[:n, :n] = x_op
-    u = displacement(ncut, x, y)
-    return complex(np.trace(adjoint(u) @ big) / math.sqrt(2.0 * math.pi))
+    u = displacement_block(ncut, x, y, n)
+    return complex(np.sum(u.conj() * x_op) / math.sqrt(2.0 * math.pi))
 
 
 def wigner_closed_form(n: int, l: int, x: float, y: float,

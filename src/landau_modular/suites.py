@@ -733,6 +733,20 @@ def _suite_wigner(cfg: SuiteConfig) -> Report:
     s.check("vacuum_gaussian",
             "sample of |0><0| is the Gaussian e^(-(x^2+y^2)/4)/sqrt(2 pi)",
             dev, 1e-6)
+
+    # corners and edge midpoints of the grid: every quadrant and both axes
+    dev = 0.0
+    for x in grid[::2]:
+        for y in grid[::2]:
+            if x == y == 0.0:
+                continue
+            rotated = lm.displacement_block(cfg.ncut, float(x), float(y), cfg.ncut)
+            direct = lm.displacement(cfg.ncut, float(x), float(y))
+            dev = max(dev, float(np.max(np.abs(rotated - direct))))
+    s.check("displacement_rotation",
+            "e^(i theta N) e^(-i r Q) e^(-i theta N) from one eigensolve of Q "
+            "equals exp(-i(xQ + yP)) at (x, y) = r(cos theta, sin theta)",
+            dev, 1e-12)
     return s.report
 
 

@@ -264,12 +264,13 @@ def test_criterion_12_modular_coherent_consistency():
 
 
 def test_criterion_13_determinism(tmp_path):
+    # Both thread counts are set here, so an environment that pins BLAS to
+    # one thread (as CI does) still compares two threads with one.
     outputs = []
-    for tag, threads in (("a", None), ("b", "1")):
+    for tag, threads in (("a", "2"), ("b", "1")):
         env = dict(os.environ)
-        if threads is not None:
-            env["OMP_NUM_THREADS"] = threads
-            env["OPENBLAS_NUM_THREADS"] = threads
+        env["OMP_NUM_THREADS"] = threads
+        env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"report_{tag}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "landau_modular", "verify", "all",

@@ -183,3 +183,43 @@ def test_wigner_matches_corrected_closed_form():
             for x, y in ((0.3, -0.7), (1.1, 0.4)):
                 got = lm.wigner_sample(x_op, x, y, 48)
                 assert abs(got - lm.wigner_closed_form(n, l, x, y)) < 1e-9
+
+
+def test_wigner_rotation_matches_direct_displacement():
+    # off-grid points, the negative x axis (atan2 = pi), the negative y axis
+    # and the origin
+    points = ((0.3, -0.7), (-1.3, 2.2), (-1.7, 0.0), (0.0, -0.9), (0.0, 0.0))
+    for ncut in (16, 48):
+        for n in (1, 4, ncut):
+            for x, y in points:
+                direct = lm.displacement(ncut, x, y)[:n, :n]
+                rotated = lm.displacement_block(ncut, x, y, n)
+                assert rotated.shape == (n, n)
+                assert np.max(np.abs(rotated - direct)) < 1e-12
+
+
+def test_position_eigensystem_built_once_per_cut(monkeypatch):
+    from landau_modular.hs_space import matrix_unit
+    calls = []
+    solve = lm.hermitian_eig
+    monkeypatch.setattr(lm, "_POSITION", {})
+    monkeypatch.setattr(lm, "hermitian_eig",
+                        lambda a: calls.append(a.shape) or solve(a))
+    for x, y in ((0.5, -1.0), (2.0, 1.5), (-1.0, 0.0)):
+        for n, l in ((0, 0), (1, 2)):
+            lm.wigner_sample(matrix_unit(3, n, l), x, y, 40)
+    lm.wigner_sample(matrix_unit(2, 1, 1), 0.2, 0.1, 24)
+    assert calls == [(40, 40), (24, 24)]
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_non_finite_coordinates_rejected(bad):
+    from landau_modular.hs_space import matrix_unit
+    x00 = matrix_unit(1, 0, 0)
+    for name, x, y in (("x", bad, 0.5), ("y", 0.5, bad)):
+        with pytest.raises(ValueError, match=f"coordinate {name}"):
+            lm.wigner_sample(x00, x, y, 16)
+        with pytest.raises(ValueError, match=f"coordinate {name}"):
+            lm.displacement(16, x, y)
+        with pytest.raises(ValueError, match=f"coordinate {name}"):
+            lm.displacement_block(16, x, y, 4)
