@@ -5,8 +5,11 @@ The rule is a tensor product: substituting s = |z|^2 turns the radial
 integral into int_0^infty exp(-s) g(s) ds, handled by an R-point
 Gauss-Laguerre rule (exact for polynomial degree <= 2R-1 in s); the
 angular factor is the uniform K-point rule on [0, 2pi), exact for the
-harmonics exp(i d theta) with |d| < K.  Hence the certificate for the
-monomial conj(z)^m z^k:
+harmonics exp(i d theta) with |d| < K.  The Laguerre nodes are the
+eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23, 221,
+1969), refined by Newton steps on the three-term recurrence; the largest
+supported radial order is MAX_RADIAL_ORDER = 194.  Hence the certificate
+for the monomial conj(z)^m z^k:
 
     covered  iff  (m == k and m <= 2R-1)
               or  (m != k and |m - k| < K and min(m, k) <= 2R-1)
@@ -22,7 +25,10 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.special import roots_laguerre
+
+# From R = 195 on, the smallest Laguerre weight reaches the last subnormal
+# double (4.9e-324 at 195) and then underflows to 0.
+MAX_RADIAL_ORDER = 194
 
 
 @dataclass(frozen=True)
@@ -35,20 +41,50 @@ class ComplexGaussRule:
     angular_order: int
 
     def __post_init__(self):
-        if np.any(self.weights <= 0):
+        # written so that NaN fails every test
+        if not np.all(np.isfinite(self.nodes)):
+            raise ValueError("all quadrature nodes must be finite")
+        if not np.all(self.weights > 0):
             raise ValueError("all quadrature weights must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-13:
+        if not abs(self.weights.sum() - 1.0) <= 1e-13:
             raise ValueError("weights must sum to 1 (the measure is normalized)")
 
 
+def _laguerre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L_n(x) and L_n'(x) by the three-term recurrence, carried as
+    p = L_k and q = (L_k - L_{k-1}) / x, which keeps small nodes accurate."""
+    p, q = np.ones_like(x), np.zeros_like(x)
+    for k in range(n):
+        q = (k * q - p) / (k + 1)
+        p = p + x * q
+    return p, n * q
+
+
+def gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (summing to 1) of the n-point rule for
+    int_0^inf e^-s g(s) ds, 1 <= n <= MAX_RADIAL_ORDER (Golub-Welsch)."""
+    if not 1 <= n <= MAX_RADIAL_ORDER:
+        raise ValueError(f"radial order must be in [1, {MAX_RADIAL_ORDER}], got {n}")
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0)
+                           + np.diag(k, 1) + np.diag(k, -1))
+    for _ in range(3):
+        p, dp = _laguerre(n, x)
+        x = x - p / dp
+    _, dp = _laguerre(n, x)
+    # w = 1 / (x L_n'(x)^2); rescale L_n' first so that its square stays finite
+    dp = dp / np.sqrt(np.abs(dp).max()) / np.sqrt(np.abs(dp).min())
+    w = 1.0 / (x * dp * dp)
+    return x, w / w.sum()  # exact normalization of int_0^inf e^-s ds = 1
+
+
 def build_rule(radial: int, angular: int) -> ComplexGaussRule:
-    """Tensor rule with the given radial (R >= 1) and angular (K >= 2) orders."""
-    if radial < 1:
-        raise ValueError(f"radial order must be >= 1, got {radial}")
+    """Tensor rule with the given radial (1 <= R <= MAX_RADIAL_ORDER) and
+    angular (K >= 2) orders; the radial factor is the Golub-Welsch
+    Gauss-Laguerre rule of `gauss_laguerre`."""
+    s, ws = gauss_laguerre(radial)
     if angular < 2:
         raise ValueError(f"angular order must be >= 2, got {angular}")
-    s, ws = roots_laguerre(radial)
-    ws = ws / ws.sum()  # exact normalization of int_0^inf e^-s ds = 1
     theta = 2.0 * np.pi * np.arange(angular) / angular
     radii = np.sqrt(s)
     nodes = (radii[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import complex_hermite as ch
 from .cgauss_quad import ComplexGaussRule, covers_degree, integrate_values
+from .dense_linalg import hermitian_function
 from .landau_modes import ladder
 
 
@@ -260,27 +260,46 @@ def modular_spectral_check(beta: float, cutoff: int,
     return dev
 
 
+def _displacement(alpha: complex, ncut: int) -> np.ndarray:
+    """e^(alpha a* - conj(alpha) a) on the truncation.  The exponent is
+    anti-Hermitian, so this is e^(-ix) of the Hermitian i(alpha a* -
+    conj(alpha) a), from one eigensolve."""
+    a = ladder(ncut)
+    gen = 1j * (alpha * a.conj().T - np.conj(alpha) * a)
+    return hermitian_function(gen, lambda lam: np.exp(-1j * lam))
+
+
+def _raising_exp(alpha: complex, ncut: int) -> np.ndarray:
+    """e^(alpha a*) on the truncation, where alpha a* is nilpotent, so the
+    exponential is a finite sum: entry [m, n] = alpha^(m-n) sqrt(m!/n!) /
+    (m-n)! for m >= n, built down each column as a running product of
+    the ratios alpha sqrt(m) / (m - n)."""
+    m = np.arange(ncut)[:, None]
+    n = np.arange(ncut)[None, :]
+    ratio = np.where(m > n, alpha * np.sqrt(m) / np.maximum(m - n, 1), 1.0)
+    return np.tril(np.cumprod(ratio, axis=0))
+
+
 def displacement_check(alpha: complex, ncut: int) -> float:
     """Deviation between the two factorized forms of the displacement.
 
-    Compares e^(|alpha|^2 / 2) expm(alpha a* - conj(alpha) a) with
-    expm(alpha a*) expm(-conj(alpha) a) on the lower half of the
-    truncation.  Refuses cuts below 8 |alpha|^2 + 20.
+    Compares e^(|alpha|^2 / 2) e^(alpha a* - conj(alpha) a), from one
+    eigensolve, with e^(alpha a*) e^(-conj(alpha) a), from the finite sums
+    of the two nilpotent factors (e^(-conj(alpha) a) is the transpose of
+    e^(-conj(alpha) a*)), on the lower half of the truncation.  Refuses
+    cuts below 8 |alpha|^2 + 20.
     """
     if abs(alpha) > 1.5:
         raise ValueError(f"|alpha| must be <= 1.5, got {abs(alpha)}")
     need = 8.0 * abs(alpha) ** 2 + 20.0
     if ncut < need:
         raise ValueError(f"cut {ncut} too small: need at least {math.ceil(need)}")
-    a = ladder(ncut)
-    ad = a.conj().T
-    lhs = math.exp(abs(alpha) ** 2 / 2.0) * expm(alpha * ad - np.conj(alpha) * a)
-    rhs = expm(alpha * ad) @ expm(-np.conj(alpha) * a)
+    lhs = math.exp(abs(alpha) ** 2 / 2.0) * _displacement(alpha, ncut)
+    rhs = _raising_exp(alpha, ncut) @ _raising_exp(-np.conj(alpha), ncut).T
     half = ncut // 2
     return float(np.max(np.abs(lhs[:half, :half] - rhs[:half, :half])))
 
 
 def displacement_vacuum_column(alpha: complex, ncut: int) -> np.ndarray:
-    """Vacuum column of expm(alpha a* - conj(alpha) a)."""
-    a = ladder(ncut)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)[:, 0]
+    """Vacuum column of e^(alpha a* - conj(alpha) a), from one eigensolve."""
+    return _displacement(alpha, ncut)[:, 0]

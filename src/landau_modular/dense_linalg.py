@@ -2,7 +2,9 @@
 
 Every operator exponential in the library (time evolution, modular
 operators, Weyl displacements) is routed through an eigendecomposition of
-a Hermitian matrix; nothing is computed by series summation.
+a Hermitian matrix.  The one exception is computed by series summation:
+the nilpotent displacement factors e^(alpha a*) and e^(-conj(alpha) a) in
+coherent_states, whose series are finite on the truncation.
 """
 
 from __future__ import annotations

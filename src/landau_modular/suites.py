@@ -30,6 +30,7 @@ from .hs_space import (
     matrix_unit,
     sandwich_superop,
     SandwichOp,
+    transpose_permutation,
 )
 from .rng import SplitMix64
 
@@ -183,11 +184,20 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
 
     a = rng.complex_matrix(cfg.dim)
     t = 0.8
-    u_flow = mc.flow_superop(w, t)
-    lhs = u_flow @ sandwich_superop(SandwichOp(a, np.eye(cfg.dim))) @ u_flow.conj().T
-    rhs = sandwich_superop(SandwichOp(mc.modular_flow(w, t, a), np.eye(cfg.dim)))
+    # U = flow_superop is diagonal in the matrix-unit basis (a stored
+    # off-diagonal entry counts as error), so U(A v I)U* and sigma_t(A) v I
+    # differ only on the blocks j = l of their entries ((i, j), (k, l)),
+    # where U(A v I)U* holds d_ij A_ik conj(d_kj): compare block by block,
+    # in O(N^2) memory
+    u_flow = mc.flow_superop(w, t).tocoo()
+    d = u_flow.diagonal().reshape(cfg.dim, cfg.dim)
+    dev = float(np.max(np.abs(u_flow.data[u_flow.row != u_flow.col]), initial=0.0))
+    sig = mc.modular_flow(w, t, a)
+    for j in range(cfg.dim):
+        block = (d[:, j, None] * a) * d[None, :, j].conj()
+        dev = max(dev, float(np.max(np.abs(block - sig))))
     s.check("flow_preserves_left_algebra",
-            "sigma_t(A v I) = sigma_t(A) v I", float(abs(lhs - rhs).max()), 1e-12)
+            "sigma_t(A v I) = sigma_t(A) v I", dev, 1e-12)
 
     expected = np.array([-(math.log(w.alpha[i] / w.alpha[j])) / w.beta
                          for i in range(cfg.dim) for j in range(cfg.dim)])
@@ -610,10 +620,7 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
             dev, 1e-10)
 
     # conjugating the holomorphic projector gives the anti-holomorphic one
-    jmat = np.zeros((proj.shape[0], proj.shape[0]))
-    for n in range(m + 1):
-        for k in range(m + 1):
-            jmat[k * (m + 1) + n, n * (m + 1) + k] = 1.0
+    jmat = transpose_permutation(m + 1)
     phol = cs.sector_projector("hol", m).matrix
     s.check("conjugated_projectors", "J P_hol J = P_a-hol",
             float(np.max(np.abs(jmat @ phol.conj() @ jmat - proj))), 1e-13)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +58,30 @@ def test_usage_error_exit_code():
 
 def test_config_error_exit_code(capsys):
     assert main(["verify", "modular", "--beta", "-1"]) == 2
+
+
+def test_export_quad_rule_rejects_unsupported_order(capsys):
+    assert main(["export", "quad_rule", "--radial", "1000",
+                 "--angular", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err
+
+
+def test_cli_loads_no_scipy_special_or_linalg():
+    # runs the commands, not only the import, so a deferred import inside
+    # a function is caught too
+    code = (
+        "import contextlib, io, sys\n"
+        "from landau_modular.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['verify', 'all', '--seed', '42'])\n"
+        "    main(['export', 'quad_rule'])\n"
+        "print(sorted(m for m in ('scipy.special', 'scipy.linalg')"
+        " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_export_hermite_coeffs(tmp_path):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from landau_modular import cgauss_quad as quad
 from landau_modular import coherent_states as cs
+from landau_modular import landau_modes as lm
 
 
 def rule_default():
@@ -148,3 +150,17 @@ def test_displacement_vacuum_column():
     expect = np.array([math.exp(-abs(alpha) ** 2 / 2.0) * alpha**n
                        / math.sqrt(math.factorial(n)) for n in range(32)])
     assert np.max(np.abs(col - expect)) < 1e-10
+
+
+def test_displacement_routes_match_expm():
+    alpha, ncut = 0.5 + 0.3j, 40
+    a = lm.ladder(ncut)
+    ad = a.conj().T
+    full = expm(alpha * ad - np.conj(alpha) * a)
+    assert np.max(np.abs(cs._displacement(alpha, ncut) - full)) < 1e-13
+    assert np.max(np.abs(cs.displacement_vacuum_column(alpha, ncut)
+                         - full[:, 0])) < 1e-14
+    assert np.max(np.abs(cs._raising_exp(alpha, ncut)
+                         - expm(alpha * ad))) < 1e-13
+    assert np.max(np.abs(cs._raising_exp(-np.conj(alpha), ncut).T
+                         - expm(-np.conj(alpha) * a))) < 1e-13
