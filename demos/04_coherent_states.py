@@ -62,11 +62,6 @@ for z, mm in ((1.0, 20), (1.4 - 0.9j, 12)):
 print(f"\nmodular data at beta = {BETA}:")
 print("  spectral consistency of Delta with the flow:",
       f"{cs.modular_spectral_check(BETA, M):.3e}")
-d = cs.modular_delta(BETA, 4)
-b = np.zeros((5, 5), dtype=complex)
-b[2, 1] = 1.0
-print("  Delta on e_(2,1): factor", d(cs.CoherentCoeffs(4, b)).c[2, 1],
-      " (= e^{-beta})")
 
 chi, norm_limit = cs.chi_state(BETA, 12)
 print("  chi is normalised:", abs(chi.norm() - 1.0) < 1e-14,

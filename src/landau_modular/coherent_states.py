@@ -219,15 +219,6 @@ def vector_cs_check(z: complex, cutoff: int) -> tuple[float, float, float]:
     return res_a, res_b, bound
 
 
-def modular_delta(beta: float, cutoff: int) -> TruncatedMap:
-    """The modular operator, diagonal with e^(-beta(n - k)) on B[n, k]."""
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
-    m = cutoff + 1
-    diag = np.array([math.exp(-beta * (n - k)) for n in range(m) for k in range(m)])
-    return TruncatedMap(cutoff=cutoff, matrix=np.diag(diag).astype(complex))
-
-
 def modular_spectral_check(beta: float, cutoff: int,
                            t_samples=(0.3, 1.0, -2.0)) -> float:
     """Consistency of the diagonal modular operator with the Gibbs picture.

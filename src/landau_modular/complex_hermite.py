@@ -1,7 +1,11 @@
 """Bivariate complex Hermite polynomials with exact coefficient arithmetic.
 
 A polynomial in the pair (zbar, z) is stored as a map (m, k) -> exact
-Gaussian-rational coefficient for the monomial zbar^m z^k.  All identities
+complex coefficient for the monomial zbar^m z^k.  Every coefficient of
+h[n, k] is an integer, (-1)^j j! C(n, j) C(k, j), and the recursion and
+Rodrigues routes keep it a Python int; Fraction enters only for the
+explicit sum's quotients, the halves of the level eigenvalues and the
+1/(n! k!) of the generating function.  All identities
 (recursion, Rodrigues form, explicit double sum, generating function,
 ladder and number actions) are checked as exact equalities of coefficient
 maps; floating point enters only at evaluation time.  The recursion route
@@ -23,13 +27,15 @@ from fractions import Fraction
 
 
 class QC:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact (int or Fraction) real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # ints stay ints (every Hermite coefficient is one); anything else,
+        # such as a float or a quotient, becomes an exact Fraction
+        self.re = re if type(re) is int else Fraction(re)
+        self.im = im if type(im) is int else Fraction(im)
 
     def __add__(self, other):
         return QC(self.re + other.re, self.im + other.im)
@@ -37,15 +43,9 @@ class QC:
     def __sub__(self, other):
         return QC(self.re - other.re, self.im - other.im)
 
-    def __neg__(self):
-        return QC(-self.re, -self.im)
-
     def __mul__(self, other):
         return QC(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
-
-    def conj(self) -> "QC":
-        return QC(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, QC):
@@ -66,7 +66,6 @@ class QC:
 
 
 _ZERO = QC(0)
-_ONE = QC(1)
 
 
 @dataclass(frozen=True)
@@ -95,14 +94,6 @@ class BivarPoly:
             d[mk] = d.get(mk, _ZERO) - c
         return BivarPoly.from_dict(d)
 
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        d: dict = {}
-        for (m1, k1), c1 in self.coeffs:
-            for (m2, k2), c2 in other.coeffs:
-                mk = (m1 + m2, k1 + k2)
-                d[mk] = d.get(mk, _ZERO) + c1 * c2
-        return BivarPoly.from_dict(d)
-
     def scale(self, c) -> "BivarPoly":
         if not isinstance(c, QC):
             c = QC(c)
@@ -115,10 +106,6 @@ class BivarPoly:
 def poly_const(c=1) -> BivarPoly:
     c = c if isinstance(c, QC) else QC(c)
     return BivarPoly.from_dict({(0, 0): c})
-
-
-ZBAR = BivarPoly.from_dict({(1, 0): _ONE})
-Z = BivarPoly.from_dict({(0, 1): _ONE})
 
 
 def mul_zbar(p: BivarPoly) -> BivarPoly:

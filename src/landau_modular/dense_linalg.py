@@ -28,15 +28,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA for square matrices of equal dimension."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
 @dataclass(frozen=True)
 class HermitianEig:
     """Spectral data of a Hermitian matrix.

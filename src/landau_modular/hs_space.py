@@ -17,12 +17,10 @@ linear superoperator M1 @ conj(M2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-
-from .dense_linalg import adjoint
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -70,24 +68,6 @@ class SandwichOp:
         return self.left.shape[0]
 
 
-def sandwich_apply(op: SandwichOp, x: np.ndarray) -> np.ndarray:
-    if x.shape != op.left.shape:
-        raise ValueError(f"dimension mismatch: operator dim {op.dim}, vector shape {x.shape}")
-    return op.left @ x @ adjoint(op.right)
-
-
-def sandwich_compose(p: SandwichOp, q: SandwichOp) -> SandwichOp:
-    """(A1 v B1)(A2 v B2) = (A1 A2) v (B1 B2)."""
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return SandwichOp(p.left @ q.left, p.right @ q.right)
-
-
-def sandwich_adjoint(op: SandwichOp) -> SandwichOp:
-    """(A v B)* = A* v B* with respect to the Hilbert-Schmidt inner product."""
-    return SandwichOp(adjoint(op.left), adjoint(op.right))
-
-
 def sandwich_superop(op: SandwichOp) -> sp.csr_array:
     """Sparse N^2 x N^2 matrix of X -> A X B* in the flattening convention.
 
@@ -95,15 +75,6 @@ def sandwich_superop(op: SandwichOp) -> sp.csr_array:
     """
     # a sparse-array factor makes kron return csr_array, not csr_matrix
     return sp.kron(sp.csr_array(op.left), op.right.conj(), format="csr")
-
-
-def superop_matrix(fn: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """Matrix of an arbitrary linear map, column by column over matrix units."""
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[:, i * n + j] = flatten(fn(matrix_unit(n, i, j)))
-    return m
 
 
 @dataclass(frozen=True)
@@ -118,11 +89,6 @@ class AntilinearOp:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return unflatten(self.matrix @ flatten(x).conj())
-
-
-def antilinear_compose(p: AntilinearOp, q: AntilinearOp) -> np.ndarray | sp.sparray:
-    """The linear superoperator matrix of p after q."""
-    return p.matrix @ q.matrix.conj()
 
 
 def transpose_permutation(n: int) -> sp.csr_array:

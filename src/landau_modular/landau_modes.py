@@ -210,11 +210,14 @@ def ground_state(cut: ModeCut) -> np.ndarray:
     densified there for the eigensolve; the lowest eigenvector is embedded
     back into the full space.  This is the eigensolve route, independent of
     the closed form squeezed_vacuum.  Raises if the near-kernel is not
-    one-dimensional (cut too small).
+    one-dimensional (cut too small) or the interior is empty (cut below 4).
     """
+    mask = interior_mask(cut)
+    if not mask.any():
+        raise ValueError(f"the interior of cut {cut.ncut} is empty; "
+                         f"ground_state needs ncut >= 4")
     h = hamiltonians(cut)
     total = h.n_plus + h.n_minus
-    mask = interior_mask(cut)
     sub = total[np.ix_(mask, mask)].toarray()
     vals, vecs = np.linalg.eigh(0.5 * (sub + sub.conj().T))
     if vals.shape[0] > 1 and vals[1] < 0.5:

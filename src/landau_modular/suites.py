@@ -387,11 +387,11 @@ def _suite_landau(cfg: SuiteConfig) -> Report:
             "complex conjugation maps H_up to H_down", dev, 1e-12)
 
     x, wts = quad.real_gauss_rule(60)
+    table = np.array([[lm.hermite_fn(m, xi) for xi in x] for m in range(9)])
     dev = 0.0
     for m in range(9):
         for n in range(9):
-            val = float(np.sum(wts * [lm.hermite_fn(m, xi) * lm.hermite_fn(n, xi)
-                                      for xi in x]))
+            val = float(np.sum(wts * (table[m] * table[n])))
             dev = max(dev, abs(val - (1.0 if m == n else 0.0)))
     s.check("hermite_fn_orthonormal",
             "real-line orthonormality of the Hermite functions", dev, 1e-10)
@@ -585,6 +585,9 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _suite_coherent(cfg: SuiteConfig) -> Report:
+    if cfg.cutoff < 2:
+        # the partial-isometry witness moves e_(2,0) to e_(0,2)
+        raise ValueError(f"the coherent suite needs cutoff >= 2, got {cfg.cutoff}")
     s = _Suite("coherent", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)
     m = cfg.cutoff

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,15 @@ def test_config_error_exit_code(capsys):
     assert main(["verify", "modular", "--beta", "-1"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("coherent", "--cutoff", "0"), ("coherent", "--cutoff", "1"),
+    ("all", "--cutoff", "1"), ("landau", "--ncut", "2"), ("landau", "--ncut", "3"),
+])
+def test_too_small_cut_is_a_config_error(args, capsys):
+    assert main(["verify", *args]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_export_quad_rule_rejects_unsupported_order(capsys):
     assert main(["export", "quad_rule", "--radial", "1000",
                  "--angular", "2"]) == 2
@@ -91,6 +101,13 @@ def test_export_hermite_coeffs(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,k,m,j,re,im"
     assert "1,1,1,1,1,0" in lines and "1,1,0,0,-1,0" in lines
+    # the whole table to index 12, byte for byte
+    assert main(["export", "hermite_coeffs", "--cutoff", "12",
+                 "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data.splitlines()) == 820
+    assert hashlib.sha256(data).hexdigest() == (
+        "658f2dbebb95665a888f71a955f75d3c0cddd921e14b0e4ca9f2e4ca9812a344")
 
 
 def test_export_delta_spectrum(tmp_path):

@@ -124,15 +124,6 @@ def test_vector_cs_residuals():
 
 def test_modular_spectral_consistency():
     assert cs.modular_spectral_check(0.7, 8) < 1e-12
-    d = cs.modular_delta(0.7, 4)
-    b = np.zeros((5, 5), dtype=complex)
-    b[2, 1] = 1.0
-    img = d(cs.CoherentCoeffs(4, b))
-    assert abs(img.c[2, 1] - math.exp(-0.7)) < 1e-15
-    b = np.zeros((5, 5), dtype=complex)
-    b[3, 3] = 1.0
-    img = d(cs.CoherentCoeffs(4, b))
-    assert img.c[3, 3] == 1.0
 
 
 def test_displacement_factorization():

@@ -34,6 +34,16 @@ def test_three_constructions_agree_exactly():
             assert r == chp.ch_explicit(n, k)
 
 
+def test_recursion_and_rodrigues_coefficients_are_ints():
+    # every coefficient (-1)^j j! C(n, j) C(k, j) is an integer, so the two
+    # integer-only routes never build a Fraction
+    for n in range(13):
+        for k in range(13):
+            for route in (chp.ch_recursion, chp.ch_rodrigues):
+                for _, c in route(n, k).coeffs:
+                    assert type(c.re) is int and type(c.im) is int
+
+
 def test_literal_explicit_sum_disagrees():
     assert chp.ch_explicit(1, 1, literal=True) == poly({(1, 1): (1, 0),
                                                         (0, 0): (1, 0)})

@@ -3,7 +3,6 @@ import pytest
 
 from landau_modular.dense_linalg import (
     adjoint,
-    commutator,
     func_calculus,
     hermitian_eig,
     hermitian_function,
@@ -20,33 +19,6 @@ def test_adjoint_identity_and_unit():
 def test_adjoint_involution():
     a = SplitMix64(1).complex_matrix(5)
     assert np.array_equal(adjoint(adjoint(a)), a)
-
-
-def test_commutator_basics():
-    a = SplitMix64(2).complex_matrix(4)
-    assert np.allclose(commutator(a, a), 0)
-    assert np.allclose(commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), 0)
-
-
-def test_commutator_truncated_ladder():
-    n = 5
-    a = np.diag(np.sqrt(np.arange(1, n)), k=1)
-    expected = np.eye(n)
-    expected[n - 1, n - 1] = 1 - n
-    assert np.allclose(commutator(a, adjoint(a)), expected, atol=1e-14)
-
-
-def test_commutator_rejects_mismatch():
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
-
-
-def test_commutator_antisymmetric_bilinear():
-    rng = SplitMix64(3)
-    a, b, c = (rng.complex_matrix(4) for _ in range(3))
-    assert np.allclose(commutator(a, b), -commutator(b, a))
-    assert np.allclose(commutator(a + 2 * c, b),
-                       commutator(a, b) + 2 * commutator(c, b))
 
 
 def test_hermitian_eig_simple_spectra():

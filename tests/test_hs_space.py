@@ -4,21 +4,26 @@ import pytest
 from landau_modular.hs_space import (
     AntilinearOp,
     SandwichOp,
-    antilinear_compose,
     commutant_basis,
     conjugation_J,
     flatten,
     hs_inner,
     in_span,
     matrix_unit,
-    sandwich_adjoint,
-    sandwich_apply,
-    sandwich_compose,
     sandwich_superop,
-    superop_matrix,
     unflatten,
 )
 from landau_modular.rng import SplitMix64
+
+
+def superop_matrix(fn, n: int) -> np.ndarray:
+    """Matrix of an arbitrary linear map, column by column over matrix units:
+    the independent reference for sandwich_superop."""
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            m[:, i * n + j] = flatten(fn(matrix_unit(n, i, j)))
+    return m
 
 
 def test_matrix_units_and_inner_orthonormality():
@@ -43,34 +48,57 @@ def test_flatten_round_trip():
     assert np.array_equal(unflatten(flatten(x)), x)
 
 
+def _apply(op: SandwichOp, x: np.ndarray) -> np.ndarray:
+    return unflatten(sandwich_superop(op) @ flatten(x))
+
+
 def test_sandwich_apply_cases():
     n = 4
     x = SplitMix64(9).complex_matrix(n)
     eye = np.eye(n)
-    assert np.allclose(sandwich_apply(SandwichOp(eye, eye), x), x)
+    assert np.allclose(_apply(SandwichOp(eye, eye), x), x)
     a = SplitMix64(10).complex_matrix(n)
-    assert np.allclose(sandwich_apply(SandwichOp(a, eye), x), a @ x)
+    b = SplitMix64(19).complex_matrix(n)
+    assert np.allclose(_apply(SandwichOp(a, eye), x), a @ x)
+    assert np.allclose(_apply(SandwichOp(a, b), x), a @ x @ b.conj().T)
     # matrix-unit multiplication rule E_kl P_i = delta_li E_ki
     for k in range(n):
         for l in range(n):
             for i in range(n):
-                got = sandwich_apply(SandwichOp(matrix_unit(n, k, l), eye),
-                                     matrix_unit(n, i, i))
+                got = _apply(SandwichOp(matrix_unit(n, k, l), eye),
+                             matrix_unit(n, i, i))
                 expect = matrix_unit(n, k, i) if l == i else np.zeros((n, n))
                 assert np.array_equal(got, expect)
 
 
 def test_sandwich_compose_matches_application():
+    # (A1 v B1*)(A2 v B2*) = (A1 A2) v (B1 B2)*
     rng = SplitMix64(11)
     n = 4
     for _ in range(20):
         p = SandwichOp(rng.complex_matrix(n), rng.complex_matrix(n))
         q = SandwichOp(rng.complex_matrix(n), rng.complex_matrix(n))
         x = rng.complex_matrix(n)
-        via_compose = sandwich_apply(sandwich_compose(p, q), x)
-        direct = sandwich_apply(p, sandwich_apply(q, x))
+        via_compose = _apply(SandwichOp(p.left @ q.left, p.right @ q.right), x)
+        direct = _apply(p, _apply(q, x))
         assert np.linalg.norm(via_compose - direct) < 1e-12 * max(
             1.0, np.linalg.norm(direct))
+
+
+def test_sandwich_adjoint_pairing():
+    # the Hilbert-Schmidt adjoint of A v B* is A* v B
+    rng = SplitMix64(13)
+    n = 4
+    op = SandwichOp(rng.complex_matrix(n), rng.complex_matrix(n))
+    adj = SandwichOp(op.left.conj().T, op.right.conj().T)
+    for _ in range(5):
+        x = rng.complex_matrix(n)
+        y = rng.complex_matrix(n)
+        lhs = hs_inner(x, _apply(op, y))
+        rhs = hs_inner(_apply(adj, x), y)
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+    assert np.array_equal(sandwich_superop(adj).toarray(),
+                          sandwich_superop(op).toarray().conj().T)
 
 
 def test_left_and_right_factors_commute():
@@ -84,33 +112,19 @@ def test_left_and_right_factors_commute():
     assert np.linalg.norm((left @ right - right @ left).toarray()) < 1e-12
 
 
-def test_sandwich_adjoint_pairing():
-    rng = SplitMix64(13)
-    n = 4
-    op = SandwichOp(rng.complex_matrix(n), rng.complex_matrix(n))
-    for _ in range(5):
-        x = rng.complex_matrix(n)
-        y = rng.complex_matrix(n)
-        lhs = hs_inner(x, sandwich_apply(op, y))
-        rhs = hs_inner(sandwich_apply(sandwich_adjoint(op), x), y)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-    back = sandwich_adjoint(sandwich_adjoint(op))
-    assert np.array_equal(back.left, op.left) and np.array_equal(back.right, op.right)
-
-
 def test_superop_matrix_identity_and_kron_structure():
     n = 3
     assert np.allclose(superop_matrix(lambda x: x, n), np.eye(n * n))
     a = SplitMix64(14).complex_matrix(n)
     op = SandwichOp(a, np.eye(n))
-    assert np.allclose(superop_matrix(lambda x: sandwich_apply(op, x), n),
+    assert np.allclose(superop_matrix(lambda x: a @ x, n),
                        sandwich_superop(op).toarray())
 
 
 def test_conjugation_squares_to_identity():
     n = 3
     j = conjugation_J(n)
-    assert np.allclose(antilinear_compose(j, j).toarray(), np.eye(n * n))
+    assert np.allclose((j.matrix @ j.matrix.conj()).toarray(), np.eye(n * n))
     x = SplitMix64(15).complex_matrix(n)
     assert np.allclose(j(x), x.conj().T)
 
