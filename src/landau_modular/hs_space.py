@@ -116,14 +116,17 @@ def commutant_basis(
     if len(generators) == 0:
         raise ValueError("commutant of an empty generator list is undefined here")
     d = generators[0].shape[0]
-    blocks = []
-    eye = sp.eye_array(d)
-    for g in generators:
+    dd = d * d
+    eye = np.eye(d)
+    stacked = np.empty((len(generators) * dd, dd), dtype=complex)
+    for k, g in enumerate(generators):
         if g.shape != (d, d):
             raise ValueError("generators must share one dimension")
+        g = g.toarray() if sp.issparse(g) else np.asarray(g)
         # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec
-        blocks.append(sp.kron(g, eye) - sp.kron(eye, g.T))
-    stacked = sp.vstack(blocks).toarray()
+        block = stacked[k * dd:(k + 1) * dd]
+        block[:] = np.kron(g, eye)
+        block -= np.kron(eye, g.T)
     # the stack has at least as many rows as columns, so the economy vh is
     # square and still spans the null space
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)

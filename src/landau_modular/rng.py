@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -18,7 +19,7 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -29,14 +30,26 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def complex_matrix(self, n: int) -> np.ndarray:
-        """n x n matrix with entries uniform in the complex unit square."""
-        m = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                re = self.uniform()
-                im = self.uniform()
-                m[i, j] = complex(re, im)
-        return m
+        """n x n matrix with entries uniform in the complex unit square.
+
+        Draws the same 2n^2 values, in the same row-major (re, im) order, as
+        2n^2 calls of uniform(): after k steps the state is
+        state + k * gamma mod 2^64, so the whole stream is one uint64 array
+        expression (array arithmetic wraps mod 2^64 without a warning).
+        """
+        count = 2 * n * n
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += self.state
+        self.state = (self.state + count * _GAMMA) & _MASK
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        u = (z >> 11).astype(np.float64) * (1.0 / (1 << 53))
+        # interleaved (re, im) doubles are exactly the complex128 layout
+        return u.view(np.complex128).reshape(n, n)
 
     def hermitian_matrix(self, n: int) -> np.ndarray:
         a = self.complex_matrix(n)

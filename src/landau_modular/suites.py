@@ -52,11 +52,18 @@ class SuiteConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("dim", "cutoff", "ncut", "radial", "angular", "seed"):
+        for name in ("dim", "radial", "angular", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.dim < 2 or self.beta <= 0 or self.tol_scale <= 0:
             raise ValueError("dim >= 2, beta > 0 and tol scale > 0 required")
+        # the smallest cuts every suite runs at, checked before any suite:
+        # the coherent partial-isometry witness moves e_(2,0) to e_(0,2),
+        # and the landau Fock states reach n + l = 6, which needs cut n + l + 2
+        if self.cutoff < 2:
+            raise ValueError(f"cutoff (--cutoff) must be at least 2, got {self.cutoff}")
+        if self.ncut < 8:
+            raise ValueError(f"ncut (--ncut) must be at least 8, got {self.ncut}")
 
     def as_dict(self) -> dict:
         return {
@@ -162,10 +169,12 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
     s.check("cyclic_fixed_by_delta", "Delta Phi = Phi",
             float(np.linalg.norm(triple.delta @ flatten(phi) - flatten(phi))), 1e-13)
 
+    # Phi is diagonal, so A Phi scales the columns of A by its diagonal
+    phi_diag = phi.diagonal()
     dev = 0.0
     for _ in range(20):
         a = rng.complex_matrix(cfg.dim)
-        dev = max(dev, frob(triple.S(a @ phi) - adjoint(a) @ phi))
+        dev = max(dev, frob(triple.S(a * phi_diag) - adjoint(a) * phi_diag))
     s.check("s_conjugates_orbit", "S(A Phi) = A* Phi", dev, 1e-11)
 
     dev = 0.0
@@ -199,8 +208,7 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
     s.check("flow_preserves_left_algebra",
             "sigma_t(A v I) = sigma_t(A) v I", dev, 1e-12)
 
-    expected = np.array([-(math.log(w.alpha[i] / w.alpha[j])) / w.beta
-                         for i in range(cfg.dim) for j in range(cfg.dim)])
+    expected = -np.log(np.divide.outer(w.alpha, w.alpha)).reshape(-1) / w.beta
     s.check("generator_eigenvalues",
             "bigH eigenvalue on E_ij = -(1/beta) log(alpha_i / alpha_j)",
             float(np.max(np.abs(triple.big_h.diagonal().real - expected))), 1e-12)
@@ -585,9 +593,6 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _suite_coherent(cfg: SuiteConfig) -> Report:
-    if cfg.cutoff < 2:
-        # the partial-isometry witness moves e_(2,0) to e_(0,2)
-        raise ValueError(f"the coherent suite needs cutoff >= 2, got {cfg.cutoff}")
     s = _Suite("coherent", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)
     m = cfg.cutoff

@@ -252,10 +252,9 @@ def test_criterion_12_modular_coherent_consistency():
         for l in range(m + 1):
             assert abs(math.exp(-BETA * (n - l)) - w.alpha[n] / w.alpha[l]) <= 1e-12
     # conjugation intertwines the two diagonal level operators exactly
-    jmat = np.zeros(((m + 1) ** 2, (m + 1) ** 2))
-    for n in range(m + 1):
-        for k in range(m + 1):
-            jmat[k * (m + 1) + n, n * (m + 1) + k] = 1.0
+    # the swap sends flattened index k*(m+1) + n to n*(m+1) + k
+    r = np.arange((m + 1) ** 2)
+    jmat = np.eye((m + 1) ** 2)[(r % (m + 1)) * (m + 1) + r // (m + 1)]
     up = np.diag([k + 0.5 for n in range(m + 1) for k in range(m + 1)])
     down = np.diag([n + 0.5 for n in range(m + 1) for k in range(m + 1)])
     assert np.max(np.abs(jmat @ up @ jmat - down)) == 0.0

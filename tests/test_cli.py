@@ -64,10 +64,24 @@ def test_config_error_exit_code(capsys):
 @pytest.mark.parametrize("args", [
     ("coherent", "--cutoff", "0"), ("coherent", "--cutoff", "1"),
     ("all", "--cutoff", "1"), ("landau", "--ncut", "2"), ("landau", "--ncut", "3"),
+    ("landau", "--ncut", "4"), ("landau", "--ncut", "7"), ("wigner", "--ncut", "3"),
+    ("all", "--ncut", "7"), ("modular", "--ncut", "-1"),
 ])
 def test_too_small_cut_is_a_config_error(args, capsys):
     assert main(["verify", *args]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # rejected before any suite runs: no check line, and the flag and its
+    # limit are named
+    assert captured.err.splitlines() == [
+        f"configuration error: {args[1][2:]} ({args[1]}) must be at least "
+        f"{2 if args[1] == '--cutoff' else 8}, got {args[2]}"]
+
+
+def test_smallest_cuts_run():
+    cfg = SuiteConfig(cutoff=2, ncut=8)
+    for name in ("coherent", "landau", "wigner"):
+        assert run_suite(name, cfg)[0].checks
 
 
 def test_export_quad_rule_rejects_unsupported_order(capsys):
