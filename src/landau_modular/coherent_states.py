@@ -3,122 +3,71 @@ identity, the cross-sector partial isometries, the modular conjugation as
 coefficient transposition, and the spectral form of the modular operator.
 
 A vector in the truncated function space is a coefficient array c[n, k]
-over the orthonormal basis B[n, k] = h[n, k] / sqrt(n! k!), 0 <= n, k <= M.
-The anti-holomorphic sector is spanned by the column k = 0 (powers of
-zbar), the holomorphic sector by the row n = 0 (powers of z).
+over the orthonormal basis B[n, k] = h[n, k] / sqrt(n! k!), 0 <= n, k <= M:
+a plain (M+1) x (M+1) complex array, that is, an element of the
+Hilbert-Schmidt space HS(C^(M+1)) of hs_space.  Its norm is the Frobenius
+norm, the modular conjugation is the adjoint c -> c*, and an antilinear map
+on it is an hs_space.AntilinearOp.  The anti-holomorphic sector is spanned
+by the column k = 0 (powers of zbar), the holomorphic sector by the row
+n = 0 (powers of z).  The Weyl displacement is landau_modes.displacement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import complex_hermite as ch
 from .cgauss_quad import ComplexGaussRule, covers_degree, integrate_values
-from .dense_linalg import hermitian_function
-from .landau_modes import ladder
+from .hs_space import AntilinearOp
+from .landau_modes import displacement, ladder
 
 
-@dataclass(frozen=True)
-class CoherentCoeffs:
-    """Coefficients over the basis B[n, k], 0 <= n, k <= cutoff."""
-
-    cutoff: int
-    c: np.ndarray
-
-    def __post_init__(self):
-        m = self.cutoff + 1
-        if self.c.shape != (m, m):
-            raise ValueError(f"coefficients must be {m} x {m}, got {self.c.shape}")
-
-    def flat(self) -> np.ndarray:
-        return self.c.reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.c))
-
-
-def bcs(u: complex, v: complex, cutoff: int) -> CoherentCoeffs:
+def bcs(u: complex, v: complex, cutoff: int) -> np.ndarray:
     """Bi-coherent state: c[n, k] = v^n conj(u)^k / sqrt(n! k!)."""
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     pows_v = np.array([v**n / math.sqrt(math.factorial(n)) for n in range(cutoff + 1)])
     ub = np.conj(u)
     pows_u = np.array([ub**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)])
-    return CoherentCoeffs(cutoff=cutoff, c=np.outer(pows_v, pows_u))
+    return np.outer(pows_v, pows_u)
 
 
-def eta(z: complex, cutoff: int) -> CoherentCoeffs:
+def eta(z: complex, cutoff: int) -> np.ndarray:
     """Anti-holomorphic coherent state: c[n, 0] = z^n / sqrt(n!)."""
     return bcs(0.0, z, cutoff)
 
 
-def eta_breve(zbar: complex, cutoff: int) -> CoherentCoeffs:
+def eta_breve(zbar: complex, cutoff: int) -> np.ndarray:
     """Holomorphic coherent state: c[0, n] = zbar^n / sqrt(n!)."""
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for n in range(cutoff + 1):
-        c[0, n] = zbar**n / math.sqrt(math.factorial(n))
-    return CoherentCoeffs(cutoff=cutoff, c=c)
+    return bcs(np.conj(zbar), 0.0, cutoff)
 
 
-def coeff_eval(v: CoherentCoeffs, w: complex) -> complex:
+def coeff_eval(v: np.ndarray, w: complex) -> complex:
     """Pointwise value sum c[n, k] B[n, k](wbar, w)."""
     total = 0j
-    for n in range(v.cutoff + 1):
-        for k in range(v.cutoff + 1):
-            if v.c[n, k] != 0:
-                total += v.c[n, k] * ch.eval_normalized(ch.H_basis(n, k), w)
+    for (n, k), c in np.ndenumerate(v):
+        if c != 0:
+            total += c * ch.eval_normalized(ch.H_basis(n, k), w)
     return total
 
 
-def J_swap(v: CoherentCoeffs) -> CoherentCoeffs:
-    """The modular conjugation on coefficients: c'[n, k] = conj(c[k, n])."""
-    return CoherentCoeffs(cutoff=v.cutoff, c=v.c.T.conj())
-
-
-def chi_state(beta: float, cutoff: int) -> tuple[CoherentCoeffs, float]:
+def chi_state(beta: float, cutoff: int) -> np.ndarray:
     """The thermal vector sum e^(-n beta/2) B[n, n], renormalized to norm 1.
 
-    Returns the normalized state and the untruncated normalizer
-    sqrt(1 - e^(-beta)) it converges to as the cutoff grows.
+    The untruncated normalizer it converges to as the cutoff grows is
+    sqrt(1 - e^(-beta)).
     """
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
-    c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for n in range(cutoff + 1):
-        c[n, n] = math.exp(-n * beta / 2.0)
-    c /= np.linalg.norm(c)
-    return CoherentCoeffs(cutoff=cutoff, c=c), math.sqrt(1.0 - math.exp(-beta))
+    if not 0 < beta < math.inf:
+        raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
+    c = np.diag([math.exp(-n * beta / 2.0) for n in range(cutoff + 1)]).astype(complex)
+    return c / np.linalg.norm(c)
 
 
-@dataclass(frozen=True)
-class TruncatedMap:
-    """A (possibly antilinear) map on flattened coefficient arrays.
-
-    Action: flat(out) = matrix @ flat(in), with an entrywise conjugation
-    of the input first when antilinear is set.
-    """
-
-    cutoff: int
-    matrix: np.ndarray
-    antilinear: bool = False
-
-    def __call__(self, v: CoherentCoeffs) -> CoherentCoeffs:
-        if v.cutoff != self.cutoff:
-            raise ValueError("cutoff mismatch")
-        x = v.flat()
-        if self.antilinear:
-            x = x.conj()
-        m = self.cutoff + 1
-        return CoherentCoeffs(cutoff=self.cutoff, c=(self.matrix @ x).reshape(m, m))
-
-
-def sector_projector(kind: str, cutoff: int) -> TruncatedMap:
-    """Projector onto the anti-holomorphic (k = 0) or holomorphic (n = 0) sector."""
+def sector_projector(kind: str, cutoff: int) -> np.ndarray:
+    """Matrix of the projector onto the anti-holomorphic (k = 0) or
+    holomorphic (n = 0) sector, on flattened coefficient arrays."""
     m = cutoff + 1
     diag = np.zeros(m * m)
     if kind == "a-hol":
@@ -127,7 +76,7 @@ def sector_projector(kind: str, cutoff: int) -> TruncatedMap:
         diag[:m] = 1.0  # the entries (0, k)
     else:
         raise ValueError(f"unknown sector {kind!r}; expected 'a-hol' or 'hol'")
-    return TruncatedMap(cutoff=cutoff, matrix=np.diag(diag).astype(complex))
+    return np.diag(diag).astype(complex)
 
 
 def _require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
@@ -163,7 +112,7 @@ def resolution_check(kind: str, cutoff: int, rule: ComplexGaussRule) -> float:
         else:
             # element ((0,a),(0,b)) = integral zbar^a z^b dnu / norms
             p[:m, :m] = g.conj()
-        target = sector_projector(kind, cutoff).matrix
+        target = sector_projector(kind, cutoff)
         return float(np.max(np.abs(p - target)))
     if kind == "bcs":
         # c[n, k](u, v) factorizes, so the double integral is a Kronecker
@@ -173,7 +122,7 @@ def resolution_check(kind: str, cutoff: int, rule: ComplexGaussRule) -> float:
     raise ValueError(f"unknown resolution kind {kind!r}")
 
 
-def partial_isometry(kind: str, cutoff: int, rule: ComplexGaussRule) -> TruncatedMap:
+def partial_isometry(kind: str, cutoff: int, rule: ComplexGaussRule) -> AntilinearOp:
     """The antilinear cross-sector map from a coherent-state kernel integral.
 
     'a-hol->hol' is f -> integral eta_breve(zbar) conj(<eta_z, f>) dnu: it
@@ -188,10 +137,10 @@ def partial_isometry(kind: str, cutoff: int, rule: ComplexGaussRule) -> Truncate
         # row index (0, k), column index (n, 0):
         # matrix[a, b] = integral eta_breve[a] * eta[b] dnu
         mat[:m, ::m] = g.conj()  # integral zbar^k z^n dnu
-        return TruncatedMap(cutoff=cutoff, matrix=mat, antilinear=True)
+        return AntilinearOp(mat)
     if kind == "hol->a-hol":
         mat[::m, :m] = g
-        return TruncatedMap(cutoff=cutoff, matrix=mat, antilinear=True)
+        return AntilinearOp(mat)
     raise ValueError(f"unknown isometry kind {kind!r}")
 
 
@@ -200,21 +149,16 @@ def vector_cs_check(z: complex, cutoff: int) -> tuple[float, float, float]:
 
     Returns (residual of lowering eta_z against z eta_z, residual of the
     mirrored relation for eta_breve, certified tail bound 10 |z|^(M+1) /
-    sqrt((M+1)!)).  The lowering acts as B[n, 0] -> sqrt(n) B[n-1, 0].
+    sqrt((M+1)!)).  The lowering acts as B[n, 0] -> sqrt(n) B[n-1, 0], the
+    single-mode ladder on the sector.
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    m = cutoff + 1
-    e = eta(z, cutoff)
-    lowered = np.zeros(m, dtype=complex)
-    for n in range(m - 1):
-        lowered[n] = math.sqrt(n + 1) * e.c[n + 1, 0]
-    res_a = float(np.linalg.norm(lowered - z * e.c[:, 0]))
-    eb = eta_breve(np.conj(z), cutoff)
-    lowered_b = np.zeros(m, dtype=complex)
-    for n in range(m - 1):
-        lowered_b[n] = math.sqrt(n + 1) * eb.c[0, n + 1]
-    res_b = float(np.linalg.norm(lowered_b - np.conj(z) * eb.c[0, :]))
+    a = ladder(cutoff + 1)
+    e = eta(z, cutoff)[:, 0]
+    res_a = float(np.linalg.norm(a @ e - z * e))
+    eb = eta_breve(np.conj(z), cutoff)[0, :]
+    res_b = float(np.linalg.norm(a @ eb - np.conj(z) * eb))
     bound = 10.0 * abs(z) ** (cutoff + 1) / math.sqrt(math.factorial(cutoff + 1))
     return res_a, res_b, bound
 
@@ -232,7 +176,7 @@ def modular_spectral_check(beta: float, cutoff: int,
 
     m = cutoff + 1
     dev = 0.0
-    chi, _ = chi_state(beta, cutoff)
+    chi = chi_state(beta, cutoff).reshape(-1)
     raising = np.zeros((m * m, m * m), dtype=complex)
     for n in range(m - 1):
         for k in range(m):
@@ -240,8 +184,7 @@ def modular_spectral_check(beta: float, cutoff: int,
     exponents = np.array([-(n - k) for n in range(m) for k in range(m)], dtype=float)
     for t in t_samples:
         phases = np.exp(1j * beta * t * exponents)
-        flowed_chi = phases * chi.flat()
-        dev = max(dev, float(np.linalg.norm(flowed_chi - chi.flat())))
+        dev = max(dev, float(np.linalg.norm(phases * chi - chi)))
         conj_raising = (phases[:, None] * raising) * phases.conj()[None, :]
         dev = max(dev, float(np.max(np.abs(conj_raising - np.exp(-1j * beta * t) * raising))))
     w = build_weights(beta, m)
@@ -252,12 +195,10 @@ def modular_spectral_check(beta: float, cutoff: int,
 
 
 def _displacement(alpha: complex, ncut: int) -> np.ndarray:
-    """e^(alpha a* - conj(alpha) a) on the truncation.  The exponent is
-    anti-Hermitian, so this is e^(-ix) of the Hermitian i(alpha a* -
-    conj(alpha) a), from one eigensolve."""
-    a = ladder(ncut)
-    gen = 1j * (alpha * a.conj().T - np.conj(alpha) * a)
-    return hermitian_function(gen, lambda lam: np.exp(-1j * lam))
+    """e^(alpha a* - conj(alpha) a) = U(-sqrt2 Im alpha, sqrt2 Re alpha), the
+    phase-space displacement of landau_modes from one eigensolve."""
+    s2 = math.sqrt(2.0)
+    return displacement(ncut, -s2 * alpha.imag, s2 * alpha.real)
 
 
 def _raising_exp(alpha: complex, ncut: int) -> np.ndarray:

@@ -51,30 +51,17 @@ def unflatten(v: np.ndarray) -> np.ndarray:
     return np.asarray(v).reshape(n, n)
 
 
-@dataclass(frozen=True)
-class SandwichOp:
-    """The superoperator X -> A X B*."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        a, b = self.left, self.right
-        if a.shape != b.shape or a.shape[0] != a.shape[1]:
-            raise ValueError(f"sandwich factors must be equal square matrices, got {a.shape}, {b.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.left.shape[0]
-
-
-def sandwich_superop(op: SandwichOp) -> sp.csr_array:
-    """Sparse N^2 x N^2 matrix of X -> A X B* in the flattening convention.
+def sandwich_superop(left: np.ndarray, right: np.ndarray) -> sp.csr_array:
+    """Sparse N^2 x N^2 matrix of X -> A X B* (A = left, B = right) in the
+    flattening convention.
 
     Row-major vec gives vec(A X B*) = (A kron conj(B)) vec(X).
     """
+    if left.shape != right.shape or left.shape[0] != left.shape[1]:
+        raise ValueError(f"sandwich factors must be equal square matrices, "
+                         f"got {left.shape}, {right.shape}")
     # a sparse-array factor makes kron return csr_array, not csr_matrix
-    return sp.kron(sp.csr_array(op.left), op.right.conj(), format="csr")
+    return sp.kron(sp.csr_array(left), right.conj(), format="csr")
 
 
 @dataclass(frozen=True)

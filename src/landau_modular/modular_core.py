@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 from .hs_space import (
     AntilinearOp,
-    SandwichOp,
     conjugation_J,
     sandwich_superop,
     transpose_permutation,
@@ -39,24 +38,25 @@ class GibbsWeights:
     alpha: np.ndarray
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"inverse temperature must be positive, got {self.beta}")
+        # each condition is written so that a NaN fails it
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"inverse temperature must be positive and finite, got {self.beta}")
         if self.n < 2:
             raise ValueError(f"need at least two levels, got {self.n}")
         a = self.alpha
-        if a.shape != (self.n,) or np.any(a <= 0):
+        if a.shape != (self.n,) or not np.all(a > 0):
             raise ValueError("weights must be positive with one entry per level")
-        if abs(a.sum() - 1.0) > 1e-14 * self.n:
+        if not abs(a.sum() - 1.0) <= 1e-14 * self.n:
             raise ValueError("weights must sum to one")
         ratios = a[1:] / a[:-1]
-        if np.any(np.abs(ratios - math.exp(-self.beta)) > 1e-12):
+        if not np.all(np.abs(ratios - math.exp(-self.beta)) <= 1e-12):
             raise ValueError("weights must be geometric with ratio exp(-beta)")
 
 
 def build_weights(beta: float, n: int) -> GibbsWeights:
     """Geometric Gibbs weights on n levels, renormalized to sum exactly 1."""
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
     if n < 2:
         raise ValueError(f"need at least two levels, got {n}")
     alpha = np.exp(-beta * np.arange(n))
@@ -136,7 +136,7 @@ def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:
 def flow_superop(w: GibbsWeights, t: float) -> sp.csr_array:
     """Sparse diagonal superoperator of X -> exp(iHt) X exp(-iHt)."""
     u = np.diag(np.exp(1j * t * (-np.log(w.alpha) / w.beta)))
-    return sandwich_superop(SandwichOp(u, u))
+    return sandwich_superop(u, u)
 
 
 def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> complex:

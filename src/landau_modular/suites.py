@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .hs_space import (
     in_span,
     matrix_unit,
     sandwich_superop,
-    SandwichOp,
     transpose_permutation,
 )
 from .rng import SplitMix64
@@ -55,6 +54,12 @@ class SuiteConfig:
         for name in ("dim", "radial", "angular", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        # a NaN slips past every order comparison below, and an infinite beta
+        # or tolerance scale makes the weights NaN or every bound infinite
+        for name, flag in (("beta", "--beta"), ("tol_scale", "--tol")):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} ({flag}) must be finite, got {value}")
         if self.dim < 2 or self.beta <= 0 or self.tol_scale <= 0:
             raise ValueError("dim >= 2, beta > 0 and tol scale > 0 required")
         # the smallest cuts every suite runs at, checked before any suite:
@@ -64,13 +69,6 @@ class SuiteConfig:
             raise ValueError(f"cutoff (--cutoff) must be at least 2, got {self.cutoff}")
         if self.ncut < 8:
             raise ValueError(f"ncut (--ncut) must be at least 8, got {self.ncut}")
-
-    def as_dict(self) -> dict:
-        return {
-            "dim": self.dim, "beta": self.beta, "cutoff": self.cutoff,
-            "ncut": self.ncut, "radial": self.radial, "angular": self.angular,
-            "tol_scale": self.tol_scale, "seed": self.seed,
-        }
 
 
 @dataclass
@@ -107,7 +105,7 @@ def report_to_json(report: Report) -> str:
     """Deterministic UTF-8 JSON serialization of a report."""
     doc = {
         "suite": report.suite,
-        "config": report.config.as_dict(),
+        "config": asdict(report.config),
         "checks": [
             {
                 "name": c.name,
@@ -214,10 +212,10 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
             float(np.max(np.abs(triple.big_h.diagonal().real - expected))), 1e-12)
 
     n3 = 3
-    gens_left = [sandwich_superop(SandwichOp(matrix_unit(n3, i, j), np.eye(n3)))
+    gens_left = [sandwich_superop(matrix_unit(n3, i, j), np.eye(n3))
                  for i in range(n3) for j in range(n3)]
     dim_l, basis = commutant_basis(gens_left)
-    right = [sandwich_superop(SandwichOp(np.eye(n3), matrix_unit(n3, i, j)))
+    right = [sandwich_superop(np.eye(n3), matrix_unit(n3, i, j))
              for i in range(n3) for j in range(n3)]
     ok = (dim_l == n3 * n3) and all(in_span(basis, r) for r in right)
     s.check("commutant_of_left_algebra",
@@ -612,15 +610,15 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
     dev = 0.0
     b = np.zeros((m + 1, m + 1), dtype=complex)
     b[2, 0] = 1.0
-    img = iso(cs.CoherentCoeffs(m, b))
+    img = iso(b)
     expect = np.zeros((m + 1, m + 1), dtype=complex)
     expect[0, 2] = 1.0
-    dev = max(dev, float(np.max(np.abs(img.c - expect))))
+    dev = max(dev, float(np.max(np.abs(img - expect))))
     b = np.zeros((m + 1, m + 1), dtype=complex)
     b[0, 2] = 1.0
-    dev = max(dev, iso(cs.CoherentCoeffs(m, b)).norm())  # kills the z sector
+    dev = max(dev, frob(iso(b)))  # kills the z sector
     comp = rev.matrix @ iso.matrix.conj()  # antilinear after antilinear = linear
-    proj = cs.sector_projector("a-hol", m).matrix
+    proj = cs.sector_projector("a-hol", m)
     dev = max(dev, float(np.max(np.abs(comp - proj))))
     s.check("partial_isometry",
             "the kernel integral maps B[n, 0] -> B[0, n] isometrically and "
@@ -629,7 +627,7 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
 
     # conjugating the holomorphic projector gives the anti-holomorphic one
     jmat = transpose_permutation(m + 1)
-    phol = cs.sector_projector("hol", m).matrix
+    phol = cs.sector_projector("hol", m)
     s.check("conjugated_projectors", "J P_hol J = P_a-hol",
             float(np.max(np.abs(jmat @ phol.conj() @ jmat - proj))), 1e-13)
 
@@ -638,14 +636,14 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
     for _ in range(5):
         u = complex(rng.uniform() - 0.5, rng.uniform() - 0.5)
         v = complex(rng.uniform() - 0.5, rng.uniform() - 0.5)
-        lhs = cs.J_swap(cs.bcs(u, v, m))
+        lhs = adjoint(cs.bcs(u, v, m))
         rhs = cs.bcs(v, u, m)
-        dev = max(dev, float(np.max(np.abs(lhs.c - rhs.c))))
+        dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     s.check("bicoherent_conjugation", "J bcs(u, v) = bcs(v, u)", dev, 1e-13)
 
-    chi, _ = cs.chi_state(cfg.beta, m)
+    chi = cs.chi_state(cfg.beta, m)
     s.check("thermal_vector_fixed", "J chi = chi",
-            float(np.max(np.abs(cs.J_swap(chi).c - chi.c))), 1e-13)
+            float(np.max(np.abs(adjoint(chi) - chi))), 1e-13)
 
     dev = 0.0
     m25 = 25

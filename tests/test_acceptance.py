@@ -16,9 +16,8 @@ from landau_modular import coherent_states as cs
 from landau_modular import complex_hermite as chp
 from landau_modular import landau_modes as lm
 from landau_modular import modular_core as mc
-from landau_modular.dense_linalg import frob
+from landau_modular.dense_linalg import adjoint, frob
 from landau_modular.hs_space import (
-    SandwichOp,
     commutant_basis,
     flatten,
     in_span,
@@ -61,9 +60,9 @@ def test_criterion_02_kms_boundary():
 def test_criterion_03_commutant_brute_force():
     n = 3
     eye = np.eye(n)
-    left = [sandwich_superop(SandwichOp(matrix_unit(n, i, j), eye))
+    left = [sandwich_superop(matrix_unit(n, i, j), eye)
             for i in range(n) for j in range(n)]
-    right = [sandwich_superop(SandwichOp(eye, matrix_unit(n, i, j)))
+    right = [sandwich_superop(eye, matrix_unit(n, i, j))
              for i in range(n) for j in range(n)]
     dim, basis = commutant_basis(left)
     assert dim == 9
@@ -258,8 +257,8 @@ def test_criterion_12_modular_coherent_consistency():
     up = np.diag([k + 0.5 for n in range(m + 1) for k in range(m + 1)])
     down = np.diag([n + 0.5 for n in range(m + 1) for k in range(m + 1)])
     assert np.max(np.abs(jmat @ up @ jmat - down)) == 0.0
-    chi, _ = cs.chi_state(BETA, m)
-    assert np.max(np.abs(cs.J_swap(chi).c - chi.c)) <= 1e-13
+    chi = cs.chi_state(BETA, m)
+    assert np.max(np.abs(adjoint(chi) - chi)) <= 1e-13
 
 
 def test_criterion_13_determinism(tmp_path):

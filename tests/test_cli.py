@@ -62,6 +62,22 @@ def test_config_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ("kms", "--beta", "nan"), ("kms", "--beta", "inf"), ("all", "--beta", "nan"),
+    ("all", "--tol", "inf"), ("kms", "--tol", "nan"),
+])
+def test_non_finite_beta_or_tol_is_a_config_error(args, capsys):
+    # a NaN passes every order comparison and an infinite scale turns every
+    # bound into inf: both would report every check PASS
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = "beta" if args[1] == "--beta" else "tol_scale"
+    assert captured.err.splitlines() == [
+        f"configuration error: {name} ({args[1]}) must be finite, "
+        f"got {float(args[2])}"]
+
+
+@pytest.mark.parametrize("args", [
     ("coherent", "--cutoff", "0"), ("coherent", "--cutoff", "1"),
     ("all", "--cutoff", "1"), ("landau", "--ncut", "2"), ("landau", "--ncut", "3"),
     ("landau", "--ncut", "4"), ("landau", "--ncut", "7"), ("wigner", "--ncut", "3"),

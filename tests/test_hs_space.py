@@ -3,7 +3,6 @@ import pytest
 
 from landau_modular.hs_space import (
     AntilinearOp,
-    SandwichOp,
     commutant_basis,
     conjugation_J,
     flatten,
@@ -48,25 +47,24 @@ def test_flatten_round_trip():
     assert np.array_equal(unflatten(flatten(x)), x)
 
 
-def _apply(op: SandwichOp, x: np.ndarray) -> np.ndarray:
-    return unflatten(sandwich_superop(op) @ flatten(x))
+def _apply(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return unflatten(sandwich_superop(left, right) @ flatten(x))
 
 
 def test_sandwich_apply_cases():
     n = 4
     x = SplitMix64(9).complex_matrix(n)
     eye = np.eye(n)
-    assert np.allclose(_apply(SandwichOp(eye, eye), x), x)
+    assert np.allclose(_apply(eye, eye, x), x)
     a = SplitMix64(10).complex_matrix(n)
     b = SplitMix64(19).complex_matrix(n)
-    assert np.allclose(_apply(SandwichOp(a, eye), x), a @ x)
-    assert np.allclose(_apply(SandwichOp(a, b), x), a @ x @ b.conj().T)
+    assert np.allclose(_apply(a, eye, x), a @ x)
+    assert np.allclose(_apply(a, b, x), a @ x @ b.conj().T)
     # matrix-unit multiplication rule E_kl P_i = delta_li E_ki
     for k in range(n):
         for l in range(n):
             for i in range(n):
-                got = _apply(SandwichOp(matrix_unit(n, k, l), eye),
-                             matrix_unit(n, i, i))
+                got = _apply(matrix_unit(n, k, l), eye, matrix_unit(n, i, i))
                 expect = matrix_unit(n, k, i) if l == i else np.zeros((n, n))
                 assert np.array_equal(got, expect)
 
@@ -76,11 +74,11 @@ def test_sandwich_compose_matches_application():
     rng = SplitMix64(11)
     n = 4
     for _ in range(20):
-        p = SandwichOp(rng.complex_matrix(n), rng.complex_matrix(n))
-        q = SandwichOp(rng.complex_matrix(n), rng.complex_matrix(n))
+        a1, b1 = rng.complex_matrix(n), rng.complex_matrix(n)
+        a2, b2 = rng.complex_matrix(n), rng.complex_matrix(n)
         x = rng.complex_matrix(n)
-        via_compose = _apply(SandwichOp(p.left @ q.left, p.right @ q.right), x)
-        direct = _apply(p, _apply(q, x))
+        via_compose = _apply(a1 @ a2, b1 @ b2, x)
+        direct = _apply(a1, b1, _apply(a2, b2, x))
         assert np.linalg.norm(via_compose - direct) < 1e-12 * max(
             1.0, np.linalg.norm(direct))
 
@@ -89,16 +87,15 @@ def test_sandwich_adjoint_pairing():
     # the Hilbert-Schmidt adjoint of A v B* is A* v B
     rng = SplitMix64(13)
     n = 4
-    op = SandwichOp(rng.complex_matrix(n), rng.complex_matrix(n))
-    adj = SandwichOp(op.left.conj().T, op.right.conj().T)
+    a, b = rng.complex_matrix(n), rng.complex_matrix(n)
     for _ in range(5):
         x = rng.complex_matrix(n)
         y = rng.complex_matrix(n)
-        lhs = hs_inner(x, _apply(op, y))
-        rhs = hs_inner(_apply(adj, x), y)
+        lhs = hs_inner(x, _apply(a, b, y))
+        rhs = hs_inner(_apply(a.conj().T, b.conj().T, x), y)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-    assert np.array_equal(sandwich_superop(adj).toarray(),
-                          sandwich_superop(op).toarray().conj().T)
+    assert np.array_equal(sandwich_superop(a.conj().T, b.conj().T).toarray(),
+                          sandwich_superop(a, b).toarray().conj().T)
 
 
 def test_left_and_right_factors_commute():
@@ -107,8 +104,8 @@ def test_left_and_right_factors_commute():
     eye = np.eye(n)
     a = rng.complex_matrix(n)
     b = rng.complex_matrix(n)
-    left = sandwich_superop(SandwichOp(a, eye))
-    right = sandwich_superop(SandwichOp(eye, b))
+    left = sandwich_superop(a, eye)
+    right = sandwich_superop(eye, b)
     assert np.linalg.norm((left @ right - right @ left).toarray()) < 1e-12
 
 
@@ -116,9 +113,15 @@ def test_superop_matrix_identity_and_kron_structure():
     n = 3
     assert np.allclose(superop_matrix(lambda x: x, n), np.eye(n * n))
     a = SplitMix64(14).complex_matrix(n)
-    op = SandwichOp(a, np.eye(n))
     assert np.allclose(superop_matrix(lambda x: a @ x, n),
-                       sandwich_superop(op).toarray())
+                       sandwich_superop(a, np.eye(n)).toarray())
+
+
+def test_sandwich_rejects_unequal_or_nonsquare_factors():
+    with pytest.raises(ValueError, match="equal square"):
+        sandwich_superop(np.eye(3), np.eye(4))
+    with pytest.raises(ValueError, match="equal square"):
+        sandwich_superop(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_conjugation_squares_to_identity():
@@ -133,8 +136,8 @@ def test_j_conjugates_left_algebra_to_right():
     n = 3
     j = conjugation_J(n)
     a = SplitMix64(16).complex_matrix(n)
-    left = sandwich_superop(SandwichOp(a, np.eye(n))).toarray()
-    right = sandwich_superop(SandwichOp(np.eye(n), a)).toarray()
+    left = sandwich_superop(a, np.eye(n)).toarray()
+    right = sandwich_superop(np.eye(n), a).toarray()
     sandwiched = j.matrix @ left.conj() @ j.matrix
     assert np.linalg.norm(sandwiched - right) < 1e-12 * np.linalg.norm(right)
 
@@ -149,13 +152,13 @@ def test_antilinear_op_is_conjugate_linear():
 def test_commutant_of_left_matrix_units():
     n = 2
     eye = np.eye(n)
-    gens = [sandwich_superop(SandwichOp(matrix_unit(n, i, j), eye))
+    gens = [sandwich_superop(matrix_unit(n, i, j), eye)
             for i in range(n) for j in range(n)]
     dim, basis = commutant_basis(gens)
     assert dim == 4
     for i in range(n):
         for j in range(n):
-            target = sandwich_superop(SandwichOp(eye, matrix_unit(n, i, j)))
+            target = sandwich_superop(eye, matrix_unit(n, i, j))
             assert in_span(basis, target)
 
 

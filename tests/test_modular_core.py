@@ -29,6 +29,19 @@ def test_weights_reject_bad_input():
         mc.build_weights(1.0, 1)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_weights_reject_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="positive and finite"):
+        mc.build_weights(beta, 4)
+    # each test of the weights fails on a NaN instead of passing it
+    with pytest.raises(ValueError, match="positive and finite"):
+        mc.GibbsWeights(beta=beta, n=2, alpha=np.array([0.6, 0.4]))
+    with pytest.raises(ValueError, match="positive with one entry"):
+        mc.GibbsWeights(beta=0.7, n=2, alpha=np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError, match="sum to one"):
+        mc.GibbsWeights(beta=0.7, n=2, alpha=np.array([0.5, np.inf]))
+
+
 def test_cyclic_vector_normalized_and_fixed_by_j():
     w = mc.build_weights(LN2, 4)
     phi = mc.cyclic_vector(w)
