@@ -13,7 +13,7 @@ import numpy as np
 
 from landau_modular import modular_core as mc
 from landau_modular.dense_linalg import frob
-from landau_modular.hs_space import flatten, matrix_unit
+from landau_modular.hs_space import matrix_unit
 from landau_modular.rng import SplitMix64
 
 N = 8
@@ -28,18 +28,17 @@ phi = mc.cyclic_vector(w)
 print("weights alpha_n (geometric, normalised):")
 print("  ", np.array2string(w.alpha, precision=4))
 
-# polar decomposition S = J Delta^{1/2}; the superoperators are sparse, so
-# the norms run over the stored entries of each difference
-sqrt_delta = t.delta.sqrt()
+# polar decomposition S = J Delta^{1/2}: J and S are X -> (W . X)* with
+# N x N weights W, and Delta acts entrywise by the N x N array of its
+# eigenvalues, so J after Delta^{1/2} has weight W_J . Delta^{1/2}, and
+# S* S, antilinear after antilinear, is an entrywise multiplier
 print("\n|| S - J Delta^(1/2) ||_F     =",
-      frob((t.S.matrix - t.J.matrix @ sqrt_delta.conj()).data))
-print("|| S*S - Delta ||_F           =",
-      frob((t.S.matrix.T @ t.S.matrix.conj() - t.delta).data))
+      frob(t.S.weight - t.J.weight * np.sqrt(t.delta)))
+print("|| S*S - Delta ||_F           =", frob(t.S.adjoint() @ t.S - t.delta))
 
 # the cyclic vector is fixed by J and by Delta
 print("|| J phi - phi ||_F           =", frob(t.J(phi) - phi))
-print("|| Delta phi - phi ||         =",
-      float(np.linalg.norm(t.delta @ flatten(phi) - flatten(phi))))
+print("|| Delta phi - phi ||_F       =", frob(t.delta * phi - phi))
 
 # S implements the star operation relative to the state:  S (X phi) = X* phi
 rng = SplitMix64(7)

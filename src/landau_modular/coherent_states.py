@@ -170,7 +170,8 @@ def modular_spectral_check(beta: float, cutoff: int,
     Checks three facts and returns the largest deviation: the flow
     Delta^(it) fixes the thermal vector; it multiplies the first-index
     raising generator by a pure phase e^(i beta t); and the eigenvalue on
-    B[n, k] equals the Gibbs weight ratio alpha_n / alpha_k.
+    B[n, k] equals the Gibbs weight ratio alpha_n / alpha_k.  A NaN
+    deviation is returned as NaN.
     """
     from .modular_core import build_weights
 
@@ -184,14 +185,16 @@ def modular_spectral_check(beta: float, cutoff: int,
     exponents = np.array([-(n - k) for n in range(m) for k in range(m)], dtype=float)
     for t in t_samples:
         phases = np.exp(1j * beta * t * exponents)
-        dev = max(dev, float(np.linalg.norm(phases * chi - chi)))
+        dev = np.maximum(dev, float(np.linalg.norm(phases * chi - chi)))
         conj_raising = (phases[:, None] * raising) * phases.conj()[None, :]
-        dev = max(dev, float(np.max(np.abs(conj_raising - np.exp(-1j * beta * t) * raising))))
+        dev = np.maximum(dev, float(np.max(np.abs(
+            conj_raising - np.exp(-1j * beta * t) * raising))))
     w = build_weights(beta, m)
     for n in range(m):
         for k in range(m):
-            dev = max(dev, abs(math.exp(-beta * (n - k)) - w.alpha[n] / w.alpha[k]))
-    return dev
+            dev = np.maximum(
+                dev, abs(math.exp(-beta * (n - k)) - w.alpha[n] / w.alpha[k]))
+    return float(dev)
 
 
 def _displacement(alpha: complex, ncut: int) -> np.ndarray:

@@ -2,16 +2,19 @@
 
 An element X of this space is stored as a plain N x N complex array.  The
 inner product is <X|Y> = Tr[X* Y], so the matrix units E_ij form an
-orthonormal basis.  Linear maps on the space ("superoperators") are stored
-as N^2 x N^2 scipy.sparse CSR arrays in the flattened matrix-unit basis,
-so the transpose, J and a sandwich with diagonal factors hold N^2 stored
-entries where a dense array would hold N^4.
+orthonormal basis.  A linear map on the space ("superoperator") is an
+N^2 x N^2 matrix in the flattened matrix-unit basis, or, when it is
+diagonal there, the N x N array of its eigenvalues, acting entrywise: the
+eigenvalue on E_ij sits at [i, j].  The transpose of the flattened index
+is an index vector, not a matrix.
 
 Flattening convention (fixed for the whole library): row-major over the
-(i, j) index of X, i.e. flatten(X)[i*N + j] = X[i, j].  Antilinear maps
-are stored as the linear part acting after entrywise conjugation in this
-same basis; composing two antilinear maps therefore yields the plain
-linear superoperator M1 @ conj(M2).
+(i, j) index of X, i.e. flatten(X)[i*N + j] = X[i, j].  A general
+antilinear map is stored as the linear part acting after entrywise
+conjugation in this same basis (AntilinearOp); composing two antilinear
+maps therefore yields the plain linear superoperator M1 @ conj(M2).  The
+conjugation J and the maps J D with D diagonal are WeightedConjugation:
+X -> (W . X)* with an N x N weight W.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -51,8 +53,8 @@ def unflatten(v: np.ndarray) -> np.ndarray:
     return np.asarray(v).reshape(n, n)
 
 
-def sandwich_superop(left: np.ndarray, right: np.ndarray) -> sp.csr_array:
-    """Sparse N^2 x N^2 matrix of X -> A X B* (A = left, B = right) in the
+def sandwich_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Dense N^2 x N^2 matrix of X -> A X B* (A = left, B = right) in the
     flattening convention.
 
     Row-major vec gives vec(A X B*) = (A kron conj(B)) vec(X).
@@ -60,45 +62,67 @@ def sandwich_superop(left: np.ndarray, right: np.ndarray) -> sp.csr_array:
     if left.shape != right.shape or left.shape[0] != left.shape[1]:
         raise ValueError(f"sandwich factors must be equal square matrices, "
                          f"got {left.shape}, {right.shape}")
-    # a sparse-array factor makes kron return csr_array, not csr_matrix
-    return sp.kron(sp.csr_array(left), right.conj(), format="csr")
+    return np.kron(left, right.conj())
 
 
 @dataclass(frozen=True)
 class AntilinearOp:
     """An antilinear map stored as linear-part-after-conjugation.
 
-    Action: X -> unflatten(matrix @ conj(flatten(X))).  The matrix may be a
-    dense or a sparse array.
+    Action: X -> unflatten(matrix @ conj(flatten(X))).
     """
 
-    matrix: np.ndarray | sp.sparray
+    matrix: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return unflatten(self.matrix @ flatten(x).conj())
 
 
-def transpose_permutation(n: int) -> sp.csr_array:
-    """Sparse permutation matrix sending flattened index (i, j) to (j, i)."""
-    # row i*n + j holds its one entry in column j*n + i
-    cols = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    return sp.csr_array((np.ones(n * n), cols, np.arange(n * n + 1)),
-                        shape=(n * n, n * n))
+@dataclass(frozen=True)
+class WeightedConjugation:
+    """The antilinear map X -> (W . X)*: entrywise product with the N x N
+    weight W, then the conjugate transpose.
+
+    On matrix units, c E_ij -> conj(c W_ij) E_ji.  W = 1 is the conjugation
+    J, and J D for an entrywise multiplier D has weight D.
+    """
+
+    weight: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return (self.weight * x).conj().T
+
+    def adjoint(self) -> WeightedConjugation:
+        """The antilinear adjoint, <x, A* y> = conj(<A x, y>): weight W^T."""
+        return WeightedConjugation(self.weight.T)
+
+    def __matmul__(self, other: WeightedConjugation) -> np.ndarray:
+        """self after other: antilinear after antilinear is linear, the
+        entrywise multiplier conj(W_self)^T . W_other."""
+        return self.weight.conj().T * other.weight
 
 
-def conjugation_J(n: int) -> AntilinearOp:
+def transpose_permutation(n: int) -> np.ndarray:
+    """Index vector of the transpose: flattened position (i, j) holds (j, i).
+
+    For an N^2 x N^2 matrix M in the flattened basis, P M P with P the
+    transpose permutation is M[np.ix_(perm, perm)].
+    """
+    return np.arange(n * n).reshape(n, n).T.reshape(-1)
+
+
+def conjugation_J(n: int) -> WeightedConjugation:
     """The antiunitary map X -> X* (conjugate transpose of the matrix)."""
-    return AntilinearOp(transpose_permutation(n).astype(complex))
+    return WeightedConjugation(np.ones((n, n)))
 
 
 def commutant_basis(
-    generators: Sequence[np.ndarray | sp.sparray], svd_rtol: float = 1e-8
+    generators: Sequence[np.ndarray], svd_rtol: float = 1e-8
 ) -> tuple[int, list[np.ndarray]]:
     """Dimension and basis of all superoperators commuting with the generators.
 
     Solves the stacked linear system [M, G_k] = 0 over all k by a null-space
     SVD; singular values below svd_rtol times the largest count as zero.
-    Generators may be dense or sparse; the basis comes back dense.
     """
     if len(generators) == 0:
         raise ValueError("commutant of an empty generator list is undefined here")
@@ -109,7 +133,6 @@ def commutant_basis(
     for k, g in enumerate(generators):
         if g.shape != (d, d):
             raise ValueError("generators must share one dimension")
-        g = g.toarray() if sp.issparse(g) else np.asarray(g)
         # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec
         block = stacked[k * dd:(k + 1) * dd]
         block[:] = np.kron(g, eye)
@@ -124,10 +147,10 @@ def commutant_basis(
     return len(basis), basis
 
 
-def in_span(basis: Sequence[np.ndarray], target: np.ndarray | sp.sparray,
+def in_span(basis: Sequence[np.ndarray], target: np.ndarray,
             tol: float = 1e-8) -> bool:
     """Whether target lies in the linear span of basis (least-squares residual)."""
     a = np.column_stack([b.reshape(-1) for b in basis])
-    t = sp.csr_array(target).toarray().reshape(-1)
+    t = np.asarray(target).reshape(-1)
     coef, *_ = np.linalg.lstsq(a, t, rcond=None)
     return float(np.linalg.norm(a @ coef - t)) <= tol * max(1.0, float(np.linalg.norm(t)))

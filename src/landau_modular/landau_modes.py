@@ -10,9 +10,10 @@ relations at the top of the cut; every algebraic identity is therefore
 asserted on the interior subspace of states with n_x + n_y <= ncut - 4,
 where it holds exactly.
 
-The two-mode operators are scipy.sparse CSR arrays (a few nonzeros per
-row), so cuts of 64 and beyond stay cheap; only the single-mode
-phase-space operators are dense.
+Each two-mode operator is banded in the joint index (a_x shifts it by
+ncut, a_y by 1), so it is a BandedOp: a few diagonals of length ncut^2,
+and cuts of 64 and beyond stay cheap; only the single-mode phase-space
+operators are dense.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dense_linalg import HermitianEig, adjoint, hermitian_eig, hermitian_function
 from . import complex_hermite as ch
@@ -69,16 +69,122 @@ def hermite_fn(n: int, x: float) -> float:
     return z1
 
 
-def _dag(op: sp.csr_array) -> sp.csr_array:
-    """Conjugate transpose of a sparse operator, kept in CSR form."""
-    return op.conj().T.tocsr()
+def _shift(v: np.ndarray, k: int) -> np.ndarray:
+    """out[i] = v[i + k], zero where i + k falls outside v."""
+    out = np.zeros_like(v)
+    if k >= 0:
+        out[:v.shape[0] - k] = v[k:]
+    else:
+        out[-k:] = v[:v.shape[0] + k]
+    return out
 
 
-def mode_ops(cut: ModeCut) -> tuple[sp.csr_array, sp.csr_array]:
-    """The two-mode lowering operators (a_x, a_y) on the tensor space."""
-    a = sp.csr_array(ladder(cut.ncut))
-    eye = sp.eye_array(cut.ncut, format="csr")
-    return sp.kron(a, eye, format="csr"), sp.kron(eye, a, format="csr")
+@dataclass(frozen=True)
+class BandedOp:
+    """A dim x dim operator stored by its nonzero diagonals.
+
+    diags maps an offset k to the length-dim array d with op[i, i + k] = d[i],
+    indexed by row; entries whose column i + k falls outside the matrix are
+    zero.  Offsets are kept in ascending order, so a row of a product or of
+    a matrix-vector product sums its terms in ascending column order.
+    """
+
+    dim: int
+    diags: dict[int, np.ndarray]
+
+    def __matmul__(self, other):
+        """op @ v for a length-dim vector v, or the product op @ other."""
+        if isinstance(other, BandedOp):
+            return self._product(other)
+        x = np.asarray(other)
+        if x.shape != (self.dim,):
+            raise ValueError(
+                f"operand shape {x.shape} does not match dimension {self.dim}")
+        y = np.zeros(self.dim, dtype=np.result_type(x, *self.diags.values()))
+        for k, d in self.diags.items():
+            y += d * _shift(x, k)
+        return y
+
+    def _product(self, other: BandedOp) -> BandedOp:
+        # (A B)[i, i + ka + kb] sums A[i, i + ka] B[i + ka, i + ka + kb]
+        if other.dim != self.dim:
+            raise ValueError(f"dimensions {self.dim} and {other.dim} differ")
+        out: dict = {}
+        for ka, da in self.diags.items():
+            for kb, db in other.diags.items():
+                k = ka + kb
+                if abs(k) >= self.dim:
+                    continue
+                term = da * _shift(db, ka)
+                out[k] = out[k] + term if k in out else term
+        return BandedOp(self.dim, dict(sorted(out.items())))
+
+    def __add__(self, other: BandedOp) -> BandedOp:
+        if not isinstance(other, BandedOp):
+            return NotImplemented
+        if other.dim != self.dim:
+            raise ValueError(f"dimensions {self.dim} and {other.dim} differ")
+        out = dict(self.diags)
+        for k, d in other.diags.items():
+            out[k] = out[k] + d if k in out else d
+        return BandedOp(self.dim, dict(sorted(out.items())))
+
+    def __sub__(self, other: BandedOp) -> BandedOp:
+        if not isinstance(other, BandedOp):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self) -> BandedOp:
+        return BandedOp(self.dim, {k: -d for k, d in self.diags.items()})
+
+    def __mul__(self, c) -> BandedOp:
+        if not np.isscalar(c):
+            return NotImplemented
+        return BandedOp(self.dim, {k: c * d for k, d in self.diags.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c) -> BandedOp:
+        if not np.isscalar(c):
+            return NotImplemented
+        return BandedOp(self.dim, {k: d / c for k, d in self.diags.items()})
+
+    def conj(self) -> BandedOp:
+        """Entrywise complex conjugate."""
+        return BandedOp(self.dim, {k: d.conj() for k, d in self.diags.items()})
+
+    def dag(self) -> BandedOp:
+        """Conjugate transpose: op*[i, i - k] = conj(op[i - k, i])."""
+        return BandedOp(self.dim, {-k: _shift(d, -k).conj()
+                                   for k, d in reversed(self.diags.items())})
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The dense dim x len(cols) array op[:, cols]."""
+        cols = np.asarray(cols)
+        out = np.zeros((self.dim, cols.shape[0]),
+                       dtype=np.result_type(complex, *self.diags.values()))
+        for k, d in self.diags.items():
+            rows = cols - k
+            ok = (rows >= 0) & (rows < self.dim)
+            out[rows[ok], np.flatnonzero(ok)] = d[rows[ok]]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self.columns(np.arange(self.dim))
+
+
+def mode_ops(cut: ModeCut) -> tuple[BandedOp, BandedOp]:
+    """The two-mode lowering operators (a_x, a_y) on the tensor space.
+
+    Row i = n_x * ncut + n_y of a_x holds sqrt(n_x + 1) at column i + ncut,
+    and of a_y holds sqrt(n_y + 1) at column i + 1; both are zero on the
+    rows at the top of their mode (n_x or n_y = ncut - 1).
+    """
+    n = cut.ncut
+    nx, ny = np.divmod(np.arange(cut.dim), n)
+    ax = np.where(nx < n - 1, np.sqrt(nx + 1.0), 0.0).astype(complex)
+    ay = np.where(ny < n - 1, np.sqrt(ny + 1.0), 0.0).astype(complex)
+    return BandedOp(cut.dim, {n: ax}), BandedOp(cut.dim, {1: ay})
 
 
 def interior_mask(cut: ModeCut, margin: int = 4) -> np.ndarray:
@@ -90,15 +196,16 @@ def interior_mask(cut: ModeCut, margin: int = 4) -> np.ndarray:
 
 
 def _dense_columns(op, mask: np.ndarray) -> np.ndarray:
-    cols = op[:, mask]
-    return cols.toarray() if sp.issparse(cols) else cols
+    if isinstance(op, BandedOp):
+        return op.columns(np.flatnonzero(mask))
+    return op[:, mask]
 
 
 def interior_deviation(actual, expected, mask: np.ndarray) -> float:
     """Largest column norm of (actual - expected) over interior basis states.
 
-    Either operand may be dense or sparse; only the masked columns are
-    densified.
+    Either operand may be a dense array or a BandedOp; only the masked
+    columns are formed.
     """
     diff = _dense_columns(actual, mask) - _dense_columns(expected, mask)
     if diff.size == 0:
@@ -110,10 +217,10 @@ def interior_deviation(actual, expected, mask: np.ndarray) -> float:
 class RotatedLadders:
     """The pair (A+, A-) diagonalizing the two magnetic Hamiltonians."""
 
-    a_plus: sp.csr_array
-    a_plus_dag: sp.csr_array
-    a_minus: sp.csr_array
-    a_minus_dag: sp.csr_array
+    a_plus: BandedOp
+    a_plus_dag: BandedOp
+    a_minus: BandedOp
+    a_minus_dag: BandedOp
 
 
 _LADDERS: dict = {}  # (cut, literal) -> RotatedLadders
@@ -135,15 +242,15 @@ def build_A_pm(cut: ModeCut, literal: bool = False) -> RotatedLadders:
     ops = _LADDERS.get((cut, literal))
     if ops is None:
         ax, ay = mode_ops(cut)
-        axd, ayd = _dag(ax), _dag(ay)
+        axd, ayd = ax.dag(), ay.dag()
         if literal:
             a_plus = 0.75 * (ax - 1j * ay) - 0.25 * (axd + 1j * ayd)
         else:
             a_plus = 0.75 * (ax - 1j * ay) - 0.25 * (axd - 1j * ayd)
         a_minus = 0.75 * (ax + 1j * ay) - 0.25 * (axd + 1j * ayd)
         ops = _LADDERS[cut, literal] = RotatedLadders(
-            a_plus=a_plus, a_plus_dag=_dag(a_plus),
-            a_minus=a_minus, a_minus_dag=_dag(a_minus),
+            a_plus=a_plus, a_plus_dag=a_plus.dag(),
+            a_minus=a_minus, a_minus_dag=a_minus.dag(),
         )
     return ops
 
@@ -157,7 +264,7 @@ def build_A_pm_from_qp(cut: ModeCut) -> RotatedLadders:
         A+ = (Q+ + iP+)/sqrt2,  A- = (iQ- - P-)/sqrt2.
     """
     ax, ay = mode_ops(cut)
-    axd, ayd = _dag(ax), _dag(ay)
+    axd, ayd = ax.dag(), ay.dag()
     s2 = math.sqrt(2.0)
     x = (ax + axd) / s2
     y = (ay + ayd) / s2
@@ -170,8 +277,8 @@ def build_A_pm_from_qp(cut: ModeCut) -> RotatedLadders:
     a_plus = (q_plus + 1j * p_plus) / s2
     a_minus = (1j * q_minus - p_minus) / s2
     return RotatedLadders(
-        a_plus=a_plus, a_plus_dag=_dag(a_plus),
-        a_minus=a_minus, a_minus_dag=_dag(a_minus),
+        a_plus=a_plus, a_plus_dag=a_plus.dag(),
+        a_minus=a_minus, a_minus_dag=a_minus.dag(),
     )
 
 
@@ -180,20 +287,20 @@ class Hamiltonians:
     """The level Hamiltonians: h_up = N- + 1/2, h_down = N+ + 1/2,
     h0 = (N+ + N- + 1)/2, hint_up = -(N+ - N-)/2, hint_down = -hint_up."""
 
-    h_up: sp.csr_array
-    h_down: sp.csr_array
-    h0: sp.csr_array
-    hint_up: sp.csr_array
-    hint_down: sp.csr_array
-    n_plus: sp.csr_array
-    n_minus: sp.csr_array
+    h_up: BandedOp
+    h_down: BandedOp
+    h0: BandedOp
+    hint_up: BandedOp
+    hint_down: BandedOp
+    n_plus: BandedOp
+    n_minus: BandedOp
 
 
 def hamiltonians(cut: ModeCut) -> Hamiltonians:
     ops = build_A_pm(cut)
     n_plus = ops.a_plus_dag @ ops.a_plus
     n_minus = ops.a_minus_dag @ ops.a_minus
-    eye = sp.eye_array(cut.dim, format="csr")
+    eye = BandedOp(cut.dim, {0: np.ones(cut.dim, dtype=complex)})
     h_up = n_minus + 0.5 * eye
     h_down = n_plus + 0.5 * eye
     h0 = 0.5 * (n_plus + n_minus + eye)
@@ -206,8 +313,8 @@ def hamiltonians(cut: ModeCut) -> Hamiltonians:
 def ground_state(cut: ModeCut) -> np.ndarray:
     """The joint vacuum as the numerical kernel of N+ + N-.
 
-    The total number operator is compressed to the interior subspace and
-    densified there for the eigensolve; the lowest eigenvector is embedded
+    The total number operator is compressed to the interior subspace, and
+    only that block is formed for the eigensolve; the lowest eigenvector is embedded
     back into the full space.  This is the eigensolve route, independent of
     the closed form squeezed_vacuum.  Raises if the near-kernel is not
     one-dimensional (cut too small) or the interior is empty (cut below 4).
@@ -218,7 +325,8 @@ def ground_state(cut: ModeCut) -> np.ndarray:
                          f"ground_state needs ncut >= 4")
     h = hamiltonians(cut)
     total = h.n_plus + h.n_minus
-    sub = total[np.ix_(mask, mask)].toarray()
+    inner = np.flatnonzero(mask)
+    sub = total.columns(inner)[inner]
     vals, vecs = np.linalg.eigh(0.5 * (sub + sub.conj().T))
     if vals.shape[0] > 1 and vals[1] < 0.5:
         raise ValueError(

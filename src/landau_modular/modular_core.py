@@ -4,13 +4,14 @@ The state is the Gibbs state of a truncated harmonic ladder: weights
 alpha_n proportional to exp(-n * beta), renormalized to sum to one so
 every modular identity is exact at finite truncation.  In the matrix-unit
 basis everything is diagonal or a transpose, so every superoperator here is
-a scipy.sparse array with N^2 stored entries:
+held in N^2 numbers: a diagonal one as the N x N array of its eigenvalues,
+acting entrywise, and J and S as hs_space.WeightedConjugation, X -> (W . X)*:
 
-    Delta E_ij     = (alpha_i / alpha_j) E_ij
-    S E_ij         = sqrt(alpha_i / alpha_j) E_ji      (antilinear)
-    J E_ij         = E_ji                              (antilinear)
+    Delta E_ij     = (alpha_i / alpha_j) E_ij          delta[i, j]
+    S E_ij         = sqrt(alpha_i / alpha_j) E_ji      (antilinear, W = delta_sqrt)
+    J E_ij         = E_ji                              (antilinear, W = 1)
     H_state        = diag(-log(alpha_i) / beta)
-    bigH on E_ij   = -(1/beta) log(alpha_i / alpha_j)
+    bigH on E_ij   = -(1/beta) log(alpha_i / alpha_j)  big_h[i, j]
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hs_space import (
-    AntilinearOp,
+# sandwich_superop and transpose_permutation are not used here; they stay
+# importable from this module for callers that import them from it
+from .hs_space import (  # noqa: F401
+    WeightedConjugation,
     conjugation_J,
     sandwich_superop,
     transpose_permutation,
@@ -89,36 +91,33 @@ def hamiltonian(w: GibbsWeights) -> np.ndarray:
 class ModularTriple:
     """The modular data attached to the Gibbs cyclic vector.
 
-    J and S are antilinear, each stored as a CSR transpose permutation
-    times a diagonal; delta, delta_sqrt and big_h are diagonal superoperator
-    matrices in the flattened matrix-unit basis, stored as DIA arrays so the
-    zero diagonal of big_h on E_ii stays stored.  h_state is the dense
-    one-body Hamiltonian with rho = exp(-beta * h_state).
+    J and S are antilinear, X -> (W . X)* with weight 1 and delta_sqrt;
+    delta, delta_sqrt and big_h are diagonal in the matrix-unit basis, each
+    the real N x N array of its eigenvalues, acting entrywise (the value on
+    E_ij at [i, j]).  h_state is the dense one-body Hamiltonian with
+    rho = exp(-beta * h_state).
     """
 
     weights: GibbsWeights
-    J: AntilinearOp
-    S: AntilinearOp
-    delta: sp.dia_array
-    delta_sqrt: sp.dia_array
+    J: WeightedConjugation
+    S: WeightedConjugation
+    delta: np.ndarray
+    delta_sqrt: np.ndarray
     h_state: np.ndarray
-    big_h: sp.dia_array
+    big_h: np.ndarray
 
 
 def build_modular_triple(w: GibbsWeights) -> ModularTriple:
-    n = w.n
-    ratio = np.repeat(w.alpha, n) / np.tile(w.alpha, n)  # (i, j) -> alpha_i / alpha_j
+    ratio = np.divide.outer(w.alpha, w.alpha)  # [i, j] -> alpha_i / alpha_j
     sq = np.sqrt(ratio)
     # store Delta as the literal square of the stored square roots so the
     # polar identities Delta = S*S and S = J Delta^(1/2) are float-exact
-    delta = sp.diags_array(sq * sq, dtype=complex)
-    delta_sqrt = sp.diags_array(sq, dtype=complex)
-    t = transpose_permutation(n).astype(complex)
-    j = conjugation_J(n)
-    s = AntilinearOp(t @ delta_sqrt)
-    big_h = sp.diags_array(-np.log(ratio) / w.beta, dtype=complex)
+    delta = sq * sq
+    j = conjugation_J(w.n)
+    s = WeightedConjugation(j.weight * sq)
+    big_h = -np.log(ratio) / w.beta
     return ModularTriple(
-        weights=w, J=j, S=s, delta=delta, delta_sqrt=delta_sqrt,
+        weights=w, J=j, S=s, delta=delta, delta_sqrt=sq,
         h_state=hamiltonian(w), big_h=big_h,
     )
 
@@ -133,10 +132,11 @@ def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:
     return (phases[:, None] * a) * phases.conj()[None, :]
 
 
-def flow_superop(w: GibbsWeights, t: float) -> sp.csr_array:
-    """Sparse diagonal superoperator of X -> exp(iHt) X exp(-iHt)."""
-    u = np.diag(np.exp(1j * t * (-np.log(w.alpha) / w.beta)))
-    return sandwich_superop(u, u)
+def flow_superop(w: GibbsWeights, t: float) -> np.ndarray:
+    """The diagonal superoperator X -> exp(iHt) X exp(-iHt) as its N x N
+    multiplier: u_i conj(u_j) at [i, j], with u = exp(iHt) on the diagonal."""
+    u = np.exp(1j * t * (-np.log(w.alpha) / w.beta))
+    return np.multiply.outer(u, u.conj())
 
 
 def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> complex:
@@ -161,14 +161,15 @@ def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> c
 def kms_boundary_deviation(
     w: GibbsWeights, a: np.ndarray, b: np.ndarray, t_grid: np.ndarray
 ) -> float:
-    """max over the grid of |F(t + i*beta) - Tr[rho alpha_t(B) A]|."""
+    """max over the grid of |F(t + i*beta) - Tr[rho alpha_t(B) A]|, NaN if
+    any term is NaN."""
     rho = density_matrix(w)
     dev = 0.0
     for t in np.asarray(t_grid, dtype=float):
         lhs = kms_function(w, a, b, complex(t, w.beta))
         rhs = complex(np.trace(rho @ modular_flow(w, t, b) @ a))
-        dev = max(dev, abs(lhs - rhs))
-    return dev
+        dev = np.maximum(dev, abs(lhs - rhs))
+    return float(dev)
 
 
 def centralizer_member(

@@ -19,7 +19,6 @@ from landau_modular import modular_core as mc
 from landau_modular.dense_linalg import adjoint, frob
 from landau_modular.hs_space import (
     commutant_basis,
-    flatten,
     in_span,
     matrix_unit,
     sandwich_superop,
@@ -34,11 +33,13 @@ def test_criterion_01_modular_triple():
     w = mc.build_weights(BETA, N)
     t = mc.build_modular_triple(w)
     phi = mc.cyclic_vector(w)
-    sqrt_delta = np.diag(np.sqrt(t.delta.diagonal()))
-    assert frob(t.S.matrix - t.J.matrix @ sqrt_delta.conj()) <= 1e-12
-    assert frob((t.S.matrix.T @ t.S.matrix.conj() - t.delta).toarray()) <= 1e-12
+    # S = J Delta^(1/2) on the weights and in action, Delta = S* S
+    assert frob(t.S.weight - t.J.weight * np.sqrt(t.delta)) <= 1e-12
+    x = SplitMix64(42).complex_matrix(N)
+    assert frob(t.S(x) - t.J(np.sqrt(t.delta) * x)) <= 1e-12
+    assert frob(t.S.adjoint() @ t.S - t.delta) <= 1e-12
     assert frob(t.J(phi) - phi) <= 1e-13
-    assert np.linalg.norm(t.delta @ flatten(phi) - flatten(phi)) <= 1e-13
+    assert np.linalg.norm(t.delta * phi - phi) <= 1e-13
 
 
 def test_criterion_02_kms_boundary():

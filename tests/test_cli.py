@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from landau_modular.cli import main
@@ -100,6 +101,34 @@ def test_smallest_cuts_run():
         assert run_suite(name, cfg)[0].checks
 
 
+def test_nan_inside_a_check_makes_it_fail(monkeypatch):
+    # the KMS function goes NaN at t = 1, the fourth of five points of
+    # closed_form_pair and inside the grid of boundary_condition, whose
+    # deviation is itself a fold in modular_core; neither fold may keep
+    # the finite values around the NaN, and the check without t = 1 keeps
+    # its value
+    import math
+
+    from landau_modular import coherent_states as cs
+    from landau_modular import modular_core as mc
+
+    clean = {c.name: c for c in run_suite("kms", SuiteConfig())[0].checks}
+    kms = mc.kms_function
+    monkeypatch.setattr(mc, "kms_function", lambda w, a, b, z: (
+        complex("nan") if z.real == 1.0 else kms(w, a, b, z)))
+    report = run_suite("kms", SuiteConfig())[0]
+    checks = {c.name: c for c in report.checks}
+    for name in ("closed_form_pair", "boundary_condition"):
+        assert math.isnan(checks[name].max_error)
+        assert not checks[name].passed
+    assert report_to_json(report).count('"max_error": NaN') == 2
+    assert checks["real_time_agreement"] == clean["real_time_agreement"]
+    # a NaN thermal vector reaches the first fold of modular_spectral_check
+    monkeypatch.setattr(cs, "chi_state",
+                        lambda beta, cutoff: np.full((cutoff + 1,) * 2, np.nan))
+    assert math.isnan(cs.modular_spectral_check(0.7, 4))
+
+
 def test_export_quad_rule_rejects_unsupported_order(capsys):
     assert main(["export", "quad_rule", "--radial", "1000",
                  "--angular", "2"]) == 2
@@ -108,17 +137,24 @@ def test_export_quad_rule_rejects_unsupported_order(capsys):
     assert "configuration error" in captured.err
 
 
-def test_cli_loads_no_scipy_special_or_linalg():
-    # runs the commands, not only the import, so a deferred import inside
-    # a function is caught too
+def test_cli_and_landau_library_load_no_scipy():
+    # runs the commands and the library calls, not only the imports, so a
+    # deferred import inside a function is caught too; the last two lines
+    # are the path of a library-level Fock-state build
     code = (
         "import contextlib, io, sys\n"
         "from landau_modular.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "from landau_modular import landau_modes as lm\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
         "    main(['verify', 'all', '--seed', '42'])\n"
+        "    main(['verify', 'modular', '--dim', '32'])\n"
         "    main(['export', 'quad_rule'])\n"
-        "print(sorted(m for m in ('scipy.special', 'scipy.linalg')"
-        " if m in sys.modules))\n")
+        "    main(['export', 'delta_spectrum'])\n"
+        "lm.hamiltonians(lm.ModeCut(24))\n"
+        "lm.fock_psi(lm.ModeCut(24), 2, 1)\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import pytest
 
 from landau_modular.hs_space import (
     AntilinearOp,
+    WeightedConjugation,
     commutant_basis,
     conjugation_J,
     flatten,
@@ -10,6 +11,7 @@ from landau_modular.hs_space import (
     in_span,
     matrix_unit,
     sandwich_superop,
+    transpose_permutation,
     unflatten,
 )
 from landau_modular.rng import SplitMix64
@@ -94,8 +96,8 @@ def test_sandwich_adjoint_pairing():
         lhs = hs_inner(x, _apply(a, b, y))
         rhs = hs_inner(_apply(a.conj().T, b.conj().T, x), y)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-    assert np.array_equal(sandwich_superop(a.conj().T, b.conj().T).toarray(),
-                          sandwich_superop(a, b).toarray().conj().T)
+    assert np.array_equal(sandwich_superop(a.conj().T, b.conj().T),
+                          sandwich_superop(a, b).conj().T)
 
 
 def test_left_and_right_factors_commute():
@@ -106,7 +108,7 @@ def test_left_and_right_factors_commute():
     b = rng.complex_matrix(n)
     left = sandwich_superop(a, eye)
     right = sandwich_superop(eye, b)
-    assert np.linalg.norm((left @ right - right @ left).toarray()) < 1e-12
+    assert np.linalg.norm(left @ right - right @ left) < 1e-12
 
 
 def test_superop_matrix_identity_and_kron_structure():
@@ -114,7 +116,7 @@ def test_superop_matrix_identity_and_kron_structure():
     assert np.allclose(superop_matrix(lambda x: x, n), np.eye(n * n))
     a = SplitMix64(14).complex_matrix(n)
     assert np.allclose(superop_matrix(lambda x: a @ x, n),
-                       sandwich_superop(a, np.eye(n)).toarray())
+                       sandwich_superop(a, np.eye(n)))
 
 
 def test_sandwich_rejects_unequal_or_nonsquare_factors():
@@ -127,19 +129,48 @@ def test_sandwich_rejects_unequal_or_nonsquare_factors():
 def test_conjugation_squares_to_identity():
     n = 3
     j = conjugation_J(n)
-    assert np.allclose((j.matrix @ j.matrix.conj()).toarray(), np.eye(n * n))
+    # J after J is the identity multiplier
+    assert np.array_equal(j @ j, np.ones((n, n)))
     x = SplitMix64(15).complex_matrix(n)
     assert np.allclose(j(x), x.conj().T)
+    assert np.array_equal(j(j(x)), x)
+    # the linear part of J, X -> J(conj X) = X^T, is the transpose permutation
+    perm = transpose_permutation(n)
+    assert np.array_equal(superop_matrix(lambda y: j(y.conj()), n),
+                          np.eye(n * n)[perm])
+    assert np.array_equal(perm[perm], np.arange(n * n))
 
 
 def test_j_conjugates_left_algebra_to_right():
     n = 3
-    j = conjugation_J(n)
+    perm = transpose_permutation(n)
     a = SplitMix64(16).complex_matrix(n)
-    left = sandwich_superop(a, np.eye(n)).toarray()
-    right = sandwich_superop(np.eye(n), a).toarray()
-    sandwiched = j.matrix @ left.conj() @ j.matrix
+    left = sandwich_superop(a, np.eye(n))
+    right = sandwich_superop(np.eye(n), a)
+    # J M J is conj(M) with rows and columns permuted by the transpose
+    sandwiched = left.conj()[np.ix_(perm, perm)]
     assert np.linalg.norm(sandwiched - right) < 1e-12 * np.linalg.norm(right)
+    j = conjugation_J(n)
+    x = SplitMix64(20).complex_matrix(n)
+    assert np.linalg.norm(j(a @ j(x)) - x @ a.conj().T) < 1e-12
+
+
+def test_weighted_conjugation_adjoint_and_composition():
+    rng = SplitMix64(21)
+    n = 4
+    p = WeightedConjugation(rng.complex_matrix(n))
+    q = WeightedConjugation(rng.complex_matrix(n))
+    x, y = rng.complex_matrix(n), rng.complex_matrix(n)
+    # antilinear, and on c E_ij it gives conj(c W_ij) E_ji
+    assert np.allclose(p((2 + 1j) * x), (2 - 1j) * p(x))
+    c = 0.5 - 1.5j
+    assert np.allclose(p(c * matrix_unit(n, 1, 2)),
+                       np.conj(c * p.weight[1, 2]) * matrix_unit(n, 2, 1))
+    # the antilinear adjoint: <x, P* y> = conj(<P x, y>)
+    lhs = hs_inner(x, p.adjoint()(y))
+    assert abs(lhs - np.conj(hs_inner(p(x), y))) < 1e-12 * abs(lhs)
+    # P after Q is the linear map X -> (P @ Q) . X
+    assert np.allclose(p(q(x)), (p @ q) * x, rtol=0, atol=1e-12)
 
 
 def test_antilinear_op_is_conjugate_linear():

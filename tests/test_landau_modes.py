@@ -5,6 +5,7 @@ import pytest
 
 from landau_modular import cgauss_quad as quad
 from landau_modular import landau_modes as lm
+from landau_modular.rng import SplitMix64
 
 
 def test_ladder_matrix():
@@ -26,6 +27,73 @@ def test_hermite_fn_values_and_orthonormality():
             vals = [lm.hermite_fn(m, xi) * lm.hermite_fn(n, xi) for xi in x]
             got = float(np.sum(w * vals))
             assert abs(got - (1.0 if m == n else 0.0)) < 1e-10
+
+
+def _dense_modes(ncut: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two-mode lowering operators as dense Kronecker products: the
+    independent reference for the banded ones."""
+    a, eye = lm.ladder(ncut), np.eye(ncut)
+    return np.kron(a, eye), np.kron(eye, a)
+
+
+@pytest.mark.parametrize("ncut", (5, 6))
+def test_banded_ops_match_dense_kron_references(ncut):
+    cut = lm.ModeCut(ncut)
+    ax, ay = lm.mode_ops(cut)
+    dx, dy = _dense_modes(ncut)
+    assert np.array_equal(ax.toarray(), dx)
+    assert np.array_equal(ay.toarray(), dy)
+    op = 0.75 * (ax - 1j * ay) - 0.25 * (ax.dag() - 1j * ay.dag())
+    dense = 0.75 * (dx - 1j * dy) - 0.25 * (dx.conj().T - 1j * dy.conj().T)
+    assert np.allclose(op.toarray(), dense, rtol=0, atol=1e-15)
+    assert np.array_equal(op.dag().toarray(), op.toarray().conj().T)
+    assert np.array_equal(op.conj().toarray(), op.toarray().conj())
+    assert np.array_equal((-op / 2).toarray(), -op.toarray() / 2)
+    cols = np.array([0, 3, cut.dim - 1])
+    assert np.array_equal(op.columns(cols), op.toarray()[:, cols])
+    v = SplitMix64(ncut).complex_matrix(ncut).reshape(-1)
+    assert np.allclose(op @ v, dense @ v, rtol=0, atol=1e-13)
+    for left, right in ((op, op.dag()), (op.dag(), op), (ay, ay.dag()), (ax @ ay, op)):
+        assert np.allclose((left @ right).toarray(), left.toarray() @ right.toarray(),
+                           rtol=0, atol=1e-13)
+    assert lm.build_A_pm(cut).a_plus.toarray() == pytest.approx(dense, abs=1e-15)
+
+
+def test_banded_rows_at_the_cut_edge_do_not_wrap():
+    # a_y shifts the joint index by 1, so the row n_y = ncut - 1 of one x block
+    # sits next to n_y = 0 of the next block; the banded diagonal must hold a
+    # zero there, and the products must keep it
+    ncut = 5
+    cut = lm.ModeCut(ncut)
+    ax, ay = lm.mode_ops(cut)
+    nx, ny = np.divmod(np.arange(cut.dim), ncut)
+    assert not ay.toarray()[ny == ncut - 1].any()
+    assert not ax.toarray()[nx == ncut - 1].any()
+    n_y = (ay.dag() @ ay).toarray()
+    assert np.allclose(n_y, np.diag(ny), rtol=0, atol=1e-15)
+    # a_y a_y* = N_y + 1 except on the top row of each block, where it is 0
+    top = (ay @ ay.dag()).toarray()
+    assert np.allclose(top, np.diag(np.where(ny < ncut - 1, ny + 1.0, 0.0)),
+                       rtol=0, atol=1e-15)
+    assert not top[ny == ncut - 1].any()
+    assert np.array_equal(top, np.diag(np.diag(top)))
+    v = np.ones(cut.dim)
+    assert np.array_equal(ay @ v, np.where(ny < ncut - 1, np.sqrt(ny + 1.0), 0.0))
+    with pytest.raises(ValueError, match="does not match"):
+        ay @ np.ones(cut.dim + 1)
+
+
+def test_interior_deviation_takes_banded_or_dense_operands():
+    cut = lm.ModeCut(8)
+    mask = lm.interior_mask(cut)
+    h = lm.hamiltonians(cut)
+    dense = h.h_up.toarray()
+    target = np.diag(np.arange(cut.dim, dtype=float))
+    got = lm.interior_deviation(h.h_up, target, mask)
+    assert got == lm.interior_deviation(dense, target, mask)
+    banded_target = lm.BandedOp(cut.dim, {0: np.diag(target)})
+    assert got == lm.interior_deviation(dense, banded_target, mask)
+    assert got > 0
 
 
 def test_ccr_on_interior():
@@ -58,8 +126,8 @@ def test_two_constructions_agree():
     cut = lm.ModeCut(10)
     a = lm.build_A_pm(cut)
     b = lm.build_A_pm_from_qp(cut)
-    assert np.max(np.abs(a.a_plus - b.a_plus)) < 1e-12
-    assert np.max(np.abs(a.a_minus - b.a_minus)) < 1e-12
+    assert np.max(np.abs((a.a_plus - b.a_plus).toarray())) < 1e-12
+    assert np.max(np.abs((a.a_minus - b.a_minus).toarray())) < 1e-12
 
 
 def test_ladders_built_once_per_cut():
@@ -83,7 +151,7 @@ def test_interior_spectrum_is_half_integers():
     cut = lm.ModeCut(12)
     mask = lm.interior_mask(cut)
     h = lm.hamiltonians(cut)
-    sub = h.h_up[np.ix_(mask, mask)].toarray()
+    sub = h.h_up.toarray()[np.ix_(mask, mask)]
     vals = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
     # the operator is a compressed N + 1/2 with N positive semidefinite, so
     # the spectrum sits above 1/2; the bottom eigenvalue approaches 1/2 as
@@ -93,14 +161,14 @@ def test_interior_spectrum_is_half_integers():
     cut = lm.ModeCut(20)
     mask = lm.interior_mask(cut)
     h = lm.hamiltonians(cut)
-    sub = h.h_up[np.ix_(mask, mask)].toarray()
+    sub = h.h_up.toarray()[np.ix_(mask, mask)]
     vals = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
     assert abs(vals[0] - 0.5) < 1e-6
 
 
 def test_conjugation_intertwines_exactly():
     h = lm.hamiltonians(lm.ModeCut(10))
-    assert np.max(np.abs(h.h_up.conj() - h.h_down)) == 0.0
+    assert np.max(np.abs((h.h_up.conj() - h.h_down).toarray())) == 0.0
 
 
 def test_fock_label_validation():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from landau_modular import modular_core as mc
-from landau_modular.hs_space import flatten, matrix_unit, unflatten
+from landau_modular.hs_space import matrix_unit
 from landau_modular.rng import SplitMix64
+from test_hs_space import superop_matrix
 
 LN2 = math.log(2.0)
 
@@ -67,24 +68,41 @@ def test_modular_triple_actions_at_ln2():
         for j in range(n):
             x, xt = matrix_unit(n, i, j), matrix_unit(n, j, i)
             ratio = 2.0 ** (j - i)
-            assert np.allclose(unflatten(t.delta @ flatten(x)), ratio * x, atol=1e-13)
-            assert np.allclose(unflatten(t.delta_sqrt @ flatten(x)),
-                               math.sqrt(ratio) * x, atol=1e-13)
+            assert np.allclose(t.delta * x, ratio * x, atol=1e-13)
+            assert np.allclose(t.delta_sqrt * x, math.sqrt(ratio) * x, atol=1e-13)
             assert np.allclose(t.S(c * x), math.sqrt(ratio) * c.conjugate() * xt,
                                atol=1e-13)
             assert np.allclose(t.J(c * x), c.conjugate() * xt)
-            assert np.allclose(unflatten(t.big_h @ flatten(x)), (i - j) * x, atol=1e-13)
+            assert np.allclose(t.big_h * x, (i - j) * x, atol=1e-13)
 
 
 def test_superoperators_store_one_entry_per_matrix_unit():
-    # each is a diagonal or a transpose times a diagonal: N^2 stored
-    # entries, where a dense array would hold N^4
-    n = 64
+    # each is a diagonal or a transpose times a diagonal, held as one N x N
+    # array where a dense superoperator would hold N^4 entries; its action
+    # matches the matrix of the defining formula, built column by column
+    n = 4
     w = mc.build_weights(0.7, n)
     t = mc.build_modular_triple(w)
-    for m in (t.delta, t.delta_sqrt, t.big_h, t.J.matrix, t.S.matrix,
-              mc.flow_superop(w, 0.8)):
-        assert m.nnz == n ** 2
+    flow = mc.flow_superop(w, 0.8)
+    for m in (t.delta, t.delta_sqrt, t.big_h, t.J.weight, t.S.weight, flow):
+        assert m.shape == (n, n)
+    rho = np.diag(w.alpha)
+    half, mhalf = np.diag(np.sqrt(w.alpha)), np.diag(1.0 / np.sqrt(w.alpha))
+    h = t.h_state
+    u = np.diag(np.exp(1j * 0.8 * np.diag(h).real))
+    pairs = (
+        (lambda x: t.delta * x, lambda x: rho @ x @ np.linalg.inv(rho)),
+        (lambda x: t.delta_sqrt * x, lambda x: half @ x @ mhalf),
+        (lambda x: t.big_h * x, lambda x: h @ x - x @ h),
+        (lambda x: flow * x, lambda x: u @ x @ u.conj().T),
+        # the linear parts of the antilinear J and S: X -> J(conj X) = X^T
+        # and X -> S(conj X) = rho^(-1/2) X^T rho^(1/2)
+        (lambda x: t.J(x.conj()), lambda x: x.T),
+        (lambda x: t.S(x.conj()), lambda x: mhalf @ x.T @ half),
+    )
+    for stored, formula in pairs:
+        assert np.allclose(superop_matrix(stored, n), superop_matrix(formula, n),
+                           rtol=0, atol=1e-13)
 
 
 def test_s_conjugates_algebra_orbit():
