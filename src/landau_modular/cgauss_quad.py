@@ -31,9 +31,14 @@ import numpy as np
 MAX_RADIAL_ORDER = 194
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexGaussRule:
-    """Nodes and weights for the normalized planar Gaussian measure."""
+    """Nodes and weights for the normalized planar Gaussian measure.
+
+    A rule compares and hashes by identity, so a table keyed on a rule
+    (coherent_states' moment matrices) gives a hand-built rule its own
+    entry even when its orders equal those of a shared one.
+    """
 
     nodes: np.ndarray    # complex, length R*K
     weights: np.ndarray  # positive real, sums to 1
@@ -78,19 +83,31 @@ def gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / w.sum()  # exact normalization of int_0^inf e^-s ds = 1
 
 
+_RULES: dict = {}  # (radial, angular) -> ComplexGaussRule
+
+
 def build_rule(radial: int, angular: int) -> ComplexGaussRule:
     """Tensor rule with the given radial (1 <= R <= MAX_RADIAL_ORDER) and
     angular (K >= 2) orders; the radial factor is the Golub-Welsch
-    Gauss-Laguerre rule of `gauss_laguerre`."""
-    s, ws = gauss_laguerre(radial)
-    if angular < 2:
-        raise ValueError(f"angular order must be >= 2, got {angular}")
-    theta = 2.0 * np.pi * np.arange(angular) / angular
-    radii = np.sqrt(s)
-    nodes = (radii[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)
-    weights = np.repeat(ws / angular, angular)
-    return ComplexGaussRule(nodes=nodes, weights=weights,
-                            radial_order=radial, angular_order=angular)
+    Gauss-Laguerre rule of `gauss_laguerre`.
+
+    Each (radial, angular) pair is built once per process and shared; its
+    nodes and weights are read-only.
+    """
+    rule = _RULES.get((radial, angular))
+    if rule is None:
+        s, ws = gauss_laguerre(radial)
+        if angular < 2:
+            raise ValueError(f"angular order must be >= 2, got {angular}")
+        theta = 2.0 * np.pi * np.arange(angular) / angular
+        radii = np.sqrt(s)
+        nodes = (radii[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)
+        weights = np.repeat(ws / angular, angular)
+        nodes.flags.writeable = weights.flags.writeable = False
+        rule = _RULES[radial, angular] = ComplexGaussRule(
+            nodes=nodes, weights=weights,
+            radial_order=radial, angular_order=angular)
+    return rule
 
 
 def covers(rule: ComplexGaussRule, m: int, k: int) -> bool:

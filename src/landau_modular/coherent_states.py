@@ -15,6 +15,7 @@ n = 0 (powers of z).  The Weyl displacement is landau_modes.displacement.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -86,12 +87,28 @@ def _require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
             f"need radial order >= {cutoff // 2 + 1} and angular order > {cutoff}")
 
 
+_MOMENTS = weakref.WeakKeyDictionary()  # rule -> the largest G built on it
+
+
 def _moment_matrix(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
-    """G[n, m] = integral of (z^n / sqrt(n!)) conj(z^m / sqrt(m!)) dnu."""
-    pows = np.array([rule.nodes**n / math.sqrt(math.factorial(n))
-                     for n in range(cutoff + 1)])
-    return np.array([[integrate_values(rule, pa * pb.conj()) for pb in pows]
-                     for pa in pows])
+    """G[n, m] = integral of (z^n / sqrt(n!)) conj(z^m / sqrt(m!)) dnu,
+    0 <= n, m <= cutoff, read-only.
+
+    Each entry is one integrate_values sum, whose value does not depend on
+    the cutoff, so G is built once per rule at the largest cutoff asked
+    for and a smaller cutoff takes its leading block.  The table is keyed
+    on the rule instance (rules hash by identity) and does not keep a rule
+    alive.
+    """
+    g = _MOMENTS.get(rule)
+    if g is None or g.shape[0] <= cutoff:
+        pows = np.array([rule.nodes**n / math.sqrt(math.factorial(n))
+                         for n in range(cutoff + 1)])
+        g = np.array([[integrate_values(rule, pa * pb.conj()) for pb in pows]
+                      for pa in pows])
+        g.flags.writeable = False
+        _MOMENTS[rule] = g
+    return g[:cutoff + 1, :cutoff + 1]
 
 
 def resolution_check(kind: str, cutoff: int, rule: ComplexGaussRule) -> float:

@@ -427,8 +427,10 @@ def displacement_block(ncut: int, x: float, y: float, n: int) -> np.ndarray:
     where Q = V Lambda V* is solved once per cut.  The rotation is exact at
     the truncation: N is diagonal and e^(i theta N) a e^(-i theta N) =
     e^(-i theta) a entry by entry for the truncated ladder.  Only the
-    n x n block is formed, in O(n^2 ncut) by an unoptimized einsum, whose
-    summation order does not depend on the BLAS thread count.
+    n x n block is formed, as one matrix product over the first n rows of
+    V, the product func_calculus forms for the direct route.  The reports
+    built on it are byte-identical at one and two BLAS threads
+    (tests/test_acceptance.py::test_criterion_13_determinism_at_reach).
     """
     _finite_point(x, y)
     if not 0 <= n <= ncut:
@@ -437,23 +439,27 @@ def displacement_block(ncut: int, x: float, y: float, n: int) -> np.ndarray:
     r, theta = math.hypot(x, y), math.atan2(y, x)
     v = eig.eigenvectors[:n]
     d = np.exp(1j * theta * np.arange(n))
-    block = np.einsum("ik,k,jk->ij", v, np.exp(-1j * r * eig.eigenvalues), v.conj())
+    block = (v * np.exp(-1j * r * eig.eigenvalues)) @ v.conj().T
     return d[:, None] * block * d.conj()
 
 
-def wigner_sample(x_op: np.ndarray, x: float, y: float, ncut: int) -> complex:
+def wigner_sample(x_op: np.ndarray, x: float, y: float,
+                  ncut: int) -> complex | np.ndarray:
     """The phase-space sample (2 pi)^(-1/2) Tr[U(x, y)* X].
 
     x_op may live on a smaller truncation n <= ncut; it is embedded in the
     top-left block of the ncut-dimensional single-mode space, so the trace
     needs only the n x n block of U, taken from displacement_block (one
-    eigensolve of Q per cut, shared by every sample).
+    eigensolve of Q per cut, shared by every sample).  An n x n operator
+    gives one complex sample; a stack of k operators, shape (k, n, n),
+    gives the array of its k samples at (x, y) from one block.
     """
-    n = x_op.shape[0]
-    if x_op.shape != (n, n) or n > ncut:
+    n = x_op.shape[-1]
+    if x_op.ndim not in (2, 3) or x_op.shape[-2:] != (n, n) or n > ncut:
         raise ValueError(f"operator shape {x_op.shape} incompatible with cut {ncut}")
     u = displacement_block(ncut, x, y, n)
-    return complex(np.sum(u.conj() * x_op) / math.sqrt(2.0 * math.pi))
+    samples = np.sum(u.conj() * x_op, axis=(-2, -1)) / math.sqrt(2.0 * math.pi)
+    return complex(samples) if x_op.ndim == 2 else samples
 
 
 def wigner_closed_form(n: int, l: int, x: float, y: float,

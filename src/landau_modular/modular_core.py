@@ -55,12 +55,29 @@ class GibbsWeights:
             raise ValueError("weights must be geometric with ratio exp(-beta)")
 
 
+# ln(DBL_MAX) ~ 709.78: the largest eigenvalue of Delta, alpha_0 / alpha_(n-1)
+# = e^(beta (n - 1)), is a finite double up to this exponent and inf beyond it
+LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+
+def require_finite_ratios(beta: float, n: int) -> None:
+    """Reject n levels at inverse temperature beta whose Gibbs weight
+    ratios overflow a double, beta (n - 1) > ln(DBL_MAX), before any
+    array is built; beyond it the modular data hold inf and NaN."""
+    if beta * (n - 1) > LOG_DBL_MAX:
+        raise ValueError(
+            f"beta (--beta) times dim (--dim) - 1 is {beta * (n - 1):.6g}, "
+            f"above ln(DBL_MAX) = {LOG_DBL_MAX:.6g}: the Gibbs weight ratio "
+            f"e^(beta (dim - 1)) overflows a double")
+
+
 def build_weights(beta: float, n: int) -> GibbsWeights:
     """Geometric Gibbs weights on n levels, renormalized to sum exactly 1."""
     if not 0 < beta < math.inf:
         raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
     if n < 2:
         raise ValueError(f"need at least two levels, got {n}")
+    require_finite_ratios(beta, n)
     alpha = np.exp(-beta * np.arange(n))
     alpha /= alpha.sum()
     return GibbsWeights(beta=beta, n=n, alpha=alpha)

@@ -66,6 +66,7 @@ class SuiteConfig:
                 raise ValueError(f"{name} ({flag}) must be finite, got {value}")
         if self.dim < 2 or self.beta <= 0 or self.tol_scale <= 0:
             raise ValueError("dim >= 2, beta > 0 and tol scale > 0 required")
+        mc.require_finite_ratios(self.beta, self.dim)
         # the smallest cuts every suite runs at, checked before any suite:
         # the coherent partial-isometry witness moves e_(2,0) to e_(0,2),
         # and the landau Fock states reach n + l = 6, which needs cut n + l + 2
@@ -565,7 +566,10 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
 
     deg = 12
     vals = _basis_values(rule, deg)
-    gram = (vals * rule.weights) @ vals.conj().T
+    weighted = vals * rule.weights
+    # conjugate in place: a third (deg+1)^2 x nodes array (6.9 MB at the
+    # default orders) would set the peak memory of verify all
+    gram = weighted @ np.conjugate(vals, out=vals).T
     s.check("basis_orthonormality",
             "<B[n, k], B[m, l]> = delta delta under dnu, indices <= 12",
             float(np.max(np.abs(gram - np.eye((deg + 1) ** 2)))), 1e-10)
@@ -704,19 +708,20 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
 def _suite_wigner(cfg: SuiteConfig) -> Report:
     s = _Suite("wigner", cfg)
     grid = np.linspace(-2.0, 2.0, 5)
+    labels = [(n, l) for n in range(4) for l in range(4)]
+    # the 16 matrix units share one displacement block per grid point
+    units = np.array([matrix_unit(4, n, l) for n, l in labels])
     dev_lit = 0.0
     dev_cor = 0.0
-    for n in range(4):
-        for l in range(4):
-            x_op = matrix_unit(4, n, l)
-            for x in grid:
-                for y in grid:
-                    got = lm.wigner_sample(x_op, float(x), float(y), cfg.ncut)
-                    dev_lit = np.maximum(dev_lit, abs(
-                        got - lm.wigner_closed_form(n, l, float(x), float(y),
-                                                    literal=True)))
-                    dev_cor = np.maximum(dev_cor, abs(
-                        got - lm.wigner_closed_form(n, l, float(x), float(y))))
+    for x in grid:
+        for y in grid:
+            samples = lm.wigner_sample(units, float(x), float(y), cfg.ncut)
+            for (n, l), got in zip(labels, samples):
+                dev_lit = np.maximum(dev_lit, abs(
+                    got - lm.wigner_closed_form(n, l, float(x), float(y),
+                                                literal=True)))
+                dev_cor = np.maximum(dev_cor, abs(
+                    got - lm.wigner_closed_form(n, l, float(x), float(y))))
     s.check("closed_form_literal",
             "phase-space sample of |n><l| equals "
             "e^(-|z|^2/2) B[n, l](zbar, z)/sqrt(2 pi) as printed",

@@ -278,3 +278,24 @@ def test_criterion_13_determinism(tmp_path):
         assert proc.returncode in (0, 1)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_criterion_13_determinism_at_reach(tmp_path):
+    # the reach configurations of the benchmark: the phase-space rotation is
+    # a BLAS product at ncut 128, and the coherent moment sums run at cutoff 16
+    runs = (("wigner", "--ncut", "128"),
+            ("coherent", "--cutoff", "16", "--radial", "48", "--angular", "96"))
+    for args in runs:
+        outputs = []
+        for tag, threads in (("a", "2"), ("b", "1")):
+            env = dict(os.environ)
+            env["OMP_NUM_THREADS"] = threads
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"{args[0]}_{tag}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "landau_modular", "verify", *args,
+                 "--seed", "42", "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode in (0, 1)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], args

@@ -16,6 +16,24 @@ def test_rule_invariants():
     assert rule.nodes.shape == (8 * 12,)
 
 
+def test_verify_all_builds_the_default_rule_once(monkeypatch):
+    from landau_modular.suites import SuiteConfig, run_suite
+    monkeypatch.setattr(quad, "_RULES", {}, raising=False)
+    orders = []
+    laguerre = quad.gauss_laguerre
+    monkeypatch.setattr(quad, "gauss_laguerre",
+                        lambda n: orders.append(n) or laguerre(n))
+    run_suite("all", SuiteConfig())
+    # the quadrature and coherent suites share the 40 x 64 rule
+    assert orders.count(40) == 1
+    rule = quad.build_rule(40, 64)
+    assert quad.build_rule(40, 64) is rule and orders.count(40) == 1
+    for arr in (rule.nodes, rule.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+
+
 def test_build_rule_rejects_bad_orders():
     with pytest.raises(ValueError):
         quad.build_rule(0, 8)

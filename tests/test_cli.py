@@ -95,6 +95,27 @@ def test_too_small_cut_is_a_config_error(args, capsys):
         f"{2 if args[1] == '--cutoff' else 8}, got {args[2]}"]
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "modular"), ("verify", "all"), ("export", "delta_spectrum"),
+])
+def test_overflowing_modular_data_is_a_config_error(args, capsys):
+    # beta (dim - 1) = 710.5 > ln(DBL_MAX): alpha_0 / alpha_(dim - 1) is inf
+    assert main([*args, "--dim", "1016", "--beta", "0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "configuration error: beta (--beta) times dim (--dim) - 1 is 710.5, "
+        "above ln(DBL_MAX) = 709.783: the Gibbs weight ratio "
+        "e^(beta (dim - 1)) overflows a double"]
+
+
+def test_largest_finite_gibbs_ratio_is_accepted():
+    # beta (dim - 1) = 707 at dim 1011; only the configuration is built
+    assert SuiteConfig(dim=1011).dim == 1011
+    with pytest.raises(ValueError, match="overflows a double"):
+        SuiteConfig(dim=1016)
+
+
 def test_smallest_cuts_run():
     cfg = SuiteConfig(cutoff=2, ncut=8)
     for name in ("coherent", "landau", "wigner"):

@@ -102,6 +102,39 @@ def test_resolution_refuses_uncovered_rule():
             cs.resolution_check("a-hol", cutoff, quad.build_rule(need - 1, 64))
 
 
+def test_coherent_suite_builds_one_moment_matrix(monkeypatch):
+    from landau_modular.suites import SuiteConfig, run_suite
+    # a fresh rule table gives a fresh rule, which has no moment matrix yet
+    monkeypatch.setattr(quad, "_RULES", {}, raising=False)
+    calls = []
+    integrate = cs.integrate_values
+    monkeypatch.setattr(cs, "integrate_values",
+                        lambda rule, v: calls.append(rule) or integrate(rule, v))
+    cfg = SuiteConfig()
+    run_suite("coherent", cfg)
+    # one G at the cutoff: (cutoff + 1)^2 sums, all on the one shared rule,
+    # shared by both resolutions, the bi-coherent block and both isometries
+    assert len(calls) == (cfg.cutoff + 1) ** 2
+    assert all(r is quad.build_rule(cfg.radial, cfg.angular) for r in calls)
+
+
+def test_hand_built_rule_gets_its_own_moment_matrix():
+    shared = quad.build_rule(20, 24)
+    g = cs._moment_matrix(shared, 6)
+    assert not g.flags.writeable
+    # equal orders and equal arrays still make a different rule, with its own
+    # G; built at a smaller cutoff, it is the leading block of the larger one
+    same = quad.ComplexGaussRule(shared.nodes.copy(), shared.weights.copy(), 20, 24)
+    assert same != shared and hash(same) != hash(shared)
+    assert np.array_equal(cs._moment_matrix(same, 4), g[:5, :5])
+    scaled = quad.ComplexGaussRule(1.1 * shared.nodes, shared.weights, 20, 24)
+    g_scaled = cs._moment_matrix(scaled, 6)
+    assert np.allclose(np.diag(g_scaled).real, 1.21 ** np.arange(7), rtol=1e-10)
+    assert np.max(np.abs(g - np.eye(7))) < 1e-10
+    assert cs.resolution_check("a-hol", 6, scaled) > 1.0
+    assert cs.resolution_check("a-hol", 6, shared) < 1e-10
+
+
 def test_partial_isometry_mapping():
     rule = rule_default()
     m = 6

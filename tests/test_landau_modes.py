@@ -253,6 +253,33 @@ def test_wigner_matches_corrected_closed_form():
                 assert abs(got - lm.wigner_closed_form(n, l, x, y)) < 1e-9
 
 
+def test_wigner_sample_of_a_stack_matches_single_samples():
+    from landau_modular.hs_space import matrix_unit
+    stack = np.array([matrix_unit(3, n, l) for n in range(3) for l in range(3)])
+    stack = stack + SplitMix64(5).complex_matrix(3)
+    for x, y in ((0.3, -0.7), (0.0, 0.0)):
+        got = lm.wigner_sample(stack, x, y, 24)
+        assert got.shape == (9,)
+        assert all(got[i] == lm.wigner_sample(op, x, y, 24)
+                   for i, op in enumerate(stack))
+    for bad in (np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.zeros((2, 5, 5))):
+        with pytest.raises(ValueError, match="incompatible"):
+            lm.wigner_sample(bad, 0.1, 0.2, 4)
+
+
+def test_wigner_suite_forms_one_block_per_grid_point(monkeypatch):
+    from landau_modular.suites import SuiteConfig, run_suite
+    sizes = []
+    block = lm.displacement_block
+    monkeypatch.setattr(lm, "displacement_block",
+                        lambda ncut, x, y, n: sizes.append(n) or block(ncut, x, y, n))
+    run_suite("wigner", SuiteConfig())
+    # 25 grid points for the 16 matrix units, the origin, 25 for the vacuum
+    # and 8 full-size rotations against the direct route
+    assert len(sizes) == 59
+    assert (sizes.count(4), sizes.count(1), sizes.count(64)) == (25, 26, 8)
+
+
 def test_wigner_rotation_matches_direct_displacement():
     # off-grid points, the negative x axis (atan2 = pi), the negative y axis
     # and the origin
