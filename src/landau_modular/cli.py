@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import time
@@ -123,12 +124,15 @@ _EXPORTS = {
 
 
 def _cmd_export(args) -> int:
-    fn = _EXPORTS[args.what]
+    # the whole table is written to memory first, so an export that is
+    # rejected part-way leaves no file and prints nothing
+    buf = io.StringIO(newline="")
+    _EXPORTS[args.what](args, buf)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fn(args, fh)
+            fh.write(buf.getvalue())
     else:
-        fn(args, sys.stdout)
+        sys.stdout.write(buf.getvalue())
     return 0
 
 

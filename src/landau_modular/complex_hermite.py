@@ -1,15 +1,18 @@
 """Bivariate complex Hermite polynomials with exact coefficient arithmetic.
 
-A polynomial in the pair (zbar, z) is stored as a map (m, k) -> exact
-complex coefficient for the monomial zbar^m z^k.  Every coefficient of
-h[n, k] is an integer, (-1)^j j! C(n, j) C(k, j), and the recursion and
-Rodrigues routes keep it a Python int; Fraction enters only for the
-explicit sum's quotients, the halves of the level eigenvalues and the
-1/(n! k!) of the generating function.  All identities
-(recursion, Rodrigues form, explicit double sum, generating function,
-ladder and number actions) are checked as exact equalities of coefficient
-maps; floating point enters only at evaluation time.  The recursion route
-builds each h[n, k] once per process, into a table no other route reads.
+A polynomial in the pair (zbar, z) is stored as two exact maps, its real
+and its imaginary part, each (m, k) -> nonzero int or Fraction multiplying
+the monomial zbar^m z^k; the arithmetic acts on the maps directly, and the
+sorted ((m, k), QC) view is built only when asked for.  Every coefficient
+of h[n, k] is an integer, (-1)^j j! C(n, j) C(k, j), so every Hermite
+polynomial has an empty imaginary map and plain int coefficients on all
+three construction routes; Fraction enters only for the halves of the
+level eigenvalues and the 1/(n! k!) of the generating function.  All
+identities (recursion, Rodrigues form, explicit double sum, generating
+function, ladder and number actions) are checked as exact equalities of
+coefficient maps; floating point enters only at evaluation time.  The
+recursion and the Rodrigues routes each build every entry once per
+process, into a table of their own that no other route reads.
 
 Conventions:
     h[n, k]     degree-(n, k) polynomial; h[0, 0] = 1, h[1, 1] = zbar z - 1
@@ -40,9 +43,6 @@ class QC:
     def __add__(self, other):
         return QC(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other):
-        return QC(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other):
         return QC(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
@@ -61,46 +61,72 @@ class QC:
     def __repr__(self):
         return f"QC({self.re!r}, {self.im!r})"
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+
+def _axpy(x: dict, y: dict, a=1) -> dict:
+    """The coefficient map x + a y, without the terms that cancel."""
+    out = dict(x)
+    for mk, c in y.items():
+        v = out.get(mk, 0) + a * c
+        if v:
+            out[mk] = v
+        else:
+            out.pop(mk, None)
+    return out
 
 
-_ZERO = QC(0)
-
-
-@dataclass(frozen=True)
 class BivarPoly:
-    """Exact polynomial in (zbar, z): coeffs[(m, k)] multiplies zbar^m z^k."""
+    """Exact polynomial in (zbar, z): re[(m, k)] + i im[(m, k)] multiplies
+    zbar^m z^k; both maps hold nonzero int or Fraction values only."""
 
-    coeffs: tuple  # sorted tuple of ((m, k), QC) with nonzero QC
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: dict, im: dict):
+        self.re = re
+        self.im = im
 
     @staticmethod
     def from_dict(d: dict) -> "BivarPoly":
-        items = tuple(sorted((mk, c) for mk, c in d.items() if c))
-        return BivarPoly(items)
+        """From a map (m, k) -> QC."""
+        return BivarPoly({mk: c.re for mk, c in d.items() if c.re},
+                         {mk: c.im for mk, c in d.items() if c.im})
+
+    @property
+    def coeffs(self) -> tuple:
+        """Sorted tuple of ((m, k), QC) over the nonzero coefficients."""
+        re, im = self.re, self.im
+        return tuple((mk, QC(re.get(mk, 0), im.get(mk, 0)))
+                     for mk in sorted(re.keys() | im.keys()))
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 
+    def __eq__(self, other):
+        if isinstance(other, BivarPoly):
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def __repr__(self):
+        return f"BivarPoly({self.coeffs!r})"
+
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        d = self.as_dict()
-        for mk, c in other.coeffs:
-            d[mk] = d.get(mk, _ZERO) + c
-        return BivarPoly.from_dict(d)
+        return BivarPoly(_axpy(self.re, other.re), _axpy(self.im, other.im))
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        d = self.as_dict()
-        for mk, c in other.coeffs:
-            d[mk] = d.get(mk, _ZERO) - c
-        return BivarPoly.from_dict(d)
+        return BivarPoly(_axpy(self.re, other.re, -1),
+                         _axpy(self.im, other.im, -1))
 
     def scale(self, c) -> "BivarPoly":
-        if not isinstance(c, QC):
-            c = QC(c)
-        return BivarPoly.from_dict({mk: c * v for mk, v in self.coeffs})
+        # (P + iQ)(a + ib) = (aP - bQ) + i(bP + aQ)
+        c = c if isinstance(c, QC) else QC(c)
+        a, b = c.re, c.im
+        re = {mk: a * v for mk, v in self.re.items()} if a else {}
+        im = {mk: a * v for mk, v in self.im.items()} if a else {}
+        if b:
+            re, im = _axpy(re, self.im, -b), _axpy(im, self.re, b)
+        return BivarPoly(re, im)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self.re or self.im)
 
 
 def poly_const(c=1) -> BivarPoly:
@@ -109,29 +135,34 @@ def poly_const(c=1) -> BivarPoly:
 
 
 def mul_zbar(p: BivarPoly) -> BivarPoly:
-    return BivarPoly.from_dict({(m + 1, k): c for (m, k), c in p.coeffs})
+    return BivarPoly({(m + 1, k): c for (m, k), c in p.re.items()},
+                     {(m + 1, k): c for (m, k), c in p.im.items()})
 
 
 def mul_z(p: BivarPoly) -> BivarPoly:
-    return BivarPoly.from_dict({(m, k + 1): c for (m, k), c in p.coeffs})
+    return BivarPoly({(m, k + 1): c for (m, k), c in p.re.items()},
+                     {(m, k + 1): c for (m, k), c in p.im.items()})
 
 
 def d_zbar(p: BivarPoly) -> BivarPoly:
-    return BivarPoly.from_dict(
-        {(m - 1, k): c * QC(m) for (m, k), c in p.coeffs if m > 0})
+    return BivarPoly({(m - 1, k): m * c for (m, k), c in p.re.items() if m},
+                     {(m - 1, k): m * c for (m, k), c in p.im.items() if m})
 
 
 def d_z(p: BivarPoly) -> BivarPoly:
-    return BivarPoly.from_dict(
-        {(m, k - 1): c * QC(k) for (m, k), c in p.coeffs if k > 0})
+    return BivarPoly({(m, k - 1): k * c for (m, k), c in p.re.items() if k},
+                     {(m, k - 1): k * c for (m, k), c in p.im.items() if k})
 
 
 def eval_poly(p: BivarPoly, z: complex) -> complex:
-    """Floating-point value p(conj(z), z)."""
+    """Floating-point value p(conj(z), z), summed in (m, k) order."""
     zb = complex(z).conjugate()
+    re, im = p.re, p.im
     total = 0j
-    for (m, k), c in p.coeffs:
-        total += c.to_complex() * zb**m * z**k
+    for mk in sorted(re.keys() | im.keys()):
+        m, k = mk
+        c = complex(re.get(mk, 0)) + 1j * complex(im.get(mk, 0))
+        total += c * zb**m * z**k
     return total
 
 
@@ -168,24 +199,32 @@ def ch_recursion(n: int, k: int) -> BivarPoly:
     return _TABLE[n, k]
 
 
+_RODRIGUES = {(0, 0): poly_const(1)}  # (n, k) -> unsigned chain R[n, k]
+
+
 def ch_rodrigues(n: int, k: int) -> BivarPoly:
     """h[n, k] from the Rodrigues form.
 
     Differentiating g * exp(-zbar z) with respect to z maps the polynomial
-    part g to (dg/dz - zbar g); with respect to zbar, to (dg/dzbar - z g).
-    Apply n z-derivatives and k zbar-derivatives to g = 1, then the sign
-    (-1)^(n+k).
+    part g to D g = dg/dz - zbar g; with respect to zbar, to
+    Dbar g = dg/dzbar - z g.  The unsigned chain R[n, k] = Dbar^k D^n 1 is
+    built into this route's own table, each entry once from its neighbour:
+    R[n, 0] = D R[n-1, 0] and R[n, k] = Dbar R[n, k-1].  Then
+    h[n, k] = (-1)^(n+k) R[n, k].
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
-    g = poly_const(1)
-    for _ in range(n):
-        g = d_z(g) - mul_zbar(g)
-    for _ in range(k):
-        g = d_zbar(g) - mul_z(g)
-    if (n + k) % 2:
-        g = g.scale(-1)
-    return g
+    if (n, k) not in _RODRIGUES:
+        for i in range(1, n + 1):
+            if (i, 0) not in _RODRIGUES:
+                g = _RODRIGUES[i - 1, 0]
+                _RODRIGUES[i, 0] = d_z(g) - mul_zbar(g)
+        for j in range(1, k + 1):
+            if (n, j) not in _RODRIGUES:
+                g = _RODRIGUES[n, j - 1]
+                _RODRIGUES[n, j] = d_zbar(g) - mul_z(g)
+    g = _RODRIGUES[n, k]
+    return g.scale(-1) if (n + k) % 2 else g
 
 
 def ch_explicit(n: int, k: int, literal: bool = False) -> BivarPoly:
@@ -195,20 +234,22 @@ def ch_explicit(n: int, k: int, literal: bool = False) -> BivarPoly:
     With literal=True the alternating sign and the 1/j! are dropped — a
     historically printed variant kept only so tests can witness that it
     disagrees with the Rodrigues construction (at (1, 1) by exactly 2).
+    Each term is an exact quotient, kept an int when it divides evenly
+    (always, in both forms) and a Fraction otherwise.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
-    d: dict = {}
+    re: dict = {}
     nf, kf = math.factorial(n), math.factorial(k)
     for j in range(min(n, k) + 1):
-        if literal:
-            c = Fraction(nf * kf, math.factorial(n - j) * math.factorial(k - j))
-        else:
-            c = Fraction((-1) ** j * nf * kf,
-                         math.factorial(n - j) * math.factorial(k - j) * math.factorial(j))
-        mk = (n - j, k - j)
-        d[mk] = d.get(mk, _ZERO) + QC(c)
-    return BivarPoly.from_dict(d)
+        den = math.factorial(n - j) * math.factorial(k - j)
+        num = nf * kf
+        if not literal:
+            num *= (-1) ** j
+            den *= math.factorial(j)
+        q, r = divmod(num, den)
+        re[n - j, k - j] = Fraction(num, den) if r else q
+    return BivarPoly(re, {})
 
 
 def generating_coeff(n: int, k: int) -> BivarPoly:
@@ -218,12 +259,10 @@ def generating_coeff(n: int, k: int) -> BivarPoly:
     gives sum_j (-1)^j zbar^(n-j) z^(k-j) / ((n-j)!(k-j)!j!), which must
     equal h[n, k] / (n! k!).
     """
-    d: dict = {}
-    for j in range(min(n, k) + 1):
-        c = Fraction((-1) ** j,
-                     math.factorial(n - j) * math.factorial(k - j) * math.factorial(j))
-        d[(n - j, k - j)] = QC(c)
-    return BivarPoly.from_dict(d)
+    re = {(n - j, k - j): Fraction((-1) ** j, math.factorial(n - j)
+                                   * math.factorial(k - j) * math.factorial(j))
+          for j in range(min(n, k) + 1)}
+    return BivarPoly(re, {})
 
 
 def generating_check(max_order: int) -> bool:

@@ -159,14 +159,17 @@ def flow_superop(w: GibbsWeights, t: float) -> np.ndarray:
 def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> complex:
     """F(z) = Tr[rho A exp(iHz) B exp(-iHz)] by the spectral sum.
 
-    Entire in z at finite truncation.  Raises OverflowError when the
-    imaginary part times the spectral spread would overflow exp.
+    Entire in z at finite truncation.  The kernel's largest modulus is
+    e^(|Im z| spread), spread the largest energy difference; raises
+    OverflowError when |Im z| spread exceeds ln(DBL_MAX), the same limit
+    as require_finite_ratios, so every z = t + i beta on an accepted
+    configuration is evaluated.
     """
     if a.shape != (w.n, w.n) or b.shape != (w.n, w.n):
         raise ValueError("operators must match the truncation dimension")
     energies = -np.log(w.alpha) / w.beta
     spread = float(energies.max() - energies.min())
-    if abs(z.imag) * spread > 700.0:
+    if abs(z.imag) * spread > LOG_DBL_MAX:
         raise OverflowError(
             f"imaginary part {z.imag} times spectral spread {spread:.3f} overflows exp"
         )

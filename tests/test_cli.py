@@ -158,6 +158,17 @@ def test_export_quad_rule_rejects_unsupported_order(capsys):
     assert "configuration error" in captured.err
 
 
+def test_rejected_export_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["export", "delta_spectrum", "--dim", "1016", "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+    out.write_bytes(b"kept\n")
+    assert main(args) == 2
+    assert out.read_bytes() == b"kept\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_and_landau_library_load_no_scipy():
     # runs the commands and the library calls, not only the imports, so a
     # deferred import inside a function is caught too; the last two lines

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 from landau_modular import complex_hermite as chp
+from landau_modular.suites import SuiteConfig, run_suite
 
 
 def poly(d):
@@ -34,14 +35,58 @@ def test_three_constructions_agree_exactly():
             assert r == chp.ch_explicit(n, k)
 
 
-def test_recursion_and_rodrigues_coefficients_are_ints():
-    # every coefficient (-1)^j j! C(n, j) C(k, j) is an integer, so the two
-    # integer-only routes never build a Fraction
+def test_rodrigues_builds_each_chain_entry_once(monkeypatch):
+    assert chp.ch_rodrigues(7, 5) is chp.ch_rodrigues(7, 5)
+    # from a fresh table, a 13 x 13 sweep takes one derivative step per new
+    # chain entry, not the n + k steps of every call
+    monkeypatch.setattr(chp, "_RODRIGUES", {(0, 0): chp.poly_const(1)})
+    steps = []
+    for name in ("d_z", "d_zbar"):
+        step = getattr(chp, name)
+        monkeypatch.setattr(chp, name,
+                            lambda p, step=step: steps.append(p) or step(p))
     for n in range(13):
         for k in range(13):
-            for route in (chp.ch_recursion, chp.ch_rodrigues):
-                for _, c in route(n, k).coeffs:
-                    assert type(c.re) is int and type(c.im) is int
+            assert chp.ch_rodrigues(n, k) == chp.ch_explicit(n, k)
+    assert len(steps) == 13 * 13 - 1
+
+
+def _three_way_passes() -> bool:
+    checks = run_suite("hermite", SuiteConfig())[0].checks
+    return next(c for c in checks if c.name == "three_way_equality").passed
+
+
+def test_each_route_reads_only_its_own_table(monkeypatch):
+    for n in range(13):
+        for k in range(13):
+            chp.ch_recursion(n, k)
+            chp.ch_rodrigues(n, k)
+    assert _three_way_passes()
+    wrong = chp.poly_const(7)
+    monkeypatch.setitem(chp._TABLE, (3, 2), wrong)
+    assert chp.ch_recursion(3, 2) is wrong
+    assert not _three_way_passes()
+    for n in range(13):
+        for k in range(13):
+            assert chp.ch_rodrigues(n, k) == chp.ch_explicit(n, k)
+    monkeypatch.undo()
+    monkeypatch.setitem(chp._RODRIGUES, (3, 2), wrong)
+    assert chp.ch_rodrigues(3, 2) == wrong.scale(-1)
+    assert not _three_way_passes()
+    for n in range(13):
+        for k in range(13):
+            assert chp.ch_recursion(n, k) == chp.ch_explicit(n, k)
+
+
+def test_recursion_and_rodrigues_coefficients_are_ints():
+    # every coefficient (-1)^j j! C(n, j) C(k, j) is an integer, so no route
+    # builds a Fraction: the explicit sum's quotients all divide evenly
+    for n in range(13):
+        for k in range(13):
+            for route in (chp.ch_recursion, chp.ch_rodrigues, chp.ch_explicit):
+                p = route(n, k)
+                assert not p.im
+                assert all(type(c) is int for c in p.re.values())
 
 
 def test_literal_explicit_sum_disagrees():
@@ -74,6 +119,17 @@ def test_ladder_commutator_is_identity():
     lhs = chp.ladder_apply("a_minus", chp.ladder_apply("a_minus_dag", p)) \
         - chp.ladder_apply("a_minus_dag", chp.ladder_apply("a_minus", p))
     assert lhs == p
+
+
+def test_complex_scaling_matches_termwise_products():
+    # (P + iQ)(a + ib) = (aP - bQ) + i(bP + aQ), against QC products
+    p = poly({(2, 1): (3, -1), (0, 4): (0, Fraction(1, 2)), (1, 0): (-5, 0)})
+    for c in (chp.QC(2, -3), chp.QC(0, 1), chp.QC(Fraction(1, 3), 0)):
+        termwise = {mk: v * c for mk, v in p.coeffs}
+        assert p.scale(c) == chp.BivarPoly.from_dict(termwise)
+    # cancelled terms leave both maps
+    assert (p + p.scale(-1)).coeffs == ()
+    assert (p - p).is_zero()
 
 
 def test_number_operator_eigenvalues():

@@ -153,6 +153,20 @@ def test_kms_function_overflow_guard():
         mc.kms_function(w, a, a, complex(0.0, 1e4))
 
 
+def test_kms_function_reaches_the_configuration_limit():
+    # beta (dim - 1) = 709.1 at dim 1014, inside ln(DBL_MAX): the largest
+    # kernel modulus e^(beta spread) is a finite double, and the closed form
+    # F(t + i beta) = alpha_1 e^(it) of the (E_01, E_10) pair holds
+    w = mc.build_weights(0.7, 1014)
+    x01, x10 = matrix_unit(1014, 0, 1), matrix_unit(1014, 1, 0)
+    for t in (-2.0, 0.0, 1.0):
+        f = mc.kms_function(w, x01, x10, complex(t, w.beta))
+        assert abs(f - w.alpha[1] * np.exp(1j * t)) < 1e-13
+    past = mc.LOG_DBL_MAX / 1013 * (1 + 1e-9)
+    with pytest.raises(OverflowError):
+        mc.kms_function(w, x01, x10, complex(0.0, past))
+
+
 def test_kms_boundary_deviation_small():
     w = mc.build_weights(0.7, 16)
     grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
