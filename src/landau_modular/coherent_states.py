@@ -6,10 +6,12 @@ A vector in the truncated function space is a coefficient array c[n, k]
 over the orthonormal basis B[n, k] = h[n, k] / sqrt(n! k!), 0 <= n, k <= M:
 a plain (M+1) x (M+1) complex array, that is, an element of the
 Hilbert-Schmidt space HS(C^(M+1)) of hs_space.  Its norm is the Frobenius
-norm, the modular conjugation is the adjoint c -> c*, and an antilinear map
-on it is an hs_space.AntilinearOp.  The anti-holomorphic sector is spanned
-by the column k = 0 (powers of zbar), the holomorphic sector by the row
-n = 0 (powers of z).  The Weyl displacement is landau_modes.displacement.
+norm and the modular conjugation is the adjoint c -> c*.  The
+anti-holomorphic sector is spanned by the column k = 0 (powers of zbar),
+the holomorphic sector by the row n = 0 (powers of z); each is an
+(M+1)-vector, and every map between or onto the sectors is stored at that
+size, through the moment matrix G of the quadrature rule.  The Weyl
+displacement is landau_modes.displacement.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import complex_hermite as ch
 from .cgauss_quad import ComplexGaussRule, covers_degree, integrate_values
-from .hs_space import AntilinearOp
 from .landau_modes import displacement, ladder
 
 
@@ -67,8 +68,9 @@ def chi_state(beta: float, cutoff: int) -> np.ndarray:
 
 
 def sector_projector(kind: str, cutoff: int) -> np.ndarray:
-    """Matrix of the projector onto the anti-holomorphic (k = 0) or
-    holomorphic (n = 0) sector, on flattened coefficient arrays."""
+    """The 0/1 diagonal, over the flattened index n * (M+1) + k, of the
+    projector onto the anti-holomorphic (k = 0) or holomorphic (n = 0)
+    sector."""
     m = cutoff + 1
     diag = np.zeros(m * m)
     if kind == "a-hol":
@@ -77,10 +79,21 @@ def sector_projector(kind: str, cutoff: int) -> np.ndarray:
         diag[:m] = 1.0  # the entries (0, k)
     else:
         raise ValueError(f"unknown sector {kind!r}; expected 'a-hol' or 'hol'")
-    return np.diag(diag).astype(complex)
+    return diag
 
 
-def _require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
+# The largest n for which n! is a finite double; the moment matrix divides
+# by sqrt(n!) up to n = cutoff.
+MAX_CUTOFF = 170
+
+
+def require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
+    """Reject a cutoff whose moment matrix the rule cannot give exactly:
+    one above MAX_CUTOFF, or one outside the rule's exactness certificate."""
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(
+            f"cutoff (--cutoff) must be at most {MAX_CUTOFF}, the largest n "
+            f"for which n! is a finite double, got {cutoff}")
     if not covers_degree(rule, cutoff):
         raise ValueError(
             f"quadrature certificate does not cover monomial degree {cutoff}: "
@@ -116,48 +129,44 @@ def resolution_check(kind: str, cutoff: int, rule: ComplexGaussRule) -> float:
 
     'a-hol': integral of |eta_z><eta_z| dnu against the k = 0 sector
     projector; 'hol': the mirrored statement; 'bcs': the double integral
-    over (u, v) against the full identity.  Refuses rules whose exactness
-    certificate does not cover the cutoff degree.
+    over (u, v) against the full identity.  The sector integrals are G and
+    conj(G) on their sector's index set and 0, like the projector, outside
+    it.  Refuses rules whose exactness certificate does not cover the
+    cutoff degree.
     """
-    _require_coverage(rule, cutoff)
-    m = cutoff + 1
+    require_coverage(rule, cutoff)
     g = _moment_matrix(rule, cutoff)
-    if kind in ("a-hol", "hol"):
-        p = np.zeros((m * m, m * m), dtype=complex)
-        if kind == "a-hol":
-            p[::m, ::m] = g
-        else:
-            # element ((0,a),(0,b)) = integral zbar^a z^b dnu / norms
-            p[:m, :m] = g.conj()
-        target = sector_projector(kind, cutoff)
-        return float(np.max(np.abs(p - target)))
+    if kind == "a-hol":
+        return float(np.max(np.abs(g - np.eye(cutoff + 1))))
+    if kind == "hol":
+        # element ((0,a),(0,b)) = integral zbar^a z^b dnu / norms
+        return float(np.max(np.abs(g.conj() - np.eye(cutoff + 1))))
     if kind == "bcs":
         # c[n, k](u, v) factorizes, so the double integral is a Kronecker
         # product of two single-plane moment matrices.
         p = np.kron(g, g.conj())
-        return float(np.max(np.abs(p - np.eye(m * m))))
+        return float(np.max(np.abs(p - np.eye(p.shape[0]))))
     raise ValueError(f"unknown resolution kind {kind!r}")
 
 
-def partial_isometry(kind: str, cutoff: int, rule: ComplexGaussRule) -> AntilinearOp:
-    """The antilinear cross-sector map from a coherent-state kernel integral.
+def partial_isometry(kind: str, cutoff: int, rule: ComplexGaussRule) -> np.ndarray:
+    """The antilinear cross-sector map from a coherent-state kernel
+    integral, as the (M+1) x (M+1) matrix K of its linear part: the image
+    of a source-sector vector v is K @ conj(v).
 
     'a-hol->hol' is f -> integral eta_breve(zbar) conj(<eta_z, f>) dnu: it
-    sends B[n, 0] to B[0, n] isometrically and kills the holomorphic
-    sector; 'hol->a-hol' is the reverse.
+    reads the column c[:, 0], writes the row c[0, :], and sends B[n, 0] to
+    B[0, n] isometrically; K = conj(G), K[k, n] = integral zbar^k z^n dnu /
+    norms.  'hol->a-hol' is the reverse, with K = G.  Neither map reads
+    outside its source sector, so each kills the complement, and the
+    composition, antilinear after antilinear, is the linear rev @ conj(iso).
     """
-    _require_coverage(rule, cutoff)
-    m = cutoff + 1
+    require_coverage(rule, cutoff)
     g = _moment_matrix(rule, cutoff)
-    mat = np.zeros((m * m, m * m), dtype=complex)
     if kind == "a-hol->hol":
-        # row index (0, k), column index (n, 0):
-        # matrix[a, b] = integral eta_breve[a] * eta[b] dnu
-        mat[:m, ::m] = g.conj()  # integral zbar^k z^n dnu
-        return AntilinearOp(mat)
+        return g.conj()
     if kind == "hol->a-hol":
-        mat[::m, :m] = g
-        return AntilinearOp(mat)
+        return g
     raise ValueError(f"unknown isometry kind {kind!r}")
 
 
@@ -195,17 +204,18 @@ def modular_spectral_check(beta: float, cutoff: int,
     m = cutoff + 1
     dev = 0.0
     chi = chi_state(beta, cutoff).reshape(-1)
-    raising = np.zeros((m * m, m * m), dtype=complex)
-    for n in range(m - 1):
-        for k in range(m):
-            raising[(n + 1) * m + k, n * m + k] = math.sqrt(n + 1)
+    # the raising generator's only nonzero entries, sqrt(n + 1) from (n, k)
+    # to (n + 1, k): conjugating by the diagonal phases multiplies them by
+    # p[n + 1, k] and conj(p[n, k])
+    root = np.sqrt(np.arange(1.0, m))[:, None]
     exponents = np.array([-(n - k) for n in range(m) for k in range(m)], dtype=float)
     for t in t_samples:
         phases = np.exp(1j * beta * t * exponents)
         dev = np.maximum(dev, float(np.linalg.norm(phases * chi - chi)))
-        conj_raising = (phases[:, None] * raising) * phases.conj()[None, :]
+        p = phases.reshape(m, m)
+        conj_raising = (p[1:] * root) * p[:-1].conj()
         dev = np.maximum(dev, float(np.max(np.abs(
-            conj_raising - np.exp(-1j * beta * t) * raising))))
+            conj_raising - np.exp(-1j * beta * t) * root))))
     w = build_weights(beta, m)
     for n in range(m):
         for k in range(m):

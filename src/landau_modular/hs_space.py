@@ -9,12 +9,9 @@ eigenvalue on E_ij sits at [i, j].  The transpose of the flattened index
 is an index vector, not a matrix.
 
 Flattening convention (fixed for the whole library): row-major over the
-(i, j) index of X, i.e. flatten(X)[i*N + j] = X[i, j].  A general
-antilinear map is stored as the linear part acting after entrywise
-conjugation in this same basis (AntilinearOp); composing two antilinear
-maps therefore yields the plain linear superoperator M1 @ conj(M2).  The
-conjugation J and the maps J D with D diagonal are WeightedConjugation:
-X -> (W . X)* with an N x N weight W.
+(i, j) index of X, so X.reshape(-1)[i*N + j] = X[i, j].  The conjugation J
+and the maps J D with D diagonal are WeightedConjugation: X -> (W . X)*
+with an N x N weight W.
 """
 
 from __future__ import annotations
@@ -41,18 +38,6 @@ def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.trace(x.conj().T @ y))
 
 
-def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major flattening of an N x N array to length N^2."""
-    return np.asarray(x).reshape(-1)
-
-
-def unflatten(v: np.ndarray) -> np.ndarray:
-    n = int(round(np.sqrt(v.shape[0])))
-    if n * n != v.shape[0]:
-        raise ValueError(f"length {v.shape[0]} is not a perfect square")
-    return np.asarray(v).reshape(n, n)
-
-
 def sandwich_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Dense N^2 x N^2 matrix of X -> A X B* (A = left, B = right) in the
     flattening convention.
@@ -63,19 +48,6 @@ def sandwich_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         raise ValueError(f"sandwich factors must be equal square matrices, "
                          f"got {left.shape}, {right.shape}")
     return np.kron(left, right.conj())
-
-
-@dataclass(frozen=True)
-class AntilinearOp:
-    """An antilinear map stored as linear-part-after-conjugation.
-
-    Action: X -> unflatten(matrix @ conj(flatten(X))).
-    """
-
-    matrix: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return unflatten(self.matrix @ flatten(x).conj())
 
 
 @dataclass(frozen=True)
@@ -106,7 +78,8 @@ def transpose_permutation(n: int) -> np.ndarray:
     """Index vector of the transpose: flattened position (i, j) holds (j, i).
 
     For an N^2 x N^2 matrix M in the flattened basis, P M P with P the
-    transpose permutation is M[np.ix_(perm, perm)].
+    transpose permutation is M[np.ix_(perm, perm)]; for a diagonal one,
+    given by its diagonal d, it is d[perm].
     """
     return np.arange(n * n).reshape(n, n).T.reshape(-1)
 

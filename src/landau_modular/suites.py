@@ -74,6 +74,9 @@ class SuiteConfig:
             raise ValueError(f"cutoff (--cutoff) must be at least 2, got {self.cutoff}")
         if self.ncut < 8:
             raise ValueError(f"ncut (--ncut) must be at least 8, got {self.ncut}")
+        # the coherent suite's moment matrix needs the rule to cover the
+        # cutoff and n! to be a finite double up to it
+        cs.require_coverage(quad.build_rule(self.radial, self.angular), self.cutoff)
 
 
 @dataclass
@@ -610,34 +613,28 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
             "double integral of |bcs(u, v)><bcs(u, v)| = identity",
             cs.resolution_check("bcs", min(m, 8), rule), 1e-10)
 
+    # each map is its (m+1) x (m+1) linear part K, acting as v -> K @ conj(v)
+    # from its source sector; neither reads outside that sector, so each
+    # kills the complement by construction
     iso = cs.partial_isometry("a-hol->hol", m, rule)
     rev = cs.partial_isometry("hol->a-hol", m, rule)
-    dev = 0.0
-    b = np.zeros((m + 1, m + 1), dtype=complex)
-    b[2, 0] = 1.0
-    img = iso(b)
-    expect = np.zeros((m + 1, m + 1), dtype=complex)
-    expect[0, 2] = 1.0
-    dev = np.maximum(dev, float(np.max(np.abs(img - expect))))
-    b = np.zeros((m + 1, m + 1), dtype=complex)
-    b[0, 2] = 1.0
-    dev = np.maximum(dev, frob(iso(b)))  # kills the z sector
-    comp = rev.matrix @ iso.matrix.conj()  # antilinear after antilinear = linear
-    proj = cs.sector_projector("a-hol", m)
-    dev = np.maximum(dev, float(np.max(np.abs(comp - proj))))
+    e2 = np.zeros(m + 1, dtype=complex)
+    e2[2] = 1.0  # B[2, 0] read as its column, B[0, 2] as its row
+    dev = float(np.max(np.abs(iso @ e2.conj() - e2)))
+    # antilinear after antilinear is linear
+    dev = np.maximum(dev, float(np.max(np.abs(rev @ iso.conj() - np.eye(m + 1)))))
     s.check("partial_isometry",
             "the kernel integral maps B[n, 0] -> B[0, n] isometrically and "
             "kills the complement; the two maps compose to the projector",
             dev, 1e-10)
 
     # conjugating the holomorphic projector gives the anti-holomorphic one;
-    # J M J for a matrix M on the flattened basis is conj(M) with rows and
-    # columns put through the transpose permutation
+    # J D J for a diagonal D on the flattened basis, given by its diagonal d,
+    # is conj(d) put through the transpose permutation
     t = transpose_permutation(m + 1)
-    perm = np.ix_(t, t)
-    phol = cs.sector_projector("hol", m)
     s.check("conjugated_projectors", "J P_hol J = P_a-hol",
-            float(np.max(np.abs(phol.conj()[perm] - proj))), 1e-13)
+            float(np.max(np.abs(cs.sector_projector("hol", m).conj()[t]
+                                - cs.sector_projector("a-hol", m)))), 1e-13)
 
     rng = SplitMix64(cfg.seed)
     dev = 0.0
@@ -696,10 +693,10 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
             "vacuum column of the displacement is e^(-|a|^2/2) a^n/sqrt(n!)",
             float(np.max(np.abs(col - expect))), 1e-10)
 
-    up = np.diag([k + 0.5 for n in range(m + 1) for k in range(m + 1)])
-    down = np.diag([n + 0.5 for n in range(m + 1) for k in range(m + 1)])
+    up = np.array([k + 0.5 for n in range(m + 1) for k in range(m + 1)])
+    down = np.array([n + 0.5 for n in range(m + 1) for k in range(m + 1)])
     s.check("conjugation_intertwines_levels", "J H_up = H_down J on the basis",
-            float(np.max(np.abs(up.conj()[perm] - down))), 0.0, exact=True)
+            float(np.max(np.abs(up.conj()[t] - down))), 0.0, exact=True)
     return s.report
 
 

@@ -116,6 +116,32 @@ def test_largest_finite_gibbs_ratio_is_accepted():
         SuiteConfig(dim=1016)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("all", "--cutoff", "100"),
+     "quadrature certificate does not cover monomial degree 100: "
+     "need radial order >= 51 and angular order > 100"),
+    (("coherent", "--cutoff", "171", "--radial", "86", "--angular", "172"),
+     "cutoff (--cutoff) must be at most 170, the largest n for which n! is "
+     "a finite double, got 171"),
+    (("modular", "--radial", "500"), "radial order must be in [1, 194], got 500"),
+])
+def test_unsupported_coherent_configuration_is_a_config_error(args, message, capsys):
+    # the configuration is checked as a whole, before any suite runs
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {message}"]
+
+
+def test_coherent_cutoff_limits_are_checked_on_the_configuration():
+    # 170! is the largest finite factorial; only the configuration is built
+    assert SuiteConfig(cutoff=170, radial=86, angular=171).cutoff == 170
+    with pytest.raises(ValueError, match="at most 170"):
+        SuiteConfig(cutoff=171, radial=86, angular=172)
+    with pytest.raises(ValueError, match="does not cover monomial degree 100"):
+        SuiteConfig(cutoff=100)
+
+
 def test_smallest_cuts_run():
     cfg = SuiteConfig(cutoff=2, ncut=8)
     for name in ("coherent", "landau", "wigner"):

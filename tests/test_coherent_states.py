@@ -8,6 +8,7 @@ from landau_modular import cgauss_quad as quad
 from landau_modular import coherent_states as cs
 from landau_modular import landau_modes as lm
 from landau_modular.dense_linalg import adjoint, frob
+from landau_modular.rng import SplitMix64
 
 
 def rule_default():
@@ -139,20 +140,18 @@ def test_partial_isometry_mapping():
     rule = rule_default()
     m = 6
     iso = cs.partial_isometry("a-hol->hol", m, rule)
-    b = np.zeros((m + 1, m + 1), dtype=complex)
-    b[2, 0] = 1.0
-    img = iso(b)
-    assert img.shape == (m + 1, m + 1)
-    assert abs(img[0, 2] - 1.0) < 1e-10
-    assert abs(frob(img) - 1.0) < 1e-10
-    b = np.zeros((m + 1, m + 1), dtype=complex)
-    b[0, 2] = 1.0
-    assert frob(iso(b)) < 1e-10
+    assert iso.shape == (m + 1, m + 1)
+    # B[2, 0], read as its column, goes to B[0, 2], written as the row
+    v = np.zeros(m + 1, dtype=complex)
+    v[2] = 1.0
+    img = iso @ v.conj()
+    assert abs(img[2] - 1.0) < 1e-10
+    assert abs(np.linalg.norm(img) - 1.0) < 1e-10
     # antilinearity: scaling the input by i scales the image by -i
-    b = np.zeros((m + 1, m + 1), dtype=complex)
-    b[3, 0] = 1j
-    img = iso(b)
-    assert abs(img[0, 3] + 1j) < 1e-10
+    v = np.zeros(m + 1, dtype=complex)
+    v[3] = 1j
+    img = iso @ v.conj()
+    assert abs(img[3] + 1j) < 1e-10
 
 
 def test_partial_isometries_compose_to_projector():
@@ -160,9 +159,102 @@ def test_partial_isometries_compose_to_projector():
     m = 6
     iso = cs.partial_isometry("a-hol->hol", m, rule)
     rev = cs.partial_isometry("hol->a-hol", m, rule)
-    comp = rev.matrix @ iso.matrix.conj()
-    proj = cs.sector_projector("a-hol", m)
-    assert np.max(np.abs(comp - proj)) < 1e-10
+    # on the source sector, which is all the composition reads
+    assert np.max(np.abs(rev @ iso.conj() - np.eye(m + 1))) < 1e-10
+
+
+def _coherent_columns(rule, cutoff, kind):
+    """Flattened eta_z (kind 'a-hol') or eta_breve(zbar) (kind 'hol') at
+    every node of the rule, one column per node."""
+    state = cs.eta if kind == "a-hol" else (lambda z, c: cs.eta_breve(np.conj(z), c))
+    return np.array([state(z, cutoff).reshape(-1) for z in rule.nodes]).T
+
+
+def embedded_isometry(kind, cutoff, rule):
+    """The (M+1)^2-square linear part of a partial isometry on flattened
+    coefficient arrays, from the kernel integral itself: the map
+    f -> integral out(z) conj(<in(z), f>) dnu has the linear part
+    integral out(z) in(z)^T dnu.  The independent reference for the sector
+    form."""
+    source, target = kind.split("->")
+    a = _coherent_columns(rule, cutoff, target)
+    b = _coherent_columns(rule, cutoff, source)
+    return (a * rule.weights) @ b.T
+
+
+def _apply_sector_map(kind, k, c):
+    """The sector form's image of a full coefficient array c."""
+    out = np.zeros_like(c)
+    if kind == "a-hol->hol":
+        out[0, :] = k @ c[:, 0].conj()
+    else:
+        out[:, 0] = k @ c[0, :].conj()
+    return out
+
+
+def shifted_rule():
+    """The default rule's weights on nodes moved off the origin: its moment
+    matrix is a Hermitian G with complex entries, far from the identity,
+    so G, conj(G) and the identity can be told apart."""
+    shared = rule_default()
+    return quad.ComplexGaussRule(shared.nodes + (0.3 - 0.2j), shared.weights,
+                                 shared.radial_order, shared.angular_order)
+
+
+@pytest.mark.parametrize("kind", ["a-hol->hol", "hol->a-hol"])
+def test_partial_isometry_matches_embedded_kernel_integral(kind):
+    m = 6
+    for rule in (rule_default(), shifted_rule()):
+        k = cs.partial_isometry(kind, m, rule)
+        ref = embedded_isometry(kind, m, rule)
+        scale = np.max(np.abs(ref))
+        rng = SplitMix64(31)
+        for _ in range(4):
+            c = rng.complex_matrix(m + 1)
+            want = (ref @ c.reshape(-1).conj()).reshape(m + 1, m + 1)
+            got = _apply_sector_map(kind, k, c)
+            tol = 1e-13 * scale * frob(c)
+            assert np.max(np.abs(got - want)) < tol
+            # antilinear: i c goes to -i times the image
+            assert np.max(np.abs(_apply_sector_map(kind, k, 1j * c) + 1j * got)) < tol
+            # the complement of the source sector is killed, in both forms
+            off = c.copy()
+            if kind == "a-hol->hol":
+                off[:, 0] = 0.0
+            else:
+                off[0, :] = 0.0
+            assert not np.any(ref @ off.reshape(-1).conj())
+            assert not np.any(_apply_sector_map(kind, k, off))
+
+
+@pytest.mark.parametrize("kind", ["a-hol", "hol"])
+def test_resolution_check_matches_embedded_projector(kind):
+    m = 6
+    for rule in (rule_default(), shifted_rule()):
+        cols = _coherent_columns(rule, m, kind)
+        integral = (cols * rule.weights) @ cols.conj().T
+        ref = float(np.max(np.abs(integral - np.diag(cs.sector_projector(kind, m)))))
+        got = cs.resolution_check(kind, m, rule)
+        assert abs(got - ref) <= 1e-13 * max(1.0, ref)
+    # the exact rule resolves its sector, the shifted one does not
+    assert cs.resolution_check(kind, m, rule_default()) < 1e-10
+    assert cs.resolution_check(kind, m, shifted_rule()) > 1.0
+
+
+def test_coherent_suite_stays_at_sector_size():
+    # the suite's peak memory stays below one (M+1)^2 x (M+1)^2 complex
+    # array, 16 * 41^4 B = 45 MB at cutoff 40
+    import tracemalloc
+
+    from landau_modular.suites import SuiteConfig, run_suite
+    cfg = SuiteConfig(cutoff=40, radial=48, angular=96)
+    tracemalloc.start()
+    try:
+        run_suite("coherent", cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (cfg.cutoff + 1) ** 4
 
 
 def test_vector_cs_residuals():

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from landau_modular.hs_space import (
-    AntilinearOp,
     WeightedConjugation,
     commutant_basis,
     conjugation_J,
-    flatten,
     hs_inner,
     in_span,
     matrix_unit,
     sandwich_superop,
     transpose_permutation,
-    unflatten,
 )
 from landau_modular.rng import SplitMix64
 
@@ -23,7 +20,7 @@ def superop_matrix(fn, n: int) -> np.ndarray:
     m = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            m[:, i * n + j] = flatten(fn(matrix_unit(n, i, j)))
+            m[:, i * n + j] = fn(matrix_unit(n, i, j)).reshape(-1)
     return m
 
 
@@ -44,13 +41,8 @@ def test_inner_is_squared_frobenius_on_diagonal():
     assert abs(hs_inner(x, x) - np.linalg.norm(x) ** 2) < 1e-12
 
 
-def test_flatten_round_trip():
-    x = SplitMix64(8).complex_matrix(6)
-    assert np.array_equal(unflatten(flatten(x)), x)
-
-
 def _apply(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return unflatten(sandwich_superop(left, right) @ flatten(x))
+    return (sandwich_superop(left, right) @ x.reshape(-1)).reshape(x.shape)
 
 
 def test_sandwich_apply_cases():
@@ -171,13 +163,6 @@ def test_weighted_conjugation_adjoint_and_composition():
     assert abs(lhs - np.conj(hs_inner(p(x), y))) < 1e-12 * abs(lhs)
     # P after Q is the linear map X -> (P @ Q) . X
     assert np.allclose(p(q(x)), (p @ q) * x, rtol=0, atol=1e-12)
-
-
-def test_antilinear_op_is_conjugate_linear():
-    n = 3
-    p = AntilinearOp(SplitMix64(17).complex_matrix(n * n))
-    x = SplitMix64(18).complex_matrix(n)
-    assert np.allclose(p((2 + 1j) * x), (2 - 1j) * p(x))
 
 
 def test_commutant_of_left_matrix_units():
