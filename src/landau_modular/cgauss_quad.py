@@ -89,7 +89,8 @@ _RULES: dict = {}  # (radial, angular) -> ComplexGaussRule
 def build_rule(radial: int, angular: int) -> ComplexGaussRule:
     """Tensor rule with the given radial (1 <= R <= MAX_RADIAL_ORDER) and
     angular (K >= 2) orders; the radial factor is the Golub-Welsch
-    Gauss-Laguerre rule of `gauss_laguerre`.
+    Gauss-Laguerre rule of `gauss_laguerre`.  A pair whose smallest weight
+    w / K underflows to 0 is rejected (at R = 194 from K = 76 on).
 
     Each (radial, angular) pair is built once per process and shared; its
     nodes and weights are read-only.
@@ -99,10 +100,17 @@ def build_rule(radial: int, angular: int) -> ComplexGaussRule:
         s, ws = gauss_laguerre(radial)
         if angular < 2:
             raise ValueError(f"angular order must be >= 2, got {angular}")
+        ws = ws / angular
+        if not np.all(ws > 0):
+            # the smallest Laguerre weight is subnormal at large radial orders
+            raise ValueError(
+                f"radial order (--radial) {radial} with angular order "
+                f"(--angular) {angular} makes the smallest quadrature weight "
+                f"underflow to 0; lower either order")
         theta = 2.0 * np.pi * np.arange(angular) / angular
         radii = np.sqrt(s)
         nodes = (radii[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)
-        weights = np.repeat(ws / angular, angular)
+        weights = np.repeat(ws, angular)
         nodes.flags.writeable = weights.flags.writeable = False
         rule = _RULES[radial, angular] = ComplexGaussRule(
             nodes=nodes, weights=weights,
@@ -121,6 +129,25 @@ def covers(rule: ComplexGaussRule, m: int, k: int) -> bool:
 def covers_degree(rule: ComplexGaussRule, deg: int) -> bool:
     """Whether every monomial with both exponents <= deg is covered."""
     return all(covers(rule, m, k) for m in range(deg + 1) for k in range(deg + 1))
+
+
+# The largest n for which n! is a finite double; the coherent moment matrix
+# divides by sqrt(n!) up to n = cutoff.
+MAX_CUTOFF = 170
+
+
+def require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
+    """Reject a cutoff whose coherent moment matrix the rule cannot give
+    exactly: one above MAX_CUTOFF, or one outside the rule's exactness
+    certificate."""
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(
+            f"cutoff (--cutoff) must be at most {MAX_CUTOFF}, the largest n "
+            f"for which n! is a finite double, got {cutoff}")
+    if not covers_degree(rule, cutoff):
+        raise ValueError(
+            f"quadrature certificate does not cover monomial degree {cutoff}: "
+            f"need radial order >= {cutoff // 2 + 1} and angular order > {cutoff}")
 
 
 def integrate_values(rule: ComplexGaussRule, values: np.ndarray) -> complex:

@@ -17,8 +17,6 @@ import numpy as np
 
 from . import __version__
 from . import cgauss_quad as quad
-from . import complex_hermite as chp
-from . import landau_modes as lm
 from . import modular_core as mc
 from .hs_space import matrix_unit
 from .suites import SUITE_NAMES, SuiteConfig, report_to_json, run_suite
@@ -80,6 +78,8 @@ def _cmd_verify(args) -> int:
 
 
 def _export_hermite_coeffs(args, out) -> None:
+    from . import complex_hermite as chp
+
     deg = args.cutoff
     writer = csv.writer(out)
     writer.writerow(["n", "k", "m", "j", "re", "im"])
@@ -104,6 +104,8 @@ def _export_delta_spectrum(args, out) -> None:
 
 
 def _export_wigner_grid(args, out) -> None:
+    from . import landau_modes as lm
+
     grid = np.linspace(-2.0, 2.0, 5)
     x00 = matrix_unit(1, 0, 0)
     writer = csv.writer(out)

@@ -22,8 +22,11 @@ import weakref
 import numpy as np
 
 from . import complex_hermite as ch
-from .cgauss_quad import ComplexGaussRule, covers_degree, integrate_values
+from .cgauss_quad import ComplexGaussRule, integrate_values, require_coverage
 from .landau_modes import displacement, ladder
+
+# importable from this module because perfbench/test_perfbench.py pins it here
+from .cgauss_quad import covers_degree  # noqa: F401
 
 
 def bcs(u: complex, v: complex, cutoff: int) -> np.ndarray:
@@ -80,24 +83,6 @@ def sector_projector(kind: str, cutoff: int) -> np.ndarray:
     else:
         raise ValueError(f"unknown sector {kind!r}; expected 'a-hol' or 'hol'")
     return diag
-
-
-# The largest n for which n! is a finite double; the moment matrix divides
-# by sqrt(n!) up to n = cutoff.
-MAX_CUTOFF = 170
-
-
-def require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
-    """Reject a cutoff whose moment matrix the rule cannot give exactly:
-    one above MAX_CUTOFF, or one outside the rule's exactness certificate."""
-    if cutoff > MAX_CUTOFF:
-        raise ValueError(
-            f"cutoff (--cutoff) must be at most {MAX_CUTOFF}, the largest n "
-            f"for which n! is a finite double, got {cutoff}")
-    if not covers_degree(rule, cutoff):
-        raise ValueError(
-            f"quadrature certificate does not cover monomial degree {cutoff}: "
-            f"need radial order >= {cutoff // 2 + 1} and angular order > {cutoff}")
 
 
 _MOMENTS = weakref.WeakKeyDictionary()  # rule -> the largest G built on it

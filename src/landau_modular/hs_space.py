@@ -94,25 +94,26 @@ def commutant_basis(
 ) -> tuple[int, list[np.ndarray]]:
     """Dimension and basis of all superoperators commuting with the generators.
 
-    Solves the stacked linear system [M, G_k] = 0 over all k by a null-space
-    SVD; singular values below svd_rtol times the largest count as zero.
+    Solves the stacked linear system [M, G_k] = 0 over all k, in the
+    generators' common dtype, at least double, so real generators give a
+    real factorization.  One QR reduces the stack to its square R factor,
+    which has the same singular values and right singular vectors and,
+    unlike a Gram matrix, does not square the condition number; singular
+    values of R below svd_rtol times the largest count as zero.
     """
     if len(generators) == 0:
         raise ValueError("commutant of an empty generator list is undefined here")
     d = generators[0].shape[0]
-    dd = d * d
+    if any(g.shape != (d, d) for g in generators):
+        raise ValueError("generators must share one dimension")
+    gens = np.asarray(generators, dtype=np.result_type(float, *generators))
     eye = np.eye(d)
-    stacked = np.empty((len(generators) * dd, dd), dtype=complex)
-    for k, g in enumerate(generators):
-        if g.shape != (d, d):
-            raise ValueError("generators must share one dimension")
-        # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec
-        block = stacked[k * dd:(k + 1) * dd]
-        block[:] = np.kron(g, eye)
-        block -= np.kron(eye, g.T)
-    # the stack has at least as many rows as columns, so the economy vh is
-    # square and still spans the null space
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec: the row
+    # (i, a) and column (j, b) of the block of G hold G_ij 1_ab - 1_ij G_ba
+    stacked = np.einsum("kij,ab->kiajb", gens, eye)
+    stacked -= np.einsum("ij,kba->kiajb", eye, gens)
+    # the stack has at least as many rows as columns, so R is d^2 x d^2
+    _, s, vh = np.linalg.svd(np.linalg.qr(stacked.reshape(-1, d * d), mode="r"))
     cutoff = svd_rtol * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     null = vh[rank:].conj()

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+# the layers only some suites use (landau_modes, complex_hermite,
+# coherent_states) are imported inside those suites, so that a `verify`
+# process loads and compiles only what its suite runs
 from . import __version__
 from . import cgauss_quad as quad
-from . import coherent_states as cs
-from . import complex_hermite as chp
-from . import landau_modes as lm
 from . import modular_core as mc
 from .dense_linalg import adjoint, frob
 from .hs_space import (
@@ -76,7 +76,7 @@ class SuiteConfig:
             raise ValueError(f"ncut (--ncut) must be at least 8, got {self.ncut}")
         # the coherent suite's moment matrix needs the rule to cover the
         # cutoff and n! to be a finite double up to it
-        cs.require_coverage(quad.build_rule(self.radial, self.angular), self.cutoff)
+        quad.require_coverage(quad.build_rule(self.radial, self.angular), self.cutoff)
 
 
 @dataclass
@@ -215,12 +215,12 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
             "bigH eigenvalue on E_ij = -(1/beta) log(alpha_i / alpha_j)",
             float(np.max(np.abs(triple.big_h - expected))), 1e-12)
 
+    # real matrix units, so the commutant is found by a real factorization
     n3 = 3
-    gens_left = [sandwich_superop(matrix_unit(n3, i, j), np.eye(n3))
-                 for i in range(n3) for j in range(n3)]
+    units = [matrix_unit(n3, i, j).real for i in range(n3) for j in range(n3)]
+    gens_left = [sandwich_superop(e, np.eye(n3)) for e in units]
     dim_l, basis = commutant_basis(gens_left)
-    right = [sandwich_superop(np.eye(n3), matrix_unit(n3, i, j))
-             for i in range(n3) for j in range(n3)]
+    right = [sandwich_superop(np.eye(n3), e) for e in units]
     ok = (dim_l == n3 * n3) and all(in_span(basis, r) for r in right)
     s.check("commutant_of_left_algebra",
             "commutant of {E_ij v I} is {I v E_ij}", 0.0 if ok else 1.0, 0.5)
@@ -311,6 +311,8 @@ def _suite_kms(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _suite_landau(cfg: SuiteConfig) -> Report:
+    from . import landau_modes as lm
+
     s = _Suite("landau", cfg)
     # the algebraic identities are exact on the interior at any modest cut;
     # a fixed small cut keeps the two-mode matrices at desk scale
@@ -412,6 +414,10 @@ def _suite_landau(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _suite_hermite(cfg: SuiteConfig) -> Report:
+    from fractions import Fraction
+
+    from . import complex_hermite as chp
+
     s = _Suite("hermite", cfg)
 
     ok = True
@@ -488,7 +494,6 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
         "n_minus -> k.",
         "n_plus(zbar) = zbar and n_minus(zbar) = 0, exactly")
 
-    from fractions import Fraction
     ok = True
     for n in range(7):
         for l in range(7):
@@ -557,12 +562,15 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
     s.check("weights_normalized", "sum of weights = 1 (normalized measure)",
             abs(float(rule.weights.sum()) - 1.0), 1e-13)
 
+    # each power once: zbar^m and z^k for 0 <= m, k <= 12
+    zbar_pows = [rule.nodes.conj()**m for m in range(13)]
+    z_pows = [rule.nodes**k for k in range(13)]
     dev = 0.0
     for m in range(13):
         for k in range(13):
             if not quad.covers(rule, m, k):
                 continue
-            got = quad.integrate_values(rule, rule.nodes.conj()**m * rule.nodes**k)
+            got = quad.integrate_values(rule, zbar_pows[m] * z_pows[k])
             scale = max(1.0, math.gamma((m + k) / 2.0 + 1.0))
             dev = np.maximum(dev, abs(got - quad.gauss_moment(m, k)) / scale)
     s.check("moment_exactness",
@@ -599,6 +607,8 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _suite_coherent(cfg: SuiteConfig) -> Report:
+    from . import coherent_states as cs
+
     s = _Suite("coherent", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)
     m = cfg.cutoff
@@ -705,6 +715,8 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _suite_wigner(cfg: SuiteConfig) -> Report:
+    from . import landau_modes as lm
+
     s = _Suite("wigner", cfg)
     grid = np.linspace(-2.0, 2.0, 5)
     labels = [(n, l) for n in range(4) for l in range(4)]

@@ -67,6 +67,17 @@ def test_largest_radial_order():
                 quad.build_rule(order, 2)
 
 
+def test_underflowing_weights_name_both_orders():
+    # at radial order 194 the smallest Laguerre weight is subnormal, so
+    # dividing it by an angular order of 76 or more rounds it to 0
+    rule = quad.build_rule(194, 75)
+    assert np.all(rule.weights > 0)
+    for angular in (76, 401):
+        with pytest.raises(ValueError, match=r"\(--radial\) 194 with angular "
+                           rf"order \(--angular\) {angular} .* underflow to 0"):
+            quad.build_rule(194, angular)
+
+
 def test_rule_rejects_non_finite_data():
     good = quad.build_rule(3, 4)
     nan_weights = np.full(good.weights.shape, np.nan)

@@ -184,6 +184,25 @@ def test_export_quad_rule_rejects_unsupported_order(capsys):
     assert "configuration error" in captured.err
 
 
+def test_underflowing_quadrature_weights_are_a_config_error(tmp_path, capsys):
+    message = ("configuration error: radial order (--radial) 194 with angular "
+               "order (--angular) 76 makes the smallest quadrature weight "
+               "underflow to 0; lower either order")
+    orders = ["--radial", "194", "--angular", "76"]
+    assert main(["verify", "modular", *orders]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+    out = tmp_path / "rule.csv"
+    assert main(["export", "quad_rule", *orders, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+    # one angular order less still builds
+    assert main(["export", "quad_rule", "--radial", "194", "--angular", "75",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 194 * 75
+
+
 def test_rejected_export_writes_no_file(tmp_path, capsys):
     out = tmp_path / "x.csv"
     args = ["export", "delta_spectrum", "--dim", "1016", "--out", str(out)]
@@ -216,6 +235,31 @@ def test_cli_and_landau_library_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_modular_and_kms_runs_load_only_their_layers():
+    # a fresh process, since the tests import every layer into this one;
+    # the landau suite is the control that the probe sees a lazy import
+    code = (
+        "import contextlib, io, sys\n"
+        "import landau_modular.cli\n"
+        "lazy = ('complex_hermite', 'landau_modes', 'coherent_states')\n"
+        "def loaded():\n"
+        "    return [m for m in lazy if 'landau_modular.' + m in sys.modules]\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert landau_modular.cli.main(['verify', 'modular']) == 0\n"
+        "    assert landau_modular.cli.main(['verify', 'kms']) == 0\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    landau_modular.cli.main(['verify', 'landau'])\n"
+        "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "[]", "[]", "['complex_hermite', 'landau_modes']"]
 
 
 def test_export_hermite_coeffs(tmp_path):

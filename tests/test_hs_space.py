@@ -178,6 +178,63 @@ def test_commutant_of_left_matrix_units():
             assert in_span(basis, target)
 
 
+def test_commutant_of_rotated_left_matrix_units():
+    # complex generators: U E_ij U* v I with U a seeded non-real unitary
+    n = 3
+    eye = np.eye(n)
+    u, _ = np.linalg.qr(SplitMix64(11).complex_matrix(n))
+    assert np.max(np.abs(u.imag)) > 0.1
+    rotated = [u @ matrix_unit(n, i, j) @ u.conj().T
+               for i in range(n) for j in range(n)]
+    gens = [sandwich_superop(e, eye) for e in rotated]
+    dim, basis = commutant_basis(gens)
+    assert dim == n * n
+    for m in basis:
+        for g in gens:
+            assert np.max(np.abs(m @ g - g @ m)) < 1e-12
+    assert all(in_span(basis, sandwich_superop(eye, e)) for e in rotated)
+
+
+def _stack_nullity(gens, svd_rtol=1e-8) -> int:
+    """Null-space dimension of the stacked commutator system from a full SVD
+    of the stack itself: the reference for commutant_basis."""
+    d = gens[0].shape[0]
+    eye = np.eye(d)
+    stacked = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in gens])
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return d * d - int(np.sum(s > svd_rtol * s[0]))
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_commutant_dimension_matches_full_svd_of_the_stack(seed):
+    rng = SplitMix64(seed)
+    a, b = rng.complex_matrix(2), rng.complex_matrix(2)
+    p = rng.complex_matrix(4)
+    p_inv = np.linalg.inv(p)
+    z = np.zeros((2, 2))
+    u, v = rng.complex_matrix(4)[:, :1], rng.complex_matrix(4)[:1, :]
+    cases = [
+        # two different 2 x 2 blocks, in a seeded basis: the commutant is
+        # the two block scalars
+        ([p @ np.block([[a, z], [z, b]]) @ p_inv,
+          p @ np.block([[b, z], [z, a]]) @ p_inv], 2),
+        # one block twice: X v I_2 for every 2 x 2 X
+        ([np.block([[a, z], [z, a]]), np.block([[b, z], [z, b]])], 4),
+        # a rank-one generator, listed twice: diagonalizable with one
+        # nonzero eigenvalue, so 1 + 3^2
+        ([u @ v, u @ v], 10),
+        # a real generator with a complex one: M = diag(X, c, d) with
+        # M u = c u and v M = c v, so X = c I + a rank-one part
+        ([np.diag([1.0, 1.0, 2.0, 3.0]), u @ v], 2),
+    ]
+    for gens, expected in cases:
+        dim, basis = commutant_basis(gens)
+        assert dim == len(basis) == _stack_nullity(gens) == expected
+        for m in basis:
+            for g in gens:
+                assert np.max(np.abs(m @ g - g @ m)) < 1e-10 * np.max(np.abs(g))
+
+
 def test_commutant_of_identity_is_everything():
     dim, _ = commutant_basis([np.eye(4)])
     assert dim == 16
@@ -186,3 +243,8 @@ def test_commutant_of_identity_is_everything():
 def test_commutant_rejects_empty_generators():
     with pytest.raises(ValueError):
         commutant_basis([])
+
+
+def test_commutant_rejects_generators_of_unequal_shape():
+    with pytest.raises(ValueError, match="share one dimension"):
+        commutant_basis([np.eye(3), np.eye(2)])
