@@ -187,26 +187,22 @@ def modular_spectral_check(beta: float, cutoff: int,
     from .modular_core import build_weights
 
     m = cutoff + 1
-    dev = 0.0
     chi = chi_state(beta, cutoff).reshape(-1)
     # the raising generator's only nonzero entries, sqrt(n + 1) from (n, k)
     # to (n + 1, k): conjugating by the diagonal phases multiplies them by
     # p[n + 1, k] and conj(p[n, k])
     root = np.sqrt(np.arange(1.0, m))[:, None]
     exponents = np.array([-(n - k) for n in range(m) for k in range(m)], dtype=float)
+    w = build_weights(beta, m)
+    errors = [abs(math.exp(-beta * (n - k)) - w.alpha[n] / w.alpha[k])
+              for n in range(m) for k in range(m)]
     for t in t_samples:
         phases = np.exp(1j * beta * t * exponents)
-        dev = np.maximum(dev, float(np.linalg.norm(phases * chi - chi)))
         p = phases.reshape(m, m)
         conj_raising = (p[1:] * root) * p[:-1].conj()
-        dev = np.maximum(dev, float(np.max(np.abs(
-            conj_raising - np.exp(-1j * beta * t) * root))))
-    w = build_weights(beta, m)
-    for n in range(m):
-        for k in range(m):
-            dev = np.maximum(
-                dev, abs(math.exp(-beta * (n - k)) - w.alpha[n] / w.alpha[k]))
-    return float(dev)
+        errors += [float(np.linalg.norm(phases * chi - chi)),
+                   float(np.max(np.abs(conj_raising - np.exp(-1j * beta * t) * root)))]
+    return float(np.max(errors, initial=0.0))
 
 
 def _displacement(alpha: complex, ncut: int) -> np.ndarray:

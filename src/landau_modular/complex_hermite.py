@@ -125,9 +125,6 @@ class BivarPoly:
             re, im = _axpy(re, self.im, -b), _axpy(im, self.re, b)
         return BivarPoly(re, im)
 
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
 
 def poly_const(c=1) -> BivarPoly:
     c = c if isinstance(c, QC) else QC(c)

@@ -39,10 +39,6 @@ class HermitianEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def hermitian_eig(a: np.ndarray, rtol: float = 1e-10) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.

@@ -184,12 +184,9 @@ def kms_boundary_deviation(
     """max over the grid of |F(t + i*beta) - Tr[rho alpha_t(B) A]|, NaN if
     any term is NaN."""
     rho = density_matrix(w)
-    dev = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        lhs = kms_function(w, a, b, complex(t, w.beta))
-        rhs = complex(np.trace(rho @ modular_flow(w, t, b) @ a))
-        dev = np.maximum(dev, abs(lhs - rhs))
-    return float(dev)
+    return float(np.max([abs(kms_function(w, a, b, complex(t, w.beta))
+                             - complex(np.trace(rho @ modular_flow(w, t, b) @ a)))
+                         for t in np.asarray(t_grid, dtype=float)], initial=0.0))
 
 
 def centralizer_member(

@@ -52,6 +52,24 @@ def test_tol_scales_bounds():
         assert b.bound == pytest.approx(100.0 * a.bound)
 
 
+def test_pass_fail_checks_ignore_tol(monkeypatch):
+    # a failed predicate reports 1.0 against 0.5, so a bound scaled by --tol
+    # would let it pass
+    from landau_modular import suites
+
+    cfg = SuiteConfig(tol_scale=4.0)
+    monkeypatch.setattr(suites, "commutant_basis", lambda gens: (0, []))
+    checks = {c.name: c for c in run_suite("modular", cfg)[0].checks}
+    for name in ("commutant_of_left_algebra", "joint_commutant_scalar"):
+        assert checks[name].max_error == 1.0
+        assert not checks[name].passed
+    checks.update((c.name, c) for c in run_suite("quadrature", cfg)[0].checks)
+    for name in ("commutant_of_left_algebra", "joint_commutant_scalar",
+                 "centralizer_predicate", "centralizer_pairing_oracle",
+                 "order_convergence"):
+        assert checks[name].bound == 0.5
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -158,6 +176,7 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
 
     from landau_modular import coherent_states as cs
     from landau_modular import modular_core as mc
+    from landau_modular import suites
 
     clean = {c.name: c for c in run_suite("kms", SuiteConfig())[0].checks}
     kms = mc.kms_function
@@ -174,6 +193,22 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
     monkeypatch.setattr(cs, "chi_state",
                         lambda beta, cutoff: np.full((cutoff + 1,) * 2, np.nan))
     assert math.isnan(cs.modular_spectral_check(0.7, 4))
+    # the fifth inner product, in the third of the ten samples that
+    # j_antiunitary passes to check, goes NaN: the builtin max would keep
+    # the first sample and pass
+    clean = {c.name: c for c in run_suite("modular", SuiteConfig())[0].checks}
+    calls = []
+    inner = suites.hs_inner
+
+    def nan_on_fifth(x, y):
+        calls.append(None)
+        return complex("nan") if len(calls) == 5 else inner(x, y)
+
+    monkeypatch.setattr(suites, "hs_inner", nan_on_fifth)
+    checks = {c.name: c for c in run_suite("modular", SuiteConfig())[0].checks}
+    assert math.isnan(checks["j_antiunitary"].max_error)
+    assert not checks["j_antiunitary"].passed
+    assert checks["s_conjugates_orbit"] == clean["s_conjugates_orbit"]
 
 
 def test_export_quad_rule_rejects_unsupported_order(capsys):
