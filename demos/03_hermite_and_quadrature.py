@@ -51,7 +51,7 @@ print("  raising ladder: (a_plus_dag)^2 H_{0,3} == H_{2,3}:",
       == h23)
 
 print("  symmetry H_{n,k}(zbar,z) = conj-index swap of H_{k,n}:",
-      {(j, m): c for (m, j), c in h23.coeffs} == chp.ch_recursion(3, 2).as_dict())
+      {(j, m): c for (m, j), c in h23.coeffs} == dict(chp.ch_recursion(3, 2).coeffs))
 
 print("\n-- quadrature on the complex plane --\n")
 rule = quad.build_rule(20, 32)

@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,22 +25,14 @@ EXPORT_NAMES = ("hermite_coeffs", "quad_rule", "delta_spectrum", "wigner_grid")
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=16, help="Gibbs truncation dimension")
-    p.add_argument("--beta", type=float, default=0.7, help="inverse temperature")
-    p.add_argument("--cutoff", type=int, default=10, help="coherent basis cutoff")
-    p.add_argument("--ncut", type=int, default=64, help="single-mode phase-space cut")
-    p.add_argument("--radial", type=int, default=40, help="radial quadrature order")
-    p.add_argument("--angular", type=int, default=64, help="angular quadrature order")
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="multiplies all non-exact bounds")
-    p.add_argument("--seed", type=int, default=42, help="seed for random operators")
+    for f in fields(SuiteConfig):
+        p.add_argument(f"--{f.name}", type=type(f.default), default=f.default,
+                       help=f.metadata["help"])
     p.add_argument("--out", default=None, help="output file path")
 
 
 def _config_from_args(args) -> SuiteConfig:
-    return SuiteConfig(dim=args.dim, beta=args.beta, cutoff=args.cutoff,
-                       ncut=args.ncut, radial=args.radial, angular=args.angular,
-                       tol_scale=args.tol, seed=args.seed)
+    return SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
 
 
 def _cmd_verify(args) -> int:
@@ -81,6 +73,8 @@ def _export_hermite_coeffs(args, out) -> None:
     from . import complex_hermite as chp
 
     deg = args.cutoff
+    if deg < 0:
+        raise ValueError(f"cutoff (--cutoff) must be at least 0, got {deg}")
     writer = csv.writer(out)
     writer.writerow(["n", "k", "m", "j", "re", "im"])
     for n in range(deg + 1):

@@ -174,8 +174,11 @@ def vector_cs_check(z: complex, cutoff: int) -> tuple[float, float, float]:
     return res_a, res_b, bound
 
 
-def modular_spectral_check(beta: float, cutoff: int,
-                           t_samples=(0.3, 1.0, -2.0)) -> float:
+# The flow times at which modular_spectral_check samples Delta^(it).
+MODULAR_T_SAMPLES = (0.3, 1.0, -2.0)
+
+
+def modular_spectral_check(beta: float, cutoff: int) -> float:
     """Consistency of the diagonal modular operator with the Gibbs picture.
 
     Checks three facts and returns the largest deviation: the flow
@@ -196,7 +199,7 @@ def modular_spectral_check(beta: float, cutoff: int,
     w = build_weights(beta, m)
     errors = [abs(math.exp(-beta * (n - k)) - w.alpha[n] / w.alpha[k])
               for n in range(m) for k in range(m)]
-    for t in t_samples:
+    for t in MODULAR_T_SAMPLES:
         phases = np.exp(1j * beta * t * exponents)
         p = phases.reshape(m, m)
         conj_raising = (p[1:] * root) * p[:-1].conj()

@@ -97,9 +97,6 @@ class BivarPoly:
         return tuple((mk, QC(re.get(mk, 0), im.get(mk, 0)))
                      for mk in sorted(re.keys() | im.keys()))
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, BivarPoly):
             return self.re == other.re and self.im == other.im

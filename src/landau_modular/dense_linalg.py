@@ -16,6 +16,8 @@ import numpy as np
 
 # Absolute floor under all relative Frobenius-norm tolerances.
 ABS_FLOOR = 1e-14
+# Largest ||A - A*|| / ||A|| that hermitian_eig accepts.
+HERMITIAN_RTOL = 1e-10
 
 
 def frob(a: np.ndarray) -> float:
@@ -40,15 +42,15 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a: np.ndarray, rtol: float = 1e-10) -> HermitianEig:
+def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises ValueError if the input deviates from Hermiticity by more than
-    rtol relative to its Frobenius norm (with absolute floor).
+    HERMITIAN_RTOL relative to its Frobenius norm (with absolute floor).
     """
     a = np.asarray(a, dtype=complex)
     dev = frob(a - a.conj().T)
-    if dev > max(rtol * frob(a), ABS_FLOOR):
+    if dev > max(HERMITIAN_RTOL * frob(a), ABS_FLOOR):
         raise ValueError(f"matrix is not Hermitian: ||A - A*|| = {dev:.3e}")
     w, u = np.linalg.eigh(a)
     return HermitianEig(eigenvalues=w, eigenvectors=u)

@@ -21,6 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
+# Singular values of the commutant stack below SVD_RTOL times the largest
+# count as zero.
+SVD_RTOL = 1e-8
+# in_span's largest least-squares residual, relative to max(1, ||target||).
+SPAN_TOL = 1e-8
+
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     """The basis operator |i><j| on an n-dimensional space."""
@@ -89,9 +95,7 @@ def conjugation_J(n: int) -> WeightedConjugation:
     return WeightedConjugation(np.ones((n, n)))
 
 
-def commutant_basis(
-    generators: Sequence[np.ndarray], svd_rtol: float = 1e-8
-) -> tuple[int, list[np.ndarray]]:
+def commutant_basis(generators: Sequence[np.ndarray]) -> tuple[int, list[np.ndarray]]:
     """Dimension and basis of all superoperators commuting with the generators.
 
     Solves the stacked linear system [M, G_k] = 0 over all k, in the
@@ -99,7 +103,7 @@ def commutant_basis(
     real factorization.  One QR reduces the stack to its square R factor,
     which has the same singular values and right singular vectors and,
     unlike a Gram matrix, does not square the condition number; singular
-    values of R below svd_rtol times the largest count as zero.
+    values of R below SVD_RTOL times the largest count as zero.
     """
     if len(generators) == 0:
         raise ValueError("commutant of an empty generator list is undefined here")
@@ -114,17 +118,17 @@ def commutant_basis(
     stacked -= np.einsum("ij,kba->kiajb", eye, gens)
     # the stack has at least as many rows as columns, so R is d^2 x d^2
     _, s, vh = np.linalg.svd(np.linalg.qr(stacked.reshape(-1, d * d), mode="r"))
-    cutoff = svd_rtol * (s[0] if s.size else 1.0)
+    cutoff = SVD_RTOL * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     null = vh[rank:].conj()
     basis = [null[r].reshape(d, d) for r in range(null.shape[0])]
     return len(basis), basis
 
 
-def in_span(basis: Sequence[np.ndarray], target: np.ndarray,
-            tol: float = 1e-8) -> bool:
+def in_span(basis: Sequence[np.ndarray], target: np.ndarray) -> bool:
     """Whether target lies in the linear span of basis (least-squares residual)."""
     a = np.column_stack([b.reshape(-1) for b in basis])
     t = np.asarray(target).reshape(-1)
     coef, *_ = np.linalg.lstsq(a, t, rcond=None)
-    return float(np.linalg.norm(a @ coef - t)) <= tol * max(1.0, float(np.linalg.norm(t)))
+    residual = float(np.linalg.norm(a @ coef - t))
+    return residual <= SPAN_TOL * max(1.0, float(np.linalg.norm(t)))

@@ -7,8 +7,9 @@ Tensor convention: the two-mode space is the Kronecker product with the
 x-mode as the left factor, so basis index n_x * ncut + n_y labels the
 state |n_x, n_y>.  Truncated ladders violate the canonical commutation
 relations at the top of the cut; every algebraic identity is therefore
-asserted on the interior subspace of states with n_x + n_y <= ncut - 4,
-where it holds exactly.
+asserted on the interior subspace of states with
+n_x + n_y <= ncut - INTERIOR_MARGIN (4 levels below the top), where it
+holds exactly.
 
 Each two-mode operator is banded in the joint index (a_x shifts it by
 ncut, a_y by 1), so it is a BandedOp: a few diagonals of length ncut^2,
@@ -187,12 +188,16 @@ def mode_ops(cut: ModeCut) -> tuple[BandedOp, BandedOp]:
     return BandedOp(cut.dim, {n: ax}), BandedOp(cut.dim, {1: ay})
 
 
-def interior_mask(cut: ModeCut, margin: int = 4) -> np.ndarray:
-    """Boolean mask of basis states with n_x + n_y <= ncut - margin."""
+# Levels between the interior and the top of the cut.
+INTERIOR_MARGIN = 4
+
+
+def interior_mask(cut: ModeCut) -> np.ndarray:
+    """Boolean mask of basis states with n_x + n_y <= ncut - INTERIOR_MARGIN."""
     n = cut.ncut
     nx = np.repeat(np.arange(n), n)
     ny = np.tile(np.arange(n), n)
-    return nx + ny <= n - margin
+    return nx + ny <= n - INTERIOR_MARGIN
 
 
 def _dense_columns(op, mask: np.ndarray) -> np.ndarray:

@@ -8,9 +8,8 @@ held in N^2 numbers: a diagonal one as the N x N array of its eigenvalues,
 acting entrywise, and J and S as hs_space.WeightedConjugation, X -> (W . X)*:
 
     Delta E_ij     = (alpha_i / alpha_j) E_ij          delta[i, j]
-    S E_ij         = sqrt(alpha_i / alpha_j) E_ji      (antilinear, W = delta_sqrt)
+    S E_ij         = sqrt(alpha_i / alpha_j) E_ji      (antilinear, W = sqrt(delta))
     J E_ij         = E_ji                              (antilinear, W = 1)
-    H_state        = diag(-log(alpha_i) / beta)
     bigH on E_ij   = -(1/beta) log(alpha_i / alpha_j)  big_h[i, j]
 """
 
@@ -99,28 +98,20 @@ def state_eval(w: GibbsWeights, a: np.ndarray) -> complex:
     return complex(np.sum(w.alpha * np.diag(a)))
 
 
-def hamiltonian(w: GibbsWeights) -> np.ndarray:
-    """H with rho = exp(-beta H): diagonal -(1/beta) log(alpha_i)."""
-    return np.diag(-np.log(w.alpha) / w.beta).astype(complex)
-
-
 @dataclass(frozen=True)
 class ModularTriple:
     """The modular data attached to the Gibbs cyclic vector.
 
-    J and S are antilinear, X -> (W . X)* with weight 1 and delta_sqrt;
-    delta, delta_sqrt and big_h are diagonal in the matrix-unit basis, each
-    the real N x N array of its eigenvalues, acting entrywise (the value on
-    E_ij at [i, j]).  h_state is the dense one-body Hamiltonian with
-    rho = exp(-beta * h_state).
+    J and S are antilinear, X -> (W . X)* with weight 1 and Delta^(1/2);
+    delta and big_h are diagonal in the matrix-unit basis, each the real
+    N x N array of its eigenvalues, acting entrywise (the value on E_ij at
+    [i, j]).
     """
 
     weights: GibbsWeights
     J: WeightedConjugation
     S: WeightedConjugation
     delta: np.ndarray
-    delta_sqrt: np.ndarray
-    h_state: np.ndarray
     big_h: np.ndarray
 
 
@@ -133,10 +124,7 @@ def build_modular_triple(w: GibbsWeights) -> ModularTriple:
     j = conjugation_J(w.n)
     s = WeightedConjugation(j.weight * sq)
     big_h = -np.log(ratio) / w.beta
-    return ModularTriple(
-        weights=w, J=j, S=s, delta=delta, delta_sqrt=sq,
-        h_state=hamiltonian(w), big_h=big_h,
-    )
+    return ModularTriple(weights=w, J=j, S=s, delta=delta, big_h=big_h)
 
 
 def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:
@@ -189,10 +177,14 @@ def kms_boundary_deviation(
                          for t in np.asarray(t_grid, dtype=float)], initial=0.0))
 
 
-def centralizer_member(
-    w: GibbsWeights, b: np.ndarray, tol: float = 1e-10
-) -> tuple[bool, tuple[int, int] | None]:
-    """Whether B commutes with rho, with the offending entry as witness.
+# Largest |[B, rho]| entry of a centralizer member.
+CENTRALIZER_TOL = 1e-10
+
+
+def centralizer_member(w: GibbsWeights,
+                       b: np.ndarray) -> tuple[bool, tuple[int, int] | None]:
+    """Whether B commutes with rho, to CENTRALIZER_TOL per entry, with the
+    offending entry as witness.
 
     With pairwise distinct weights this is equivalent to B being diagonal,
     and to <phi; [B v I, A v I]> = 0 for every A.
@@ -203,6 +195,6 @@ def centralizer_member(
     c = b @ rho - rho @ b
     flat = int(np.argmax(np.abs(c)))
     i, j = divmod(flat, w.n)
-    if abs(c[i, j]) <= tol:
+    if abs(c[i, j]) <= CENTRALIZER_TOL:
         return True, None
     return False, (i, j)

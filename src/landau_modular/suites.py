@@ -32,43 +32,38 @@ from .hs_space import (
 )
 from .rng import SplitMix64
 
-SUITE_NAMES = ("modular", "kms", "landau", "hermite", "quadrature",
-               "coherent", "wigner")
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Shared configuration for all suites."""
+    """Shared configuration for all suites.  Each field is the value of the
+    CLI flag --<field>, whose help text is the field's metadata.  Every
+    check's bound is fixed in its suite; no field scales it."""
 
-    dim: int = 16          # truncation of the Gibbs system
-    beta: float = 0.7      # inverse temperature
-    cutoff: int = 10       # coherent-state basis cutoff
-    ncut: int = 64         # single-mode cut for phase-space sampling
-    radial: int = 40       # radial quadrature order
-    angular: int = 64      # angular quadrature order
-    tol_scale: float = 1.0  # multiplies every non-exact bound
-    seed: int = 42
+    dim: int = field(default=16, metadata={"help": "Gibbs truncation dimension"})
+    beta: float = field(default=0.7, metadata={"help": "inverse temperature"})
+    cutoff: int = field(default=10, metadata={"help": "coherent basis cutoff"})
+    ncut: int = field(default=64, metadata={"help": "single-mode phase-space cut"})
+    radial: int = field(default=40, metadata={"help": "radial quadrature order"})
+    angular: int = field(default=64, metadata={"help": "angular quadrature order"})
+    seed: int = field(default=42, metadata={"help": "seed for random operators"})
 
     def __post_init__(self):
-        for name in ("dim", "radial", "angular", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
         # a NaN slips past every order comparison below, and an infinite beta
-        # or tolerance scale makes the weights NaN or every bound infinite
-        for name, flag in (("beta", "--beta"), ("tol_scale", "--tol")):
+        # makes the weights NaN
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta (--beta) must be finite, got {self.beta}")
+        if self.beta <= 0:
+            raise ValueError(f"beta (--beta) must be positive, got {self.beta}")
+        # cutoff and ncut are the smallest cuts every suite runs at, checked
+        # before any suite: the coherent partial-isometry witness moves
+        # e_(2,0) to e_(0,2), and the landau Fock states reach n + l = 6,
+        # which needs cut n + l + 2; build_rule checks radial and angular
+        for name, least in (("dim", 2), ("cutoff", 2), ("ncut", 8), ("seed", 0)):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} ({flag}) must be finite, got {value}")
-        if self.dim < 2 or self.beta <= 0 or self.tol_scale <= 0:
-            raise ValueError("dim >= 2, beta > 0 and tol scale > 0 required")
+            if value < least:
+                raise ValueError(f"{name} (--{name}) must be at least {least}, "
+                                 f"got {value}")
         mc.require_finite_ratios(self.beta, self.dim)
-        # the smallest cuts every suite runs at, checked before any suite:
-        # the coherent partial-isometry witness moves e_(2,0) to e_(0,2),
-        # and the landau Fock states reach n + l = 6, which needs cut n + l + 2
-        if self.cutoff < 2:
-            raise ValueError(f"cutoff (--cutoff) must be at least 2, got {self.cutoff}")
-        if self.ncut < 8:
-            raise ValueError(f"ncut (--ncut) must be at least 8, got {self.ncut}")
         # the coherent suite's moment matrix needs the rule to cover the
         # cutoff and n! to be a finite double up to it
         quad.require_coverage(quad.build_rule(self.radial, self.angular), self.cutoff)
@@ -92,10 +87,6 @@ class Report:
     config: SuiteConfig
     checks: list = field(default_factory=list)
     errata: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _sig6(x: float) -> float:
@@ -129,21 +120,17 @@ def report_to_json(report: Report) -> str:
 class _Suite:
     def __init__(self, name: str, cfg: SuiteConfig):
         self.report = Report(suite=name, config=cfg)
-        self.cfg = cfg
 
     def check(self, name: str, identity: str, errors: float | list | np.ndarray,
-              bound: float, exact: bool = False) -> None:
+              bound: float) -> None:
         """Record the largest of errors (one nonnegative error, or a sequence
-        or array of per-sample errors) against bound, scaled by tol_scale
-        unless exact.
+        or array of per-sample errors) against the fixed bound.
 
         The errors are folded by np.max, which returns NaN when any error is
         NaN; the builtin max keeps its first operand whenever the comparison
         with NaN is false, so a check whose arithmetic went NaN would report
         an earlier value and pass.  A NaN max_error fails its bound.
         """
-        if not exact:
-            bound = bound * self.cfg.tol_scale
         self.report.checks.append(
             Check(name=name, identity=identity,
                   max_error=float(np.max(errors, initial=0.0)),
@@ -213,8 +200,6 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
             "bigH eigenvalue on E_ij = -(1/beta) log(alpha_i / alpha_j)",
             np.abs(triple.big_h - expected), 1e-12)
 
-    # the pass/fail checks below report 0 or 1 against 0.5: exact, so that
-    # no --tol lifts the bound to a failed predicate's 1
     # real matrix units, so the commutant is found by a real factorization
     n3 = 3
     units = [matrix_unit(n3, i, j).real for i in range(n3) for j in range(n3)]
@@ -223,12 +208,11 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
     right = [sandwich_superop(np.eye(n3), e) for e in units]
     ok = (dim_l == n3 * n3) and all(in_span(basis, r) for r in right)
     s.check("commutant_of_left_algebra",
-            "commutant of {E_ij v I} is {I v E_ij}", 0.0 if ok else 1.0, 0.5,
-            exact=True)
+            "commutant of {E_ij v I} is {I v E_ij}", 0.0 if ok else 1.0, 0.5)
     dim_joint, _ = commutant_basis(gens_left + right)
     s.check("joint_commutant_scalar",
             "joint commutant of both algebras is the scalars",
-            0.0 if dim_joint == 1 else 1.0, 0.5, exact=True)
+            0.0 if dim_joint == 1 else 1.0, 0.5)
 
     # the two predicates below take all() of a list, not of a generator, so
     # every sample draws its operand whatever the earlier samples gave
@@ -243,7 +227,7 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
               *[outside_with_witness(rng.complex_matrix(8)) for _ in range(20)]])
     s.check("centralizer_predicate",
             "B in the centralizer iff [B, rho] = 0 iff B diagonal",
-            0.0 if ok else 1.0, 0.5, exact=True)
+            0.0 if ok else 1.0, 0.5)
 
     w4 = mc.build_weights(cfg.beta, 4)
 
@@ -253,13 +237,13 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
         pair_dev = np.max([abs(mc.state_eval(w4, b @ e - e @ b))
                            for k in range(4) for l in range(4)
                            for e in [matrix_unit(4, k, l)]], initial=0.0)
-        return member == (pair_dev <= 1e-10)
+        return member == (pair_dev <= mc.CENTRALIZER_TOL)
 
     ok = all([oracle_agrees(np.diag(np.diag(b)) if trial % 2 == 0 else b)
               for trial in range(6) for b in [rng.complex_matrix(4)]])
     s.check("centralizer_pairing_oracle",
             "phi([B v I, A v I]) = 0 for all A iff B commutes with rho",
-            0.0 if ok else 1.0, 0.5, exact=True)
+            0.0 if ok else 1.0, 0.5)
     return s.report
 
 
@@ -403,12 +387,12 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
              for n in range(13) for k in range(13))
     s.check("three_way_equality",
             "recursion = Rodrigues = explicit sum, coefficient-exact, "
-            "indices <= 12", 0.0 if ok else 1.0, 0.0, exact=True)
+            "indices <= 12", 0.0 if ok else 1.0, 0.0)
 
     diff = chp.ch_explicit(1, 1, literal=True) - chp.ch_rodrigues(1, 1)
     s.check("literal_sum_erratum",
             "misprinted explicit sum differs from Rodrigues at (1,1) by "
-            "exactly 2", 0.0 if diff == chp.poly_const(2) else 1.0, 0.0, exact=True)
+            "exactly 2", 0.0 if diff == chp.poly_const(2) else 1.0, 0.0)
     s.erratum(
         "explicit_sum_sign",
         "The printed double sum for h[n, k] omits the alternating sign "
@@ -423,7 +407,7 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
              for n in range(9) for k in range(9)
              for a, b in [(chp.ch_recursion(n, k), chp.ch_recursion(k, n))])
     s.check("index_symmetry", "h[n, k](zbar, z) = h[k, n](z, zbar)",
-            0.0 if ok else 1.0, 0.0, exact=True)
+            0.0 if ok else 1.0, 0.0)
 
     ok = all(chp.mul_zbar(chp.ch_recursion(n, n + 1))
              == chp.mul_z(chp.ch_recursion(n + 1, n)) for n in range(8)) \
@@ -434,20 +418,20 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
     s.check("contiguous_relations",
             "zbar h[n, n+1] = z h[n+1, n] and "
             "(k - m) h[m, k] = zbar h[m, k+1] - z h[m+1, k]",
-            0.0 if ok else 1.0, 0.0, exact=True)
+            0.0 if ok else 1.0, 0.0)
 
     # one raising step at a time, which by induction is the stated identity
     ok = all(chp.ladder_apply("a_plus_dag", chp.ch_recursion(n, k))
              == chp.ch_recursion(n + 1, k) for k in range(7) for n in range(6))
     s.check("ladder_generation", "h[n, k] = (raising)^n h[0, k]",
-            0.0 if ok else 1.0, 0.0, exact=True)
+            0.0 if ok else 1.0, 0.0)
 
     ok = all(chp.number_apply("n_plus", h) == h.scale(n)
              and chp.number_apply("n_minus", h) == h.scale(k)
              for n in range(7) for k in range(7) for h in [chp.ch_recursion(n, k)])
     s.check("number_eigenvalues",
             "n_plus h[n, k] = n h[n, k] and n_minus h[n, k] = k h[n, k]",
-            0.0 if ok else 1.0, 0.0, exact=True)
+            0.0 if ok else 1.0, 0.0)
     s.erratum(
         "number_operator_swap",
         "One printed display swaps the two number-operator eigenvalues; "
@@ -464,7 +448,7 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
              for n in range(7) for l in range(7) for h in [chp.ch_recursion(n, l)])
     s.check("level_eigenvalues",
             "(n_minus + 1/2) h[n, l] = (l + 1/2) h[n, l], and the mirrored "
-            "statement for n_plus", 0.0 if ok else 1.0, 0.0, exact=True)
+            "statement for n_plus", 0.0 if ok else 1.0, 0.0)
 
     def recursion_holds(n: int) -> bool:
         hn = chp.real_hermite(n)
@@ -479,12 +463,12 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
         and all(recursion_holds(n) for n in range(1, 9))
     s.check("real_hermite_recursion",
             "x h_n = n h_(n-1) + h_(n+1)/2, exact integer coefficients",
-            0.0 if ok else 1.0, 0.0, exact=True)
+            0.0 if ok else 1.0, 0.0)
 
     s.check("generating_function",
             "Taylor coefficients of exp(ubar z + v zbar - ubar v) are "
             "h[n, k]/(n! k!), exactly, indices <= 8",
-            0.0 if chp.generating_check(8) else 1.0, 0.0, exact=True)
+            0.0 if chp.generating_check(8) else 1.0, 0.0)
     return s.report
 
 
@@ -553,7 +537,7 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
             for small in [quad.build_rule(r, k)]]
     s.check("order_convergence",
             "errors on the exponential kernel decrease with the orders",
-            0.0 if errs[0] > errs[1] > errs[2] else 1.0, 0.5, exact=True)
+            0.0 if errs[0] > errs[1] > errs[2] else 1.0, 0.5)
     return s.report
 
 
@@ -661,7 +645,7 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
     up = np.array([k + 0.5 for n in range(m + 1) for k in range(m + 1)])
     down = np.array([n + 0.5 for n in range(m + 1) for k in range(m + 1)])
     s.check("conjugation_intertwines_levels", "J H_up = H_down J on the basis",
-            np.abs(up.conj()[t] - down), 0.0, exact=True)
+            np.abs(up.conj()[t] - down), 0.0)
     return s.report
 
 
@@ -733,6 +717,7 @@ _SUITES = {
     "coherent": _suite_coherent,
     "wigner": _suite_wigner,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> list[Report]:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from landau_modular.cli import main
+from landau_modular.cli import _config_from_args, build_parser, main
 from landau_modular.suites import SuiteConfig, report_to_json, run_suite
 
 
@@ -45,19 +45,11 @@ def test_exact_checks_report_zero_error():
     assert exact and all(c.max_error == 0.0 for c in exact)
 
 
-def test_tol_scales_bounds():
-    base = run_suite("kms", SuiteConfig())[0]
-    wide = run_suite("kms", SuiteConfig(tol_scale=100.0))[0]
-    for a, b in zip(base.checks, wide.checks):
-        assert b.bound == pytest.approx(100.0 * a.bound)
-
-
-def test_pass_fail_checks_ignore_tol(monkeypatch):
-    # a failed predicate reports 1.0 against 0.5, so a bound scaled by --tol
-    # would let it pass
+def test_failed_pass_fail_checks_fail_their_fixed_bound(monkeypatch):
+    # a failed predicate reports 1.0 against the fixed bound 0.5
     from landau_modular import suites
 
-    cfg = SuiteConfig(tol_scale=4.0)
+    cfg = SuiteConfig()
     monkeypatch.setattr(suites, "commutant_basis", lambda gens: (0, []))
     checks = {c.name: c for c in run_suite("modular", cfg)[0].checks}
     for name in ("commutant_of_left_algebra", "joint_commutant_scalar"):
@@ -76,31 +68,45 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_no_flag_scales_a_bound(tmp_path, capsys):
+    # every bound is fixed: --tol is not an option, so no flag can turn a
+    # recorded red green
+    out = tmp_path / "out"
+    for args in (["verify", "all", "--tol", "1e9"],
+                 ["export", "quad_rule", "--tol", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+    # the flags are the configuration's fields, with its defaults
+    args = build_parser().parse_args(["verify", "all"])
+    assert _config_from_args(args) == SuiteConfig()
+
+
 def test_config_error_exit_code(capsys):
     assert main(["verify", "modular", "--beta", "-1"]) == 2
 
 
 @pytest.mark.parametrize("args", [
     ("kms", "--beta", "nan"), ("kms", "--beta", "inf"), ("all", "--beta", "nan"),
-    ("all", "--tol", "inf"), ("kms", "--tol", "nan"),
 ])
 def test_non_finite_beta_or_tol_is_a_config_error(args, capsys):
-    # a NaN passes every order comparison and an infinite scale turns every
-    # bound into inf: both would report every check PASS
+    # a NaN passes every order comparison and an infinite beta makes the
+    # weights NaN
     assert main(["verify", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    name = "beta" if args[1] == "--beta" else "tol_scale"
     assert captured.err.splitlines() == [
-        f"configuration error: {name} ({args[1]}) must be finite, "
-        f"got {float(args[2])}"]
+        f"configuration error: beta (--beta) must be finite, got {float(args[2])}"]
 
 
 @pytest.mark.parametrize("args", [
     ("coherent", "--cutoff", "0"), ("coherent", "--cutoff", "1"),
     ("all", "--cutoff", "1"), ("landau", "--ncut", "2"), ("landau", "--ncut", "3"),
     ("landau", "--ncut", "4"), ("landau", "--ncut", "7"), ("wigner", "--ncut", "3"),
-    ("all", "--ncut", "7"), ("modular", "--ncut", "-1"),
+    ("all", "--ncut", "7"), ("modular", "--ncut", "-1"), ("modular", "--dim", "1"),
+    ("kms", "--seed", "-1"),
 ])
 def test_too_small_cut_is_a_config_error(args, capsys):
     assert main(["verify", *args]) == 2
@@ -108,9 +114,10 @@ def test_too_small_cut_is_a_config_error(args, capsys):
     assert captured.out == ""
     # rejected before any suite runs: no check line, and the flag and its
     # limit are named
+    least = {"--cutoff": 2, "--ncut": 8, "--dim": 2, "--seed": 0}[args[1]]
     assert captured.err.splitlines() == [
         f"configuration error: {args[1][2:]} ({args[1]}) must be at least "
-        f"{2 if args[1] == '--cutoff' else 8}, got {args[2]}"]
+        f"{least}, got {args[2]}"]
 
 
 @pytest.mark.parametrize("args", [
@@ -247,6 +254,17 @@ def test_rejected_export_writes_no_file(tmp_path, capsys):
     assert main(args) == 2
     assert out.read_bytes() == b"kept\n"
     assert capsys.readouterr().out == ""
+
+
+def test_negative_hermite_cutoff_is_a_config_error(tmp_path, capsys):
+    # range(-2) is empty, so the export would write only the header
+    out = tmp_path / "coeffs.csv"
+    assert main(["export", "hermite_coeffs", "--cutoff", "-3", "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "configuration error: cutoff (--cutoff) must be at least 0, got -3"]
 
 
 def test_cli_and_landau_library_load_no_scipy():

@@ -146,8 +146,8 @@ def test_number_operator_eigenvalues():
 def test_index_symmetry():
     for n in range(9):
         for k in range(9):
-            a = chp.ch_recursion(n, k).as_dict()
-            b = chp.ch_recursion(k, n).as_dict()
+            a = dict(chp.ch_recursion(n, k).coeffs)
+            b = dict(chp.ch_recursion(k, n).coeffs)
             assert {(j, m): c for (m, j), c in a.items()} == b
 
 

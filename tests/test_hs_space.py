@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from landau_modular.hs_space import (
+    SVD_RTOL,
     WeightedConjugation,
     commutant_basis,
     conjugation_J,
@@ -195,14 +196,14 @@ def test_commutant_of_rotated_left_matrix_units():
     assert all(in_span(basis, sandwich_superop(eye, e)) for e in rotated)
 
 
-def _stack_nullity(gens, svd_rtol=1e-8) -> int:
+def _stack_nullity(gens) -> int:
     """Null-space dimension of the stacked commutator system from a full SVD
     of the stack itself: the reference for commutant_basis."""
     d = gens[0].shape[0]
     eye = np.eye(d)
     stacked = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in gens])
     s = np.linalg.svd(stacked, compute_uv=False)
-    return d * d - int(np.sum(s > svd_rtol * s[0]))
+    return d * d - int(np.sum(s > SVD_RTOL * s[0]))
 
 
 @pytest.mark.parametrize("seed", [3, 8, 21])

@@ -69,7 +69,8 @@ def test_modular_triple_actions_at_ln2():
             x, xt = matrix_unit(n, i, j), matrix_unit(n, j, i)
             ratio = 2.0 ** (j - i)
             assert np.allclose(t.delta * x, ratio * x, atol=1e-13)
-            assert np.allclose(t.delta_sqrt * x, math.sqrt(ratio) * x, atol=1e-13)
+            # J has weight 1, so the weight of S = J Delta^(1/2) is Delta^(1/2)
+            assert np.allclose(t.S.weight * x, math.sqrt(ratio) * x, atol=1e-13)
             assert np.allclose(t.S(c * x), math.sqrt(ratio) * c.conjugate() * xt,
                                atol=1e-13)
             assert np.allclose(t.J(c * x), c.conjugate() * xt)
@@ -84,15 +85,15 @@ def test_superoperators_store_one_entry_per_matrix_unit():
     w = mc.build_weights(0.7, n)
     t = mc.build_modular_triple(w)
     flow = mc.flow_superop(w, 0.8)
-    for m in (t.delta, t.delta_sqrt, t.big_h, t.J.weight, t.S.weight, flow):
+    for m in (t.delta, t.big_h, t.J.weight, t.S.weight, flow):
         assert m.shape == (n, n)
     rho = np.diag(w.alpha)
     half, mhalf = np.diag(np.sqrt(w.alpha)), np.diag(1.0 / np.sqrt(w.alpha))
-    h = t.h_state
+    h = np.diag(-np.log(w.alpha) / w.beta)  # rho = exp(-beta h)
     u = np.diag(np.exp(1j * 0.8 * np.diag(h).real))
     pairs = (
         (lambda x: t.delta * x, lambda x: rho @ x @ np.linalg.inv(rho)),
-        (lambda x: t.delta_sqrt * x, lambda x: half @ x @ mhalf),
+        (lambda x: t.S.weight * x, lambda x: half @ x @ mhalf),
         (lambda x: t.big_h * x, lambda x: h @ x - x @ h),
         (lambda x: flow * x, lambda x: u @ x @ u.conj().T),
         # the linear parts of the antilinear J and S: X -> J(conj X) = X^T
