@@ -3,10 +3,11 @@ they induce on the truncated two-index coefficient space.
 
 Coefficient arrays c[n, k] represent vectors in the joint number basis.
 Each is a plain (M+1) x (M+1) array, an element of the Hilbert-Schmidt
-space HS(C^(M+1)): its norm is the Frobenius norm and the modular
-conjugation J is the adjoint c -> c*.  The anti-holomorphic sector is the
-column c[:, 0], the holomorphic one the row c[0, :], and the maps between
-them are (M+1) x (M+1) matrices.
+space HS(C^(M+1)): its norm is the Frobenius norm, and its modular data
+are modular_core's on M+1 levels (the thermal vector is cyclic_vector, the
+modular conjugation J is conjugation_J, the adjoint c -> c*).  The
+anti-holomorphic sector is the column c[:, 0], the holomorphic one the
+row c[0, :], and the maps between them are (M+1) x (M+1) matrices.
 Three families of coherent states (anti-holomorphic-sector, holomorphic-
 sector, and the full bi-coherent family) each resolve the identity on
 their sector when integrated against the Gaussian quadrature rule; the
@@ -22,7 +23,8 @@ import numpy as np
 
 from landau_modular import cgauss_quad as quad
 from landau_modular import coherent_states as cs
-from landau_modular.dense_linalg import adjoint, frob
+from landau_modular import modular_core as mc
+from landau_modular.dense_linalg import frob
 
 M = 8
 BETA = 0.7
@@ -70,10 +72,12 @@ print(f"\nmodular data at beta = {BETA}:")
 print("  spectral consistency of Delta with the flow:",
       f"{cs.modular_spectral_check(BETA, M):.3e}")
 
-chi = cs.chi_state(BETA, 12)
+# the thermal vector of the coefficient space at cutoff 12 is the Gibbs
+# cyclic vector on 13 levels, and J is the Gibbs conjugation there
+chi = mc.cyclic_vector(mc.build_weights(BETA, 13))
 print("  chi is normalised:", abs(frob(chi) - 1.0) < 1e-14,
-      " and fixed by the conjugation J = adjoint:",
-      float(np.max(np.abs(adjoint(chi) - chi))) == 0.0)
+      " and fixed by the conjugation J:",
+      float(np.max(np.abs(mc.conjugation_J(13)(chi) - chi))) == 0.0)
 print("  its diagonal entry 0 vs the untruncated sqrt(1 - e^-beta):",
       chi[0, 0].real, math.sqrt(1.0 - math.exp(-BETA)))
 

@@ -19,7 +19,7 @@ from . import __version__
 from . import cgauss_quad as quad
 from . import modular_core as mc
 from .hs_space import matrix_unit
-from .suites import SUITE_NAMES, SuiteConfig, report_to_json, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, check_flags, report_to_json, run_suite
 
 EXPORT_NAMES = ("hermite_coeffs", "quad_rule", "delta_spectrum", "wigner_grid")
 
@@ -89,6 +89,7 @@ def _export_quad_rule(args, out) -> None:
 
 
 def _export_delta_spectrum(args, out) -> None:
+    check_flags({"beta": args.beta, "dim": args.dim})
     w = mc.build_weights(args.beta, args.dim)
     writer = csv.writer(out)
     writer.writerow(["i", "j", "eigenvalue"])
@@ -100,6 +101,7 @@ def _export_delta_spectrum(args, out) -> None:
 def _export_wigner_grid(args, out) -> None:
     from . import landau_modes as lm
 
+    check_flags({"ncut": args.ncut})
     grid = np.linspace(-2.0, 2.0, 5)
     x00 = matrix_unit(1, 0, 0)
     writer = csv.writer(out)

@@ -6,7 +6,10 @@ A vector in the truncated function space is a coefficient array c[n, k]
 over the orthonormal basis B[n, k] = h[n, k] / sqrt(n! k!), 0 <= n, k <= M:
 a plain (M+1) x (M+1) complex array, that is, an element of the
 Hilbert-Schmidt space HS(C^(M+1)) of hs_space.  Its norm is the Frobenius
-norm and the modular conjugation is the adjoint c -> c*.  The
+norm, and its modular data are modular_core's on M+1 levels: the thermal
+vector is modular_core.cyclic_vector, the flow Delta^(it) the multiplier
+modular_core.flow_superop(w, -beta t), and the modular conjugation
+modular_core.conjugation_J, the adjoint c -> c*.  The
 anti-holomorphic sector is spanned by the column k = 0 (powers of zbar),
 the holomorphic sector by the row n = 0 (powers of z); each is an
 (M+1)-vector, and every map between or onto the sectors is stored at that
@@ -22,6 +25,7 @@ import weakref
 import numpy as np
 
 from . import complex_hermite as ch
+from . import modular_core as mc
 from .cgauss_quad import ComplexGaussRule, integrate_values, require_coverage
 from .landau_modes import displacement, ladder
 
@@ -56,18 +60,6 @@ def coeff_eval(v: np.ndarray, w: complex) -> complex:
         if c != 0:
             total += c * ch.eval_normalized(ch.H_basis(n, k), w)
     return total
-
-
-def chi_state(beta: float, cutoff: int) -> np.ndarray:
-    """The thermal vector sum e^(-n beta/2) B[n, n], renormalized to norm 1.
-
-    The untruncated normalizer it converges to as the cutoff grows is
-    sqrt(1 - e^(-beta)).
-    """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
-    c = np.diag([math.exp(-n * beta / 2.0) for n in range(cutoff + 1)]).astype(complex)
-    return c / np.linalg.norm(c)
 
 
 def sector_projector(kind: str, cutoff: int) -> np.ndarray:
@@ -182,28 +174,25 @@ def modular_spectral_check(beta: float, cutoff: int) -> float:
     """Consistency of the diagonal modular operator with the Gibbs picture.
 
     Checks three facts and returns the largest deviation: the flow
-    Delta^(it) fixes the thermal vector; it multiplies the first-index
-    raising generator by a pure phase e^(i beta t); and the eigenvalue on
-    B[n, k] equals the Gibbs weight ratio alpha_n / alpha_k.  A NaN
-    deviation is returned as NaN.
+    Delta^(it), the multiplier mc.flow_superop(w, -beta t) on the
+    coefficient array, fixes the thermal vector Phi = mc.cyclic_vector(w);
+    it multiplies the first-index raising generator by a pure phase
+    e^(i beta t); and the eigenvalue on B[n, k] equals the Gibbs weight
+    ratio alpha_n / alpha_k.  A NaN deviation is returned as NaN.
     """
-    from .modular_core import build_weights
-
     m = cutoff + 1
-    chi = chi_state(beta, cutoff).reshape(-1)
+    w = mc.build_weights(beta, m)
+    phi = mc.cyclic_vector(w)
     # the raising generator's only nonzero entries, sqrt(n + 1) from (n, k)
     # to (n + 1, k): conjugating by the diagonal phases multiplies them by
     # p[n + 1, k] and conj(p[n, k])
     root = np.sqrt(np.arange(1.0, m))[:, None]
-    exponents = np.array([-(n - k) for n in range(m) for k in range(m)], dtype=float)
-    w = build_weights(beta, m)
     errors = [abs(math.exp(-beta * (n - k)) - w.alpha[n] / w.alpha[k])
               for n in range(m) for k in range(m)]
     for t in MODULAR_T_SAMPLES:
-        phases = np.exp(1j * beta * t * exponents)
-        p = phases.reshape(m, m)
+        p = mc.flow_superop(w, -beta * t)
         conj_raising = (p[1:] * root) * p[:-1].conj()
-        errors += [float(np.linalg.norm(phases * chi - chi)),
+        errors += [float(np.linalg.norm(p * phi - phi)),
                    float(np.max(np.abs(conj_raising - np.exp(-1j * beta * t) * root)))]
     return float(np.max(errors, initial=0.0))
 

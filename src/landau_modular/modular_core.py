@@ -53,6 +53,11 @@ class GibbsWeights:
         if not np.all(np.abs(ratios - math.exp(-self.beta)) <= 1e-12):
             raise ValueError("weights must be geometric with ratio exp(-beta)")
 
+    @property
+    def energies(self) -> np.ndarray:
+        """The Gibbs energies E_n = -log(alpha_n) / beta, so alpha = e^(-beta E)."""
+        return -np.log(self.alpha) / self.beta
+
 
 # ln(DBL_MAX) ~ 709.78: the largest eigenvalue of Delta, alpha_0 / alpha_(n-1)
 # = e^(beta (n - 1)), is a finite double up to this exponent and inf beyond it
@@ -80,10 +85,6 @@ def build_weights(beta: float, n: int) -> GibbsWeights:
     alpha = np.exp(-beta * np.arange(n))
     alpha /= alpha.sum()
     return GibbsWeights(beta=beta, n=n, alpha=alpha)
-
-
-def density_matrix(w: GibbsWeights) -> np.ndarray:
-    return np.diag(w.alpha).astype(complex)
 
 
 def cyclic_vector(w: GibbsWeights) -> np.ndarray:
@@ -131,8 +132,7 @@ def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:
     """The evolved operator exp(iHt) A exp(-iHt) for the Gibbs Hamiltonian."""
     if a.shape != (w.n, w.n):
         raise ValueError(f"operator must be {w.n} x {w.n}, got {a.shape}")
-    energies = -np.log(w.alpha) / w.beta
-    phases = np.exp(1j * t * energies)
+    phases = np.exp(1j * t * w.energies)
     # diagonal conjugation: entry (j, k) picks up exp(i t (E_j - E_k))
     return (phases[:, None] * a) * phases.conj()[None, :]
 
@@ -140,7 +140,7 @@ def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:
 def flow_superop(w: GibbsWeights, t: float) -> np.ndarray:
     """The diagonal superoperator X -> exp(iHt) X exp(-iHt) as its N x N
     multiplier: u_i conj(u_j) at [i, j], with u = exp(iHt) on the diagonal."""
-    u = np.exp(1j * t * (-np.log(w.alpha) / w.beta))
+    u = np.exp(1j * t * w.energies)
     return np.multiply.outer(u, u.conj())
 
 
@@ -155,7 +155,7 @@ def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> c
     """
     if a.shape != (w.n, w.n) or b.shape != (w.n, w.n):
         raise ValueError("operators must match the truncation dimension")
-    energies = -np.log(w.alpha) / w.beta
+    energies = w.energies
     spread = float(energies.max() - energies.min())
     if abs(z.imag) * spread > LOG_DBL_MAX:
         raise OverflowError(
@@ -169,11 +169,11 @@ def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> c
 def kms_boundary_deviation(
     w: GibbsWeights, a: np.ndarray, b: np.ndarray, t_grid: np.ndarray
 ) -> float:
-    """max over the grid of |F(t + i*beta) - Tr[rho alpha_t(B) A]|, NaN if
-    any term is NaN."""
-    rho = density_matrix(w)
+    """max over the grid of |F(t + i*beta) - Tr[rho alpha_t(B) A]|, the
+    trace an entrywise sum since rho is diagonal; NaN if any term is NaN."""
     return float(np.max([abs(kms_function(w, a, b, complex(t, w.beta))
-                             - complex(np.trace(rho @ modular_flow(w, t, b) @ a)))
+                             - complex(np.sum(w.alpha[:, None] * modular_flow(w, t, b)
+                                              * a.T)))
                          for t in np.asarray(t_grid, dtype=float)], initial=0.0))
 
 
@@ -191,8 +191,7 @@ def centralizer_member(w: GibbsWeights,
     """
     if b.shape != (w.n, w.n):
         raise ValueError(f"operator must be {w.n} x {w.n}, got {b.shape}")
-    rho = density_matrix(w)
-    c = b @ rho - rho @ b
+    c = b * w.alpha - w.alpha[:, None] * b  # [B, rho] with rho = diag(alpha)
     flat = int(np.argmax(np.abs(c)))
     i, j = divmod(flat, w.n)
     if abs(c[i, j]) <= CENTRALIZER_TOL:

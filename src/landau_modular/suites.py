@@ -33,6 +33,28 @@ from .hs_space import (
 from .rng import SplitMix64
 
 
+def check_flags(flags: dict) -> None:
+    """Reject the first of the given flag values that is outside its limit,
+    naming its --<flag>; a flag that is not given is not checked."""
+    beta = flags.get("beta", 1.0)
+    # a NaN slips past every order comparison below, and an infinite beta
+    # makes the weights NaN
+    if not math.isfinite(beta):
+        raise ValueError(f"beta (--beta) must be finite, got {beta}")
+    if beta <= 0:
+        raise ValueError(f"beta (--beta) must be positive, got {beta}")
+    # cutoff and ncut are the smallest cuts every suite runs at: the coherent
+    # partial-isometry witness moves e_(2,0) to e_(0,2), and the landau Fock
+    # states reach n + l = 6, which needs cut n + l + 2; build_rule checks
+    # radial and angular
+    for name, least in (("dim", 2), ("cutoff", 2), ("ncut", 8), ("seed", 0)):
+        if flags.get(name, least) < least:
+            raise ValueError(f"{name} (--{name}) must be at least {least}, "
+                             f"got {flags[name]}")
+    if "dim" in flags:
+        mc.require_finite_ratios(beta, flags["dim"])
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Shared configuration for all suites.  Each field is the value of the
@@ -48,22 +70,7 @@ class SuiteConfig:
     seed: int = field(default=42, metadata={"help": "seed for random operators"})
 
     def __post_init__(self):
-        # a NaN slips past every order comparison below, and an infinite beta
-        # makes the weights NaN
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta (--beta) must be finite, got {self.beta}")
-        if self.beta <= 0:
-            raise ValueError(f"beta (--beta) must be positive, got {self.beta}")
-        # cutoff and ncut are the smallest cuts every suite runs at, checked
-        # before any suite: the coherent partial-isometry witness moves
-        # e_(2,0) to e_(0,2), and the landau Fock states reach n + l = 6,
-        # which needs cut n + l + 2; build_rule checks radial and angular
-        for name, least in (("dim", 2), ("cutoff", 2), ("ncut", 8), ("seed", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} (--{name}) must be at least {least}, "
-                                 f"got {value}")
-        mc.require_finite_ratios(self.beta, self.dim)
+        check_flags(asdict(self))  # before any suite runs
         # the coherent suite's moment matrix needs the rule to cover the
         # cutoff and n! to be a finite double up to it
         quad.require_coverage(quad.build_rule(self.radial, self.angular), self.cutoff)
@@ -267,11 +274,11 @@ def _suite_kms(cfg: SuiteConfig) -> Report:
             + [abs(mc.kms_function(w, x01, x10, complex(t, w.beta))
                    - w.alpha[1] * np.exp(1j * t)) for t in ts], 1e-13)
 
-    rho = mc.density_matrix(w)
+    # rho is diagonal: the trace is the entrywise sum of alpha_i A_ik sigma_t(B)_ki
     s.check("real_time_agreement",
             "F(t) = Tr[rho A sigma_t(B)]",
             [abs(mc.kms_function(w, a, b, complex(t))
-                 - complex(np.trace(rho @ a @ mc.modular_flow(w, t, b))))
+                 - complex(np.sum(w.alpha[:, None] * a * mc.modular_flow(w, t, b).T)))
              for t in (-1.0, 0.3, 1.7) for a in [rng.complex_matrix(cfg.dim)]
              for b in [rng.complex_matrix(cfg.dim)]], 1e-12)
 
@@ -589,12 +596,13 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
     def point() -> complex:
         return complex(rng.uniform() - 0.5, rng.uniform() - 0.5)
 
+    j = mc.conjugation_J(m + 1)  # the coefficient arrays are HS(C^(m+1))
     s.check("bicoherent_conjugation", "J bcs(u, v) = bcs(v, u)",
-            [float(np.max(np.abs(adjoint(cs.bcs(u, v, m)) - cs.bcs(v, u, m))))
+            [float(np.max(np.abs(j(cs.bcs(u, v, m)) - cs.bcs(v, u, m))))
              for _ in range(5) for u in [point()] for v in [point()]], 1e-13)
 
-    chi = cs.chi_state(cfg.beta, m)
-    s.check("thermal_vector_fixed", "J chi = chi", np.abs(adjoint(chi) - chi), 1e-13)
+    phi = mc.cyclic_vector(mc.build_weights(cfg.beta, m + 1))
+    s.check("thermal_vector_fixed", "J chi = chi", np.abs(j(phi) - phi), 1e-13)
 
     m25 = 25
 

@@ -16,7 +16,7 @@ from landau_modular import coherent_states as cs
 from landau_modular import complex_hermite as chp
 from landau_modular import landau_modes as lm
 from landau_modular import modular_core as mc
-from landau_modular.dense_linalg import adjoint, frob
+from landau_modular.dense_linalg import frob
 from landau_modular.hs_space import (
     commutant_basis,
     in_span,
@@ -258,8 +258,10 @@ def test_criterion_12_modular_coherent_consistency():
     up = np.diag([k + 0.5 for n in range(m + 1) for k in range(m + 1)])
     down = np.diag([n + 0.5 for n in range(m + 1) for k in range(m + 1)])
     assert np.max(np.abs(jmat @ up @ jmat - down)) == 0.0
-    chi = cs.chi_state(BETA, m)
-    assert np.max(np.abs(adjoint(chi) - chi)) <= 1e-13
+    # the thermal vector of the coefficient space is the Gibbs cyclic vector
+    # on m + 1 levels, fixed by the conjugation
+    phi = mc.cyclic_vector(mc.build_weights(BETA, m + 1))
+    assert np.max(np.abs(mc.conjugation_J(m + 1)(phi) - phi)) <= 1e-13
 
 
 def test_criterion_13_determinism(tmp_path):
@@ -281,10 +283,12 @@ def test_criterion_13_determinism(tmp_path):
 
 
 def test_criterion_13_determinism_at_reach(tmp_path):
-    # the reach configurations of the benchmark: the phase-space rotation is
-    # a BLAS product at ncut 128, and the coherent moment sums run at cutoff 16
+    # the reach configurations: the phase-space rotation is a BLAS product at
+    # ncut 128, the coherent moment sums run at cutoff 16, and the KMS traces
+    # are entrywise sums at dim 256
     runs = (("wigner", "--ncut", "128"),
-            ("coherent", "--cutoff", "16", "--radial", "48", "--angular", "96"))
+            ("coherent", "--cutoff", "16", "--radial", "48", "--angular", "96"),
+            ("kms", "--dim", "256"))
     for args in runs:
         outputs = []
         for tag, threads in (("a", "2"), ("b", "1")):

@@ -196,10 +196,11 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
         assert not checks[name].passed
     assert report_to_json(report).count('"max_error": NaN') == 2
     assert checks["real_time_agreement"] == clean["real_time_agreement"]
-    # a NaN thermal vector reaches the first fold of modular_spectral_check
-    monkeypatch.setattr(cs, "chi_state",
-                        lambda beta, cutoff: np.full((cutoff + 1,) * 2, np.nan))
-    assert math.isnan(cs.modular_spectral_check(0.7, 4))
+    # a NaN thermal vector reaches the first fold of modular_spectral_check;
+    # the modular suite below keeps the real one
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "cyclic_vector", lambda w: np.full((w.n, w.n), np.nan))
+        assert math.isnan(cs.modular_spectral_check(0.7, 4))
     # the fifth inner product, in the third of the ten samples that
     # j_antiunitary passes to check, goes NaN: the builtin max would keep
     # the first sample and pass
@@ -216,6 +217,30 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
     assert math.isnan(checks["j_antiunitary"].max_error)
     assert not checks["j_antiunitary"].passed
     assert checks["s_conjugates_orbit"] == clean["s_conjugates_orbit"]
+
+
+def test_kms_traces_read_the_modular_flow(monkeypatch):
+    # both real-time checks form their traces on modular_core's flow: a flow
+    # run backwards turns them red, and the complex kernel alone stays green
+    from landau_modular import modular_core as mc
+
+    flow = mc.modular_flow
+    monkeypatch.setattr(mc, "modular_flow", lambda w, t, a: flow(w, -t, a))
+    checks = {c.name: c for c in run_suite("kms", SuiteConfig())[0].checks}
+    for name in ("real_time_agreement", "boundary_condition"):
+        assert not checks[name].passed
+    assert checks["closed_form_pair"].passed
+
+
+def test_coherent_modular_spectral_reads_the_shared_flow(monkeypatch):
+    # the coherent layer's Delta^(it) is modular_core's flow_superop: with
+    # the opposite time sign the raising generator turns the wrong way
+    from landau_modular import modular_core as mc
+
+    superop = mc.flow_superop
+    monkeypatch.setattr(mc, "flow_superop", lambda w, t: superop(w, -t))
+    checks = {c.name: c for c in run_suite("coherent", SuiteConfig())[0].checks}
+    assert not checks["modular_spectral"].passed
 
 
 def test_export_quad_rule_rejects_unsupported_order(capsys):
@@ -265,6 +290,37 @@ def test_negative_hermite_cutoff_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "configuration error: cutoff (--cutoff) must be at least 0, got -3"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("wigner_grid", "--ncut", "2"), "ncut (--ncut) must be at least 8, got 2"),
+    (("delta_spectrum", "--dim", "1"), "dim (--dim) must be at least 2, got 1"),
+    (("delta_spectrum", "--beta", "nan"), "beta (--beta) must be finite, got nan"),
+    (("delta_spectrum", "--beta", "0"), "beta (--beta) must be positive, got 0.0"),
+])
+def test_export_applies_the_limits_of_the_flags_it_reads(args, message, tmp_path,
+                                                          capsys):
+    # at --ncut 2 the grid sampled -0.166 at (-2, -2), where the vacuum
+    # Gaussian is 0.054
+    out = tmp_path / "table.csv"
+    assert main(["export", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {message}"]
+
+
+def test_export_checks_only_the_flags_it_reads(tmp_path):
+    # the Hermite table keeps cutoffs 0 and 1, below the suites' least
+    # cutoff, and a quadrature rule too small for the coherent suite's
+    # cutoff is still written
+    out = tmp_path / "table.csv"
+    for args in (("hermite_coeffs", "--cutoff", "0"),
+                 ("hermite_coeffs", "--cutoff", "1"),
+                 ("quad_rule", "--radial", "3", "--angular", "4"),
+                 ("wigner_grid", "--ncut", "8", "--dim", "1", "--seed", "-1")):
+        assert main(["export", *args, "--out", str(out)]) == 0
+        assert out.read_text().count("\n") > 1
 
 
 def test_cli_and_landau_library_load_no_scipy():

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from landau_modular import cgauss_quad as quad
 from landau_modular import coherent_states as cs
 from landau_modular import landau_modes as lm
+from landau_modular import modular_core as mc
 from landau_modular.dense_linalg import adjoint, frob
 from landau_modular.rng import SplitMix64
 
@@ -62,16 +63,20 @@ def test_j_swap_involution_and_bcs_rule():
 
 
 def test_chi_fixed_by_conjugation():
-    chi = cs.chi_state(0.7, 12)
+    # the thermal vector sum e^(-n beta/2) B[n, n] on cutoff M, renormalized,
+    # is the Gibbs cyclic vector on M + 1 levels
+    chi = mc.cyclic_vector(mc.build_weights(0.7, 13))
     assert abs(frob(chi) - 1.0) < 1e-14
     assert np.max(np.abs(adjoint(chi) - chi)) == 0.0
+    assert np.max(np.abs(mc.conjugation_J(13)(chi) - chi)) == 0.0
     # the un-renormalized truncation approaches sqrt(1 - e^-beta) * chi
     raw = np.diag(np.exp(-0.7 * np.arange(60) / 2.0))
     limit = math.sqrt(1 - math.exp(-0.7))
-    assert np.max(np.abs(limit * raw - cs.chi_state(0.7, 59))) < 1e-14
+    chi60 = mc.cyclic_vector(mc.build_weights(0.7, 60))
+    assert np.max(np.abs(limit * raw - chi60)) < 1e-14
     for beta in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="inverse temperature"):
-            cs.chi_state(beta, 4)
+            mc.cyclic_vector(mc.build_weights(beta, 5))
 
 
 def test_reproducing_kernel_pointwise():

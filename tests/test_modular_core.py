@@ -43,6 +43,14 @@ def test_weights_reject_non_finite_beta(beta):
         mc.GibbsWeights(beta=0.7, n=2, alpha=np.array([0.5, np.inf]))
 
 
+def test_energies_are_the_gibbs_spectrum():
+    # alpha = e^(-beta E) with unit level spacing, the energies that
+    # modular_flow, flow_superop and kms_function read
+    w = mc.build_weights(0.7, 6)
+    assert np.allclose(np.exp(-w.beta * w.energies), w.alpha, rtol=1e-14, atol=0)
+    assert np.allclose(np.diff(w.energies), 1.0, rtol=0, atol=1e-13)
+
+
 def test_cyclic_vector_normalized_and_fixed_by_j():
     w = mc.build_weights(LN2, 4)
     phi = mc.cyclic_vector(w)
