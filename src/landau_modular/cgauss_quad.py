@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
@@ -33,26 +33,45 @@ MAX_RADIAL_ORDER = 194
 
 @dataclass(frozen=True, eq=False)
 class ComplexGaussRule:
-    """Nodes and weights for the normalized planar Gaussian measure.
+    """A tensor rule for the normalized planar Gaussian measure: R rings of
+    radius rho_r and weight w_r, each carrying the K equal angles
+    theta_j = 2 pi j / K.  The nodes rho_r e^(i theta_j) and weights w_r / K
+    (at index r * K + j, read-only) are derived from the ring data here and
+    nowhere else, so every rule is a tensor rule.
 
     A rule compares and hashes by identity, so a table keyed on a rule
     (coherent_states' moment matrices) gives a hand-built rule its own
-    entry even when its orders equal those of a shared one.
+    entry even when its ring data equal those of a shared one.
     """
 
-    nodes: np.ndarray    # complex, length R*K
-    weights: np.ndarray  # positive real, sums to 1
-    radial_order: int
-    angular_order: int
+    radii: np.ndarray         # rho_r, length R
+    ring_weights: np.ndarray  # w_r, positive, sums to 1
+    angular_order: int        # K
+    nodes: np.ndarray = field(init=False)    # complex, length R*K
+    weights: np.ndarray = field(init=False)  # positive real, sums to 1
 
     def __post_init__(self):
+        nodes = (self.radii[:, None] * np.exp(1j * self.angles)[None, :]).reshape(-1)
+        weights = np.repeat(self.ring_weights / self.angular_order, self.angular_order)
         # written so that NaN fails every test
-        if not np.all(np.isfinite(self.nodes)):
+        if not np.all(np.isfinite(nodes)):
             raise ValueError("all quadrature nodes must be finite")
-        if not np.all(self.weights > 0):
+        if not np.all(weights > 0):
             raise ValueError("all quadrature weights must be positive")
-        if not abs(self.weights.sum() - 1.0) <= 1e-13:
+        if not abs(weights.sum() - 1.0) <= 1e-13:
             raise ValueError("weights must sum to 1 (the measure is normalized)")
+        nodes.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def radial_order(self) -> int:
+        return len(self.radii)
+
+    @property
+    def angles(self) -> np.ndarray:
+        """theta_j = 2 pi j / K, 0 <= j < K."""
+        return 2.0 * np.pi * np.arange(self.angular_order) / self.angular_order
 
 
 def _laguerre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,28 +112,23 @@ def build_rule(radial: int, angular: int) -> ComplexGaussRule:
     w / K underflows to 0 is rejected (at R = 194 from K = 76 on).
 
     Each (radial, angular) pair is built once per process and shared; its
-    nodes and weights are read-only.
+    ring data, nodes and weights are read-only.
     """
     rule = _RULES.get((radial, angular))
     if rule is None:
         s, ws = gauss_laguerre(radial)
         if angular < 2:
             raise ValueError(f"angular order must be >= 2, got {angular}")
-        ws = ws / angular
-        if not np.all(ws > 0):
+        if not np.all(ws / angular > 0):
             # the smallest Laguerre weight is subnormal at large radial orders
             raise ValueError(
                 f"radial order (--radial) {radial} with angular order "
                 f"(--angular) {angular} makes the smallest quadrature weight "
                 f"underflow to 0; lower either order")
-        theta = 2.0 * np.pi * np.arange(angular) / angular
         radii = np.sqrt(s)
-        nodes = (radii[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)
-        weights = np.repeat(ws, angular)
-        nodes.flags.writeable = weights.flags.writeable = False
+        radii.flags.writeable = ws.flags.writeable = False
         rule = _RULES[radial, angular] = ComplexGaussRule(
-            nodes=nodes, weights=weights,
-            radial_order=radial, angular_order=angular)
+            radii=radii, ring_weights=ws, angular_order=angular)
     return rule
 
 
@@ -127,8 +141,10 @@ def covers(rule: ComplexGaussRule, m: int, k: int) -> bool:
 
 
 def covers_degree(rule: ComplexGaussRule, deg: int) -> bool:
-    """Whether every monomial with both exponents <= deg is covered."""
-    return all(covers(rule, m, k) for m in range(deg + 1) for k in range(deg + 1))
+    """Whether every monomial with both exponents <= deg is covered: the
+    diagonal up to deg needs deg <= 2R-1, and the off-diagonal pairs, whose
+    exponents differ by up to deg, need deg < K."""
+    return deg <= 2 * rule.radial_order - 1 and (deg == 0 or deg < rule.angular_order)
 
 
 # The largest n for which n! is a finite double; the coherent moment matrix

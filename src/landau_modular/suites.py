@@ -304,15 +304,15 @@ def _suite_landau(cfg: SuiteConfig) -> Report:
     cut = lm.ModeCut(min(cfg.ncut, 16))
     mask = lm.interior_mask(cut)
     ops = lm.build_A_pm(cut)
-    eye = np.eye(cut.dim)
+    eye, zero = np.eye(cut.dim), np.zeros((cut.dim, cut.dim))
 
     pairs = {
         "[A+, A+*] = 1": (ops.a_plus, ops.a_plus_dag, eye),
         "[A-, A-*] = 1": (ops.a_minus, ops.a_minus_dag, eye),
-        "[A+, A-] = 0": (ops.a_plus, ops.a_minus, 0 * eye),
-        "[A+, A-*] = 0": (ops.a_plus, ops.a_minus_dag, 0 * eye),
-        "[A+*, A-] = 0": (ops.a_plus_dag, ops.a_minus, 0 * eye),
-        "[A+*, A-*] = 0": (ops.a_plus_dag, ops.a_minus_dag, 0 * eye),
+        "[A+, A-] = 0": (ops.a_plus, ops.a_minus, zero),
+        "[A+, A-*] = 0": (ops.a_plus, ops.a_minus_dag, zero),
+        "[A+*, A-] = 0": (ops.a_plus_dag, ops.a_minus, zero),
+        "[A+*, A-*] = 0": (ops.a_plus_dag, ops.a_minus_dag, zero),
     }
     s.check("ccr_interior",
             "[A±, A±*] = 1 and all cross commutators vanish on the interior",
@@ -344,7 +344,7 @@ def _suite_landau(cfg: SuiteConfig) -> Report:
              lm.interior_deviation(h.h_down, h.h0 + h.hint_down, mask)], 1e-12)
     comm = h.h_up @ h.h_down - h.h_down @ h.h_up
     s.check("hamiltonians_commute", "[H_up, H_down] = 0 on the interior",
-            lm.interior_deviation(comm, 0 * eye, mask), 1e-12)
+            lm.interior_deviation(comm, zero, mask), 1e-12)
 
     # these cut-16 checks stay on the eigensolved vacuum (solved once), so
     # their errors keep measuring that route at the stated cut
@@ -483,29 +483,21 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _basis_values(rule: quad.ComplexGaussRule, deg: int) -> np.ndarray:
-    """Values of B[n, k] at all nodes, rows indexed by n * (deg+1) + k.
-
-    Uses the coupled recursions on value arrays, avoiding per-node
-    polynomial evaluation.
-    """
-    z = rule.nodes
-    zb = z.conj()
-    m = deg + 1
+def _basis_values(z: np.ndarray, deg: int) -> np.ndarray:
+    """Values of B[n, k] at the nodes z, rows n * (deg+1) + k, by the coupled
+    recursions on value arrays, each step vectorised over k."""
+    zb, m = z.conj(), deg + 1
+    ks = np.arange(1, m)[:, None]
     h = np.empty((m, m, z.shape[0]), dtype=complex)
     h[0, 0] = 1.0
     for k in range(1, m):
         h[0, k] = z * h[0, k - 1]
     for n in range(1, m):
         h[n, 0] = zb * h[n - 1, 0]
-        for k in range(1, m):
-            h[n, k] = zb * h[n - 1, k] - k * h[n - 1, k - 1]
-    out = np.empty((m * m, z.shape[0]), dtype=complex)
-    for n in range(m):
-        for k in range(m):
-            out[n * m + k] = h[n, k] / math.sqrt(
-                math.factorial(n) * math.factorial(k))
-    return out
+        h[n, 1:] = zb * h[n - 1, 1:] - ks * h[n - 1, :-1]
+    norms = [[math.sqrt(math.factorial(n) * math.factorial(k)) for k in range(m)]
+             for n in range(m)]
+    return (h / np.array(norms)[:, :, None]).reshape(m * m, z.shape[0])
 
 
 def _suite_quadrature(cfg: SuiteConfig) -> Report:
@@ -525,12 +517,12 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
                  - quad.gauss_moment(m, k)) / max(1.0, math.gamma((m + k) / 2.0 + 1.0))
              for m in range(13) for k in range(13) if quad.covers(rule, m, k)], 1e-12)
 
-    deg = 12
-    vals = _basis_values(rule, deg)
-    weighted = vals * rule.weights
-    # conjugate in place: a third (deg+1)^2 x nodes array (6.9 MB at the
-    # default orders) would set the peak memory of verify all
-    gram = weighted @ np.conjugate(vals, out=vals).T
+    # over blocks of 4 whole rings, so no (deg+1)^2 x nodes array; in-place conj
+    deg, ring = 12, 4 * rule.angular_order
+    gram = np.zeros(((deg + 1) ** 2,) * 2, dtype=complex)
+    for b in range(0, rule.nodes.shape[0], ring):
+        vals = _basis_values(rule.nodes[b:b + ring], deg)
+        gram += (vals * rule.weights[b:b + ring]) @ np.conjugate(vals, out=vals).T
     s.check("basis_orthonormality",
             "<B[n, k], B[m, l]> = delta delta under dnu, indices <= 12",
             np.abs(gram - np.eye((deg + 1) ** 2)), 1e-10)
@@ -582,6 +574,9 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
             [float(np.max(np.abs(iso @ e2.conj() - e2))),
              # antilinear after antilinear is linear
              float(np.max(np.abs(rev @ iso.conj() - np.eye(m + 1))))], 1e-10)
+    s.check("moment_factorization", "G[n, m] = R[n, m] A[n - m] over rings and "
+            "angles equals its sum over the nodes, indices <= 10",
+            cs.moment_factorization_check(rule, min(m, 10)), 1e-13)
 
     # conjugating the holomorphic projector gives the anti-holomorphic one;
     # J D J for a diagonal D on the flattened basis, given by its diagonal d,
@@ -629,6 +624,11 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
             "ratio alpha_n/alpha_k; the flow fixes chi and rotates the "
             "raising generator by a pure phase",
             cs.modular_spectral_check(cfg.beta, m), 1e-12)
+    # the rounded exponents cost up to 1.5 beta M eps, and beta M <= ln(DBL_MAX)
+    s.check("modular_spectral_relative",
+            "e^(-beta(n-k)) = alpha_n/alpha_k relative to its size",
+            cs.modular_spectral_relative_check(cfg.beta, m),
+            (2.0 * mc.LOG_DBL_MAX + 8.0) * np.finfo(float).eps)
     s.erratum(
         "modular_generator_sign",
         "One printed display gives the modular generator as -2(N+ - N-); "

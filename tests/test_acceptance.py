@@ -284,10 +284,11 @@ def test_criterion_13_determinism(tmp_path):
 
 def test_criterion_13_determinism_at_reach(tmp_path):
     # the reach configurations: the phase-space rotation is a BLAS product at
-    # ncut 128, the coherent moment sums run at cutoff 16, and the KMS traces
-    # are entrywise sums at dim 256
+    # ncut 128, the coherent moment matrix is a BLAS product over the rings at
+    # cutoffs 16 and 170, and the KMS traces are entrywise sums at dim 256
     runs = (("wigner", "--ncut", "128"),
             ("coherent", "--cutoff", "16", "--radial", "48", "--angular", "96"),
+            ("coherent", "--cutoff", "170", "--radial", "86", "--angular", "171"),
             ("kms", "--dim", "256"))
     for args in runs:
         outputs = []
@@ -295,7 +296,7 @@ def test_criterion_13_determinism_at_reach(tmp_path):
             env = dict(os.environ)
             env["OMP_NUM_THREADS"] = threads
             env["OPENBLAS_NUM_THREADS"] = threads
-            out = tmp_path / f"{args[0]}_{tag}.json"
+            out = tmp_path / f"{args[0]}{args[2]}_{tag}.json"
             proc = subprocess.run(
                 [sys.executable, "-m", "landau_modular", "verify", *args,
                  "--seed", "42", "--out", str(out)],

@@ -28,10 +28,27 @@ def test_verify_all_builds_the_default_rule_once(monkeypatch):
     assert orders.count(40) == 1
     rule = quad.build_rule(40, 64)
     assert quad.build_rule(40, 64) is rule and orders.count(40) == 1
-    for arr in (rule.nodes, rule.weights):
+    for arr in (rule.nodes, rule.weights, rule.radii, rule.ring_weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.5
+
+
+def test_quadrature_suite_builds_no_basis_by_nodes_array():
+    # the basis Gram is summed over blocks of four rings: one 169 x 2560
+    # complex array of basis values at the default orders would be 6.9 MB
+    # (measured peak 3.75 MB; 16.2 MB with whole-rule arrays)
+    import tracemalloc
+
+    from landau_modular.suites import SuiteConfig, run_suite
+    cfg = SuiteConfig()
+    tracemalloc.start()
+    try:
+        run_suite("quadrature", cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_build_rule_rejects_bad_orders():
@@ -80,17 +97,43 @@ def test_underflowing_weights_name_both_orders():
 
 def test_rule_rejects_non_finite_data():
     good = quad.build_rule(3, 4)
-    nan_weights = np.full(good.weights.shape, np.nan)
+    nan_weights = np.full(good.ring_weights.shape, np.nan)
     with pytest.raises(ValueError, match="positive"):
-        quad.ComplexGaussRule(good.nodes, nan_weights, 3, 4)
-    bad_nodes = good.nodes.copy()
-    bad_nodes[5] = np.nan
+        quad.ComplexGaussRule(good.radii, nan_weights, 4)
+    bad_radii = good.radii.copy()
+    bad_radii[1] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        quad.ComplexGaussRule(bad_nodes, good.weights, 3, 4)
-    off_sum = good.weights.copy()
+        quad.ComplexGaussRule(bad_radii, good.ring_weights, 4)
+    off_sum = good.ring_weights.copy()
     off_sum[0] = np.inf
     with pytest.raises(ValueError):
-        quad.ComplexGaussRule(good.nodes, off_sum, 3, 4)
+        quad.ComplexGaussRule(good.radii, off_sum, 4)
+
+
+def test_rule_nodes_and_weights_come_from_the_rings():
+    rule = quad.build_rule(5, 7)
+    assert rule.radial_order == 5 and rule.angular_order == 7
+    # node r * K + j sits on ring r at angle 2 pi j / K, with weight w_r / K
+    nodes = rule.nodes.reshape(5, 7)
+    assert np.allclose(np.abs(nodes), rule.radii[:, None], rtol=1e-15, atol=0)
+    assert np.allclose(np.angle(nodes[2]) % (2 * np.pi),
+                       2 * np.pi * np.arange(7) / 7, rtol=0, atol=1e-14)
+    assert np.array_equal(rule.weights.reshape(5, 7),
+                          np.repeat(rule.ring_weights[:, None] / 7, 7, axis=1))
+    s, w = quad.gauss_laguerre(5)
+    assert np.array_equal(rule.radii, np.sqrt(s))
+    assert np.array_equal(rule.ring_weights, w)
+
+
+def test_covers_degree_closed_form_matches_the_monomial_loop():
+    for radial in range(1, 13):
+        for angular in range(2, 21):
+            rule = quad.ComplexGaussRule(np.ones(radial), np.full(radial, 1 / radial),
+                                         angular)
+            for deg in range(31):
+                loop = all(quad.covers(rule, m, k)
+                           for m in range(deg + 1) for k in range(deg + 1))
+                assert quad.covers_degree(rule, deg) == loop, (radial, angular, deg)
 
 
 def test_basic_integrals():

@@ -112,34 +112,83 @@ def test_coherent_suite_builds_one_moment_matrix(monkeypatch):
     from landau_modular.suites import SuiteConfig, run_suite
     # a fresh rule table gives a fresh rule, which has no moment matrix yet
     monkeypatch.setattr(quad, "_RULES", {}, raising=False)
-    calls = []
+    builds, calls = [], []
+    powers = cs._ring_powers
+    monkeypatch.setattr(cs, "_ring_powers",
+                        lambda rule, c: builds.append((rule, c)) or powers(rule, c))
     integrate = cs.integrate_values
     monkeypatch.setattr(cs, "integrate_values",
                         lambda rule, v: calls.append(rule) or integrate(rule, v))
-    cfg = SuiteConfig()
+    cfg = SuiteConfig(cutoff=16, radial=48, angular=96)
     run_suite("coherent", cfg)
-    # one G at the cutoff: (cutoff + 1)^2 sums, all on the one shared rule,
-    # shared by both resolutions, the bi-coherent block and both isometries
-    assert len(calls) == (cfg.cutoff + 1) ** 2
-    assert all(r is quad.build_rule(cfg.radial, cfg.angular) for r in calls)
+    # one G at the cutoff, from the ring data, shared by both resolutions,
+    # the bi-coherent block and both isometries; the only node sums are the
+    # independent route of moment_factorization, at cutoff 10
+    rule = quad.build_rule(cfg.radial, cfg.angular)
+    assert builds == [(rule, cfg.cutoff)]
+    assert len(calls) == 11 ** 2 and all(r is rule for r in calls)
 
 
 def test_hand_built_rule_gets_its_own_moment_matrix():
     shared = quad.build_rule(20, 24)
     g = cs._moment_matrix(shared, 6)
     assert not g.flags.writeable
-    # equal orders and equal arrays still make a different rule, with its own
-    # G; built at a smaller cutoff, it is the leading block of the larger one
-    same = quad.ComplexGaussRule(shared.nodes.copy(), shared.weights.copy(), 20, 24)
+    # equal ring data still make a different rule, with its own G; built at
+    # a smaller cutoff, it is the leading block of the larger one
+    same = quad.ComplexGaussRule(shared.radii.copy(), shared.ring_weights.copy(), 24)
     assert same != shared and hash(same) != hash(shared)
     assert np.array_equal(cs._moment_matrix(same, 4), g[:5, :5])
-    scaled = quad.ComplexGaussRule(1.1 * shared.nodes, shared.weights, 20, 24)
+    scaled = quad.ComplexGaussRule(1.1 * shared.radii, shared.ring_weights, 24)
     g_scaled = cs._moment_matrix(scaled, 6)
     assert np.allclose(np.diag(g_scaled).real, 1.21 ** np.arange(7), rtol=1e-10)
     assert np.max(np.abs(g - np.eye(7))) < 1e-10
     assert cs.resolution_check("a-hol", 6, scaled) > 1.0
     assert cs.resolution_check("a-hol", 6, shared) < 1e-10
 
+
+def _node_sums(nodes, weights, cutoff, block=1024):
+    """G summed over the nodes, a block of them at a time, by matrix
+    products: a route that neither factors a rule nor calls
+    integrate_values."""
+    norms = np.array([math.sqrt(math.factorial(n)) for n in range(cutoff + 1)])
+    g = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for b in range(0, nodes.shape[0], block):
+        z = nodes[b:b + block]
+        pows = np.array([z**n for n in range(cutoff + 1)]) / norms[:, None]
+        g += (pows * weights[b:b + block]) @ pows.conj().T
+    return g
+
+
+@pytest.mark.parametrize("radial, angular, cutoff",
+                         [(40, 64, 10), (48, 96, 16), (86, 171, 170)])
+def test_factored_moment_matrix_matches_node_sums(radial, angular, cutoff):
+    # measured: 6.7e-16, 6.7e-16 and 3.2e-14
+    rule = quad.build_rule(radial, angular)
+    g = cs._moment_matrix(rule, cutoff)
+    assert np.max(np.abs(g - _node_sums(rule.nodes, rule.weights, cutoff))) < 1e-13
+    assert cs.moment_factorization_check(rule, min(cutoff, 10)) < 1e-13
+
+
+@pytest.mark.parametrize("part", ["_angular_means", "_ring_powers"])
+def test_corrupted_factor_turns_moment_factorization_red(monkeypatch, part):
+    from landau_modular.suites import SuiteConfig, run_suite
+    good = getattr(cs, part)
+
+    def corrupted(rule, cutoff):
+        out = good(rule, cutoff).copy()
+        out[-1] = out[-1] * (1.0 + 1e-9) + 1e-9  # A[d = cutoff], or P[n = cutoff]
+        return out
+
+    def factorization():
+        # a fresh rule table gives a fresh rule, which has no moment matrix yet
+        monkeypatch.setattr(quad, "_RULES", {}, raising=False)
+        checks = run_suite("coherent", SuiteConfig(cutoff=4))[0].checks
+        return {c.name: c for c in checks}["moment_factorization"]
+
+    assert factorization().passed
+    monkeypatch.setattr(cs, part, corrupted)
+    check = factorization()
+    assert not check.passed and check.max_error > 1e-11
 
 def test_partial_isometry_mapping():
     rule = rule_default()
@@ -168,23 +217,23 @@ def test_partial_isometries_compose_to_projector():
     assert np.max(np.abs(rev @ iso.conj() - np.eye(m + 1))) < 1e-10
 
 
-def _coherent_columns(rule, cutoff, kind):
+def _coherent_columns(nodes, cutoff, kind):
     """Flattened eta_z (kind 'a-hol') or eta_breve(zbar) (kind 'hol') at
-    every node of the rule, one column per node."""
+    every node, one column per node."""
     state = cs.eta if kind == "a-hol" else (lambda z, c: cs.eta_breve(np.conj(z), c))
-    return np.array([state(z, cutoff).reshape(-1) for z in rule.nodes]).T
+    return np.array([state(z, cutoff).reshape(-1) for z in nodes]).T
 
 
-def embedded_isometry(kind, cutoff, rule):
+def embedded_isometry(kind, cutoff, nodes, weights):
     """The (M+1)^2-square linear part of a partial isometry on flattened
     coefficient arrays, from the kernel integral itself: the map
     f -> integral out(z) conj(<in(z), f>) dnu has the linear part
     integral out(z) in(z)^T dnu.  The independent reference for the sector
     form."""
     source, target = kind.split("->")
-    a = _coherent_columns(rule, cutoff, target)
-    b = _coherent_columns(rule, cutoff, source)
-    return (a * rule.weights) @ b.T
+    a = _coherent_columns(nodes, cutoff, target)
+    b = _coherent_columns(nodes, cutoff, source)
+    return (a * weights) @ b.T
 
 
 def _apply_sector_map(kind, k, c):
@@ -197,21 +246,36 @@ def _apply_sector_map(kind, k, c):
     return out
 
 
-def shifted_rule():
-    """The default rule's weights on nodes moved off the origin: its moment
-    matrix is a Hermitian G with complex entries, far from the identity,
-    so G, conj(G) and the identity can be told apart."""
+def stretched_rule():
+    """The default rule's ring weights on radii stretched by 1.3: its moment
+    matrix is diag(1.69^n), far from the identity."""
     shared = rule_default()
-    return quad.ComplexGaussRule(shared.nodes + (0.3 - 0.2j), shared.weights,
-                                 shared.radial_order, shared.angular_order)
+    return quad.ComplexGaussRule(1.3 * shared.radii, shared.ring_weights,
+                                 shared.angular_order)
+
+
+def node_sets(monkeypatch):
+    """(rule, nodes, weights): the default rule, the stretched rule, and
+    last the default rule's nodes moved off the origin.  Their moment
+    matrix is a Hermitian G with complex entries, far from the identity,
+    so G, conj(G) and the identity can be told apart, which no tensor rule
+    allows (its G is real on a covered cutoff).  No rule has these nodes,
+    so G is patched to their sums, and the default rule stands in for the
+    coverage check."""
+    for rule in (rule_default(), stretched_rule()):
+        yield rule, rule.nodes, rule.weights
+    nodes, weights = rule_default().nodes + (0.3 - 0.2j), rule_default().weights
+    monkeypatch.setattr(cs, "_moment_matrix",
+                        lambda rule, cutoff: _node_sums(nodes, weights, cutoff))
+    yield rule_default(), nodes, weights
 
 
 @pytest.mark.parametrize("kind", ["a-hol->hol", "hol->a-hol"])
-def test_partial_isometry_matches_embedded_kernel_integral(kind):
+def test_partial_isometry_matches_embedded_kernel_integral(kind, monkeypatch):
     m = 6
-    for rule in (rule_default(), shifted_rule()):
+    for rule, nodes, weights in node_sets(monkeypatch):
         k = cs.partial_isometry(kind, m, rule)
-        ref = embedded_isometry(kind, m, rule)
+        ref = embedded_isometry(kind, m, nodes, weights)
         scale = np.max(np.abs(ref))
         rng = SplitMix64(31)
         for _ in range(4):
@@ -233,17 +297,17 @@ def test_partial_isometry_matches_embedded_kernel_integral(kind):
 
 
 @pytest.mark.parametrize("kind", ["a-hol", "hol"])
-def test_resolution_check_matches_embedded_projector(kind):
+def test_resolution_check_matches_embedded_projector(kind, monkeypatch):
     m = 6
-    for rule in (rule_default(), shifted_rule()):
-        cols = _coherent_columns(rule, m, kind)
-        integral = (cols * rule.weights) @ cols.conj().T
+    got = []
+    for rule, nodes, weights in node_sets(monkeypatch):
+        cols = _coherent_columns(nodes, m, kind)
+        integral = (cols * weights) @ cols.conj().T
         ref = float(np.max(np.abs(integral - np.diag(cs.sector_projector(kind, m)))))
-        got = cs.resolution_check(kind, m, rule)
-        assert abs(got - ref) <= 1e-13 * max(1.0, ref)
-    # the exact rule resolves its sector, the shifted one does not
-    assert cs.resolution_check(kind, m, rule_default()) < 1e-10
-    assert cs.resolution_check(kind, m, shifted_rule()) > 1.0
+        got.append(cs.resolution_check(kind, m, rule))
+        assert abs(got[-1] - ref) <= 1e-13 * max(1.0, ref)
+    # the exact rule resolves its sector, the stretched and shifted nodes do not
+    assert got[0] < 1e-10 and min(got[1:]) > 1.0
 
 
 def test_coherent_suite_stays_at_sector_size():
@@ -275,6 +339,27 @@ def test_vector_cs_residuals():
 
 def test_modular_spectral_consistency():
     assert cs.modular_spectral_check(0.7, 8) < 1e-12
+
+
+def test_modular_spectral_relative_companion(monkeypatch):
+    eps = np.finfo(float).eps
+    # the absolute error grows with the ratios, up to e^(0.7 * 170); the
+    # relative one stays at rounding (measured 1.46e-14 at cutoff 170)
+    assert cs.modular_spectral_check(0.7, 170) > 1e30
+    for cutoff in (10, 16, 64, 170):
+        rel = cs.modular_spectral_relative_check(0.7, cutoff)
+        assert 0.0 < rel <= (2 * 0.7 * cutoff + 8) * eps
+    # one Gibbs weight off by 1e-13 relative shows at cutoff 10
+    build = mc.build_weights
+
+    def perturbed(beta, n):
+        w = build(beta, n)
+        alpha = w.alpha.copy()
+        alpha[5] *= 1.0 + 1e-13
+        return mc.GibbsWeights(beta=beta, n=n, alpha=alpha)
+
+    monkeypatch.setattr(mc, "build_weights", perturbed)
+    assert cs.modular_spectral_relative_check(0.7, 10) > 5e-14
 
 
 def test_displacement_factorization():
