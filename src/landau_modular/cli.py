@@ -1,7 +1,7 @@
 """Command-line harness: `verify <suite>` runs a verification suite and
 writes a deterministic JSON report; `export <what>` writes plot-ready
 tables.  Exit status: 0 all checks passed, 1 at least one check failed,
-2 usage or configuration error.
+2 usage or configuration error, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -161,6 +161,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -200,9 +200,11 @@ MODULAR_T_SAMPLES = (0.3, 1.0, -2.0)
 
 
 def _ratio_errors(w: mc.GibbsWeights) -> np.ndarray:
-    """|e^(-beta(n-k)) - alpha_n / alpha_k| at [n, k]."""
-    return np.array([[abs(math.exp(-w.beta * (n - k)) - w.alpha[n] / w.alpha[k])
-                      for k in range(w.n)] for n in range(w.n)])
+    """|e^(-beta(n-k)) - alpha_n / alpha_k| at [n, k], with one math.exp
+    per difference d = n - k."""
+    ref = np.array([math.exp(-w.beta * d) for d in range(1 - w.n, w.n)])
+    d = np.subtract.outer(np.arange(w.n), np.arange(w.n))
+    return np.abs(ref[d + w.n - 1] - np.divide.outer(w.alpha, w.alpha))
 
 
 def modular_spectral_check(beta: float, cutoff: int) -> float:

@@ -1,13 +1,13 @@
 """Bivariate complex Hermite polynomials with exact coefficient arithmetic.
 
-A polynomial in the pair (zbar, z) is stored as two exact maps, its real
-and its imaginary part, each (m, k) -> nonzero int or Fraction multiplying
-the monomial zbar^m z^k; the arithmetic acts on the maps directly, and the
-sorted ((m, k), QC) view is built only when asked for.  Every coefficient
-of h[n, k] is an integer, (-1)^j j! C(n, j) C(k, j), so every Hermite
-polynomial has an empty imaginary map and plain int coefficients on all
-three construction routes; Fraction enters only for the halves of the
-level eigenvalues and the 1/(n! k!) of the generating function.  All
+A polynomial in the pair (zbar, z) is stored as one exact map,
+(m, k) -> nonzero int or Fraction multiplying the monomial zbar^m z^k; the
+arithmetic acts on the map directly, and the sorted ((m, k), QC) view is
+built only when asked for.  Every coefficient of h[n, k] is an integer,
+(-1)^j j! C(n, j) C(k, j), and every operator applied to them (shifts,
+derivatives, sums, real scalings) is real, so plain int coefficients come
+out of all three construction routes; Fraction enters only for the halves
+of the level eigenvalues and the 1/(n! k!) of the generating function.  All
 identities (recursion, Rodrigues form, explicit double sum, generating
 function, ladder and number actions) are checked as exact equalities of
 coefficient maps; floating point enters only at evaluation time.  The
@@ -29,16 +29,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def _exact(a):
+    """An int stays an int (every Hermite coefficient is one); any other
+    real, such as a float or a quotient, becomes an exact Fraction, and a
+    complex value raises TypeError."""
+    return a if type(a) is int else Fraction(a)
+
+
 class QC:
-    """A complex number with exact (int or Fraction) real and imaginary parts."""
+    """A complex number with exact (int or Fraction) real and imaginary
+    parts: the value type of the sorted `BivarPoly.coeffs` view."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # ints stay ints (every Hermite coefficient is one); anything else,
-        # such as a float or a quotient, becomes an exact Fraction
-        self.re = re if type(re) is int else Fraction(re)
-        self.im = im if type(im) is int else Fraction(im)
+        self.re = _exact(re)
+        self.im = _exact(im)
 
     def __add__(self, other):
         return QC(self.re + other.re, self.im + other.im)
@@ -51,12 +57,6 @@ class QC:
         if isinstance(other, QC):
             return self.re == other.re and self.im == other.im
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
 
     def __repr__(self):
         return f"QC({self.re!r}, {self.im!r})"
@@ -75,88 +75,66 @@ def _axpy(x: dict, y: dict, a=1) -> dict:
 
 
 class BivarPoly:
-    """Exact polynomial in (zbar, z): re[(m, k)] + i im[(m, k)] multiplies
-    zbar^m z^k; both maps hold nonzero int or Fraction values only."""
+    """Exact polynomial in (zbar, z): terms[(m, k)] multiplies zbar^m z^k;
+    the map holds nonzero int or Fraction values only."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("terms",)
 
-    def __init__(self, re: dict, im: dict):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def from_dict(d: dict) -> "BivarPoly":
-        """From a map (m, k) -> QC."""
-        return BivarPoly({mk: c.re for mk, c in d.items() if c.re},
-                         {mk: c.im for mk, c in d.items() if c.im})
+    def __init__(self, terms: dict):
+        self.terms = terms
 
     @property
     def coeffs(self) -> tuple:
         """Sorted tuple of ((m, k), QC) over the nonzero coefficients."""
-        re, im = self.re, self.im
-        return tuple((mk, QC(re.get(mk, 0), im.get(mk, 0)))
-                     for mk in sorted(re.keys() | im.keys()))
+        return tuple((mk, QC(c)) for mk, c in sorted(self.terms.items()))
 
     def __eq__(self, other):
         if isinstance(other, BivarPoly):
-            return self.re == other.re and self.im == other.im
+            return self.terms == other.terms
         return NotImplemented
 
     def __repr__(self):
-        return f"BivarPoly({self.coeffs!r})"
+        return f"BivarPoly({self.terms!r})"
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        return BivarPoly(_axpy(self.re, other.re), _axpy(self.im, other.im))
+        return BivarPoly(_axpy(self.terms, other.terms))
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return BivarPoly(_axpy(self.re, other.re, -1),
-                         _axpy(self.im, other.im, -1))
+        return BivarPoly(_axpy(self.terms, other.terms, -1))
 
-    def scale(self, c) -> "BivarPoly":
-        # (P + iQ)(a + ib) = (aP - bQ) + i(bP + aQ)
-        c = c if isinstance(c, QC) else QC(c)
-        a, b = c.re, c.im
-        re = {mk: a * v for mk, v in self.re.items()} if a else {}
-        im = {mk: a * v for mk, v in self.im.items()} if a else {}
-        if b:
-            re, im = _axpy(re, self.im, -b), _axpy(im, self.re, b)
-        return BivarPoly(re, im)
+    def scale(self, a) -> "BivarPoly":
+        """This polynomial times the real exact factor a."""
+        a = _exact(a)
+        return BivarPoly({mk: a * c for mk, c in self.terms.items()} if a else {})
 
 
 def poly_const(c=1) -> BivarPoly:
-    c = c if isinstance(c, QC) else QC(c)
-    return BivarPoly.from_dict({(0, 0): c})
+    c = _exact(c)
+    return BivarPoly({(0, 0): c} if c else {})
 
 
 def mul_zbar(p: BivarPoly) -> BivarPoly:
-    return BivarPoly({(m + 1, k): c for (m, k), c in p.re.items()},
-                     {(m + 1, k): c for (m, k), c in p.im.items()})
+    return BivarPoly({(m + 1, k): c for (m, k), c in p.terms.items()})
 
 
 def mul_z(p: BivarPoly) -> BivarPoly:
-    return BivarPoly({(m, k + 1): c for (m, k), c in p.re.items()},
-                     {(m, k + 1): c for (m, k), c in p.im.items()})
+    return BivarPoly({(m, k + 1): c for (m, k), c in p.terms.items()})
 
 
 def d_zbar(p: BivarPoly) -> BivarPoly:
-    return BivarPoly({(m - 1, k): m * c for (m, k), c in p.re.items() if m},
-                     {(m - 1, k): m * c for (m, k), c in p.im.items() if m})
+    return BivarPoly({(m - 1, k): m * c for (m, k), c in p.terms.items() if m})
 
 
 def d_z(p: BivarPoly) -> BivarPoly:
-    return BivarPoly({(m, k - 1): k * c for (m, k), c in p.re.items() if k},
-                     {(m, k - 1): k * c for (m, k), c in p.im.items() if k})
+    return BivarPoly({(m, k - 1): k * c for (m, k), c in p.terms.items() if k})
 
 
 def eval_poly(p: BivarPoly, z: complex) -> complex:
     """Floating-point value p(conj(z), z), summed in (m, k) order."""
     zb = complex(z).conjugate()
-    re, im = p.re, p.im
     total = 0j
-    for mk in sorted(re.keys() | im.keys()):
-        m, k = mk
-        c = complex(re.get(mk, 0)) + 1j * complex(im.get(mk, 0))
-        total += c * zb**m * z**k
+    for (m, k), c in sorted(p.terms.items()):
+        total += complex(c) * zb**m * z**k
     return total
 
 
@@ -233,7 +211,7 @@ def ch_explicit(n: int, k: int, literal: bool = False) -> BivarPoly:
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
-    re: dict = {}
+    terms: dict = {}
     nf, kf = math.factorial(n), math.factorial(k)
     for j in range(min(n, k) + 1):
         den = math.factorial(n - j) * math.factorial(k - j)
@@ -242,8 +220,8 @@ def ch_explicit(n: int, k: int, literal: bool = False) -> BivarPoly:
             num *= (-1) ** j
             den *= math.factorial(j)
         q, r = divmod(num, den)
-        re[n - j, k - j] = Fraction(num, den) if r else q
-    return BivarPoly(re, {})
+        terms[n - j, k - j] = Fraction(num, den) if r else q
+    return BivarPoly(terms)
 
 
 def generating_coeff(n: int, k: int) -> BivarPoly:
@@ -253,10 +231,10 @@ def generating_coeff(n: int, k: int) -> BivarPoly:
     gives sum_j (-1)^j zbar^(n-j) z^(k-j) / ((n-j)!(k-j)!j!), which must
     equal h[n, k] / (n! k!).
     """
-    re = {(n - j, k - j): Fraction((-1) ** j, math.factorial(n - j)
-                                   * math.factorial(k - j) * math.factorial(j))
-          for j in range(min(n, k) + 1)}
-    return BivarPoly(re, {})
+    return BivarPoly({(n - j, k - j): Fraction((-1) ** j, math.factorial(n - j)
+                                               * math.factorial(k - j)
+                                               * math.factorial(j))
+                      for j in range(min(n, k) + 1)})
 
 
 def generating_check(max_order: int) -> bool:

@@ -281,6 +281,23 @@ def test_rejected_export_writes_no_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "kms"],
+    ["export", "quad_rule"],
+])
+def test_unwritable_out_is_an_error_not_a_failed_check(args, tmp_path):
+    out = tmp_path / "missing" / "r.out"
+    proc = subprocess.run([sys.executable, "-m", "landau_modular", *args,
+                           "--out", str(out)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("cannot write output:") and str(out) in last
+    assert not out.parent.exists()
+
+
 def test_negative_hermite_cutoff_is_a_config_error(tmp_path, capsys):
     # range(-2) is empty, so the export would write only the header
     out = tmp_path / "coeffs.csv"

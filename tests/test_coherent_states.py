@@ -341,6 +341,20 @@ def test_modular_spectral_consistency():
     assert cs.modular_spectral_check(0.7, 8) < 1e-12
 
 
+def _ratio_errors_by_entry(w):
+    # the reference: one math.exp per entry, (M+1)^2 of them
+    return np.array([[abs(math.exp(-w.beta * (n - k)) - w.alpha[n] / w.alpha[k])
+                      for k in range(w.n)] for n in range(w.n)])
+
+
+@pytest.mark.parametrize("cutoff", [10, 170])
+def test_ratio_errors_match_the_entrywise_loop_bitwise(cutoff):
+    w = mc.build_weights(0.7, cutoff + 1)
+    got = cs._ratio_errors(w)
+    assert got.shape == (cutoff + 1, cutoff + 1)
+    assert got.tobytes() == _ratio_errors_by_entry(w).tobytes()
+
+
 def test_modular_spectral_relative_companion(monkeypatch):
     eps = np.finfo(float).eps
     # the absolute error grows with the ratios, up to e^(0.7 * 170); the

@@ -1,26 +1,24 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from landau_modular import complex_hermite as chp
 from landau_modular.suites import SuiteConfig, run_suite
 
 
-def poly(d):
-    return chp.BivarPoly.from_dict({mk: chp.QC(*c) for mk, c in d.items()})
-
-
 def test_base_cases():
     assert chp.ch_recursion(0, 0) == chp.poly_const(1)
-    assert chp.ch_recursion(1, 1) == poly({(1, 1): (1, 0), (0, 0): (-1, 0)})
-    assert chp.ch_recursion(2, 1) == poly({(2, 1): (1, 0), (1, 0): (-2, 0)})
+    assert chp.ch_recursion(1, 1) == chp.BivarPoly({(1, 1): 1, (0, 0): -1})
+    assert chp.ch_recursion(2, 1) == chp.BivarPoly({(2, 1): 1, (1, 0): -2})
 
 
 def test_pure_power_rows():
     for k in range(6):
-        assert chp.ch_rodrigues(0, k) == poly({(0, k): (1, 0)})
-        assert chp.ch_rodrigues(k, 0) == poly({(k, 0): (1, 0)})
+        assert chp.ch_rodrigues(0, k) == chp.BivarPoly({(0, k): 1})
+        assert chp.ch_rodrigues(k, 0) == chp.BivarPoly({(k, 0): 1})
     # deep enough that a recursive table fill would exhaust the Python stack
-    assert chp.ch_recursion(1200, 0) == poly({(1200, 0): (1, 0)})
+    assert chp.ch_recursion(1200, 0) == chp.BivarPoly({(1200, 0): 1})
 
 
 def test_recursion_builds_each_entry_once():
@@ -85,13 +83,12 @@ def test_recursion_and_rodrigues_coefficients_are_ints():
         for k in range(13):
             for route in (chp.ch_recursion, chp.ch_rodrigues, chp.ch_explicit):
                 p = route(n, k)
-                assert not p.im
-                assert all(type(c) is int for c in p.re.values())
+                assert all(type(c) is int for c in p.terms.values())
 
 
 def test_literal_explicit_sum_disagrees():
-    assert chp.ch_explicit(1, 1, literal=True) == poly({(1, 1): (1, 0),
-                                                        (0, 0): (1, 0)})
+    assert chp.ch_explicit(1, 1, literal=True) == chp.BivarPoly({(1, 1): 1,
+                                                                 (0, 0): 1})
     diff = chp.ch_explicit(1, 1, literal=True) - chp.ch_rodrigues(1, 1)
     assert diff == chp.poly_const(2)
 
@@ -99,13 +96,13 @@ def test_literal_explicit_sum_disagrees():
 def test_generating_function_coefficients():
     assert chp.generating_coeff(0, 0) == chp.poly_const(1)
     g11 = chp.generating_coeff(1, 1)
-    assert g11 == poly({(1, 1): (1, 0), (0, 0): (-1, 0)})
+    assert g11 == chp.BivarPoly({(1, 1): 1, (0, 0): -1})
     assert chp.generating_check(8)
 
 
 def test_ladder_actions():
-    zsq = poly({(0, 2): (1, 0)})
-    assert chp.ladder_apply("a_minus", zsq) == poly({(0, 1): (2, 0)})
+    zsq = chp.BivarPoly({(0, 2): 1})
+    assert chp.ladder_apply("a_minus", zsq) == chp.BivarPoly({(0, 1): 2})
     # raising from the pure-power row generates the whole family
     for k in range(7):
         p = chp.ch_recursion(0, k)
@@ -115,27 +112,41 @@ def test_ladder_actions():
 
 
 def test_ladder_commutator_is_identity():
-    p = chp.ch_recursion(3, 2) + chp.ch_recursion(1, 4).scale(chp.QC(2, 1))
+    p = chp.ch_recursion(3, 2) + chp.ch_recursion(1, 4).scale(Fraction(2, 3))
     lhs = chp.ladder_apply("a_minus", chp.ladder_apply("a_minus_dag", p)) \
         - chp.ladder_apply("a_minus_dag", chp.ladder_apply("a_minus", p))
     assert lhs == p
 
 
-def test_complex_scaling_matches_termwise_products():
-    # (P + iQ)(a + ib) = (aP - bQ) + i(bP + aQ), against QC products
-    p = poly({(2, 1): (3, -1), (0, 4): (0, Fraction(1, 2)), (1, 0): (-5, 0)})
-    for c in (chp.QC(2, -3), chp.QC(0, 1), chp.QC(Fraction(1, 3), 0)):
-        termwise = {mk: v * c for mk, v in p.coeffs}
-        assert p.scale(c) == chp.BivarPoly.from_dict(termwise)
-    # cancelled terms leave both maps
+def test_scale_keeps_coefficients_exact():
+    p = chp.BivarPoly({(2, 1): 3, (0, 4): Fraction(1, 2), (1, 0): -5})
+    half = p.scale(0.5)
+    assert half == chp.BivarPoly({(2, 1): Fraction(3, 2), (0, 4): Fraction(1, 4),
+                                  (1, 0): Fraction(-5, 2)})
+    assert all(type(c) is Fraction for c in half.terms.values())
+    h = chp.ch_recursion(3, 2)
+    assert h.scale(-4) == chp.BivarPoly({mk: -4 * c for mk, c in h.terms.items()})
+    assert all(type(c) is int for c in h.scale(-4).terms.values())
+
+
+@pytest.mark.parametrize("factor", [1j, chp.QC(0, 1)])
+def test_scale_rejects_a_complex_factor(factor):
+    with pytest.raises(TypeError):
+        chp.ch_recursion(2, 1).scale(factor)
+
+
+def test_cancelled_terms_leave_the_map():
+    p = chp.BivarPoly({(2, 1): 3, (0, 4): Fraction(1, 2), (1, 0): -5})
     assert (p + p.scale(-1)).coeffs == ()
-    assert p - p == chp.BivarPoly({}, {})
+    assert (p - p).terms == {}
+    assert p.scale(0).terms == {}
+    assert p - p == chp.BivarPoly({})
 
 
 def test_number_operator_eigenvalues():
-    zbar = poly({(1, 0): (1, 0)})
+    zbar = chp.BivarPoly({(1, 0): 1})
     assert chp.number_apply("n_plus", zbar) == zbar
-    assert chp.number_apply("n_minus", zbar) == chp.BivarPoly({}, {})
+    assert chp.number_apply("n_minus", zbar) == chp.BivarPoly({})
     for n in range(7):
         for k in range(7):
             h = chp.ch_recursion(n, k)
@@ -166,7 +177,7 @@ def test_contiguous_relations():
 def test_normalized_basis():
     b = chp.H_basis(3, 0)
     assert b.norm_sq == 6
-    assert b.poly == poly({(3, 0): (1, 0)})
+    assert b.poly == chp.BivarPoly({(3, 0): 1})
     assert abs(chp.eval_normalized(chp.H_basis(1, 1), 1 + 1j) - 1.0) < 1e-15
 
 
