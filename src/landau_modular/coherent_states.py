@@ -137,8 +137,9 @@ def resolution_check(kind: str, cutoff: int, rule: ComplexGaussRule) -> float:
     projector; 'hol': the mirrored statement; 'bcs': the double integral
     over (u, v) against the full identity.  The sector integrals are G and
     conj(G) on their sector's index set and 0, like the projector, outside
-    it.  Refuses rules whose exactness certificate does not cover the
-    cutoff degree.
+    it.  The identity is real, so max|conj(G) - I| = max|G - I|: 'hol'
+    returns exactly the 'a-hol' value.  Refuses rules whose exactness
+    certificate does not cover the cutoff degree.
     """
     require_coverage(rule, cutoff)
     g = _moment_matrix(rule, cutoff)

@@ -1,5 +1,5 @@
 """The planar charged-particle (Landau) system on a truncated two-mode
-Fock space: ladder matrices, the rotated ladder pair A+/A-, the four
+Fock space: ladder matrices, the rotated ladder pair A+/A-, the two level
 Hamiltonians, the joint Fock basis, and the phase-space (Wigner) sampling
 of Hilbert-Schmidt operators.
 
@@ -289,14 +289,11 @@ def build_A_pm_from_qp(cut: ModeCut) -> RotatedLadders:
 
 @dataclass(frozen=True)
 class Hamiltonians:
-    """The level Hamiltonians: h_up = N- + 1/2, h_down = N+ + 1/2,
-    h0 = (N+ + N- + 1)/2, hint_up = -(N+ - N-)/2, hint_down = -hint_up."""
+    """The level Hamiltonians h_up = N- + 1/2 and h_down = N+ + 1/2, with
+    the number operators N+ = A+* A+ and N- = A-* A-."""
 
     h_up: BandedOp
     h_down: BandedOp
-    h0: BandedOp
-    hint_up: BandedOp
-    hint_down: BandedOp
     n_plus: BandedOp
     n_minus: BandedOp
 
@@ -306,12 +303,7 @@ def hamiltonians(cut: ModeCut) -> Hamiltonians:
     n_plus = ops.a_plus_dag @ ops.a_plus
     n_minus = ops.a_minus_dag @ ops.a_minus
     eye = BandedOp(cut.dim, {0: np.ones(cut.dim, dtype=complex)})
-    h_up = n_minus + 0.5 * eye
-    h_down = n_plus + 0.5 * eye
-    h0 = 0.5 * (n_plus + n_minus + eye)
-    hint_up = -0.5 * (n_plus - n_minus)
-    return Hamiltonians(h_up=h_up, h_down=h_down, h0=h0,
-                        hint_up=hint_up, hint_down=-hint_up,
+    return Hamiltonians(h_up=n_minus + 0.5 * eye, h_down=n_plus + 0.5 * eye,
                         n_plus=n_plus, n_minus=n_minus)
 
 

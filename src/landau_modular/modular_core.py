@@ -109,7 +109,6 @@ class ModularTriple:
     [i, j]).
     """
 
-    weights: GibbsWeights
     J: WeightedConjugation
     S: WeightedConjugation
     delta: np.ndarray
@@ -119,13 +118,12 @@ class ModularTriple:
 def build_modular_triple(w: GibbsWeights) -> ModularTriple:
     ratio = np.divide.outer(w.alpha, w.alpha)  # [i, j] -> alpha_i / alpha_j
     sq = np.sqrt(ratio)
-    # store Delta as the literal square of the stored square roots so the
-    # polar identities Delta = S*S and S = J Delta^(1/2) are float-exact
-    delta = sq * sq
+    # Delta is the literal square of the stored square roots, so the polar
+    # identities Delta = S* S and S = J Delta^(1/2) hold bit for bit by
+    # construction; only a route to S from its definition can test them
     j = conjugation_J(w.n)
-    s = WeightedConjugation(j.weight * sq)
-    big_h = -np.log(ratio) / w.beta
-    return ModularTriple(weights=w, J=j, S=s, delta=delta, big_h=big_h)
+    return ModularTriple(J=j, S=WeightedConjugation(j.weight * sq), delta=sq * sq,
+                         big_h=-np.log(ratio) / w.beta)
 
 
 def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:

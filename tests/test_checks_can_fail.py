@@ -1,0 +1,355 @@
+"""Every check can fail: a mutation table for the modular, landau,
+quadrature and coherent suites.
+
+Each row names one check, one mutation and the exact set of checks that
+the mutation turns red.  A mutation replaces one library function, one
+library constant or one input (through monkeypatch); the row then runs
+that one suite at the default configuration.  A check that no mutation
+outside it can turn red tests nothing, and is deleted rather than given a
+weaker row.  The two landau checks that are red at the default
+configuration have no row of their own and are in every landau row's set.
+
+The per-process caches (quadrature rules, moment matrices, ladders, the
+position eigensystem, the Hermite tables) are swapped for fresh ones in
+each row, so a mutated object is never read from a clean cache and never
+left behind in one.  Two more tests keep the table whole: one pins every
+suite's ordered check names, so a check that vanishes or is renamed is
+noticed, and one requires a row for each check of the four suites.
+"""
+
+import dataclasses
+import math
+import weakref
+
+import numpy as np
+import pytest
+
+from landau_modular import cgauss_quad as quad
+from landau_modular import coherent_states as cs
+from landau_modular import complex_hermite as ch
+from landau_modular import hs_space
+from landau_modular import landau_modes as lm
+from landau_modular import modular_core as mc
+from landau_modular import suites
+from landau_modular.hs_space import WeightedConjugation
+
+LANDAU_REDS = {"fock_eigenvalues", "fock_orthonormality"}
+
+
+# --- mutations: each takes the original object and returns its replacement
+
+
+def _phi_off_diagonal(cyclic_vector):
+    # a Phi that is not self-adjoint: one entry off the diagonal
+    def mutant(w):
+        phi = cyclic_vector(w)
+        phi[0, 1] = 1e-6
+        return phi
+    return mutant
+
+
+def _triple_with(**change):
+    # build_modular_triple with one field replaced, computed from w and the
+    # clean triple
+    def mutation(build):
+        def mutant(w):
+            t = build(w)
+            return dataclasses.replace(t, **{k: f(w, t) for k, f in change.items()})
+        return mutant
+    return mutation
+
+
+def _sqrt_delta_as_power_04(w, t):
+    # Delta^(1/2) computed as (alpha_i / alpha_j)^0.4
+    return WeightedConjugation(t.J.weight * np.divide.outer(w.alpha, w.alpha) ** 0.4)
+
+
+def _j_doubling_one_entry(w, t):
+    # J with weight 2 on E_01 (off the diagonal, so J Phi is unchanged)
+    weight = np.ones((w.n, w.n))
+    weight[0, 1] = 2.0
+    return WeightedConjugation(weight)
+
+
+def _flow_without_conj(modular_flow):
+    # u A u instead of u A u*
+    def mutant(w, t, a):
+        u = np.exp(1j * t * w.energies)
+        return (u[:, None] * a) * u[None, :]
+    return mutant
+
+
+def _in_span_dropping_last(in_span):
+    # an off-by-one that drops the last basis element
+    return lambda basis, target: in_span(basis[:-1], target)
+
+
+def _scaled_a_y(mode_ops):
+    def mutant(cut):
+        ax, ay = mode_ops(cut)
+        return ax, ay * 1.01
+    return mutant
+
+
+def _phase_on_a_y(mode_ops):
+    # a_y times i: the ladders still obey the CCR, but are no longer real
+    def mutant(cut):
+        ax, ay = mode_ops(cut)
+        return ax, ay * 1j
+    return mutant
+
+
+def _swapped_pair(build_from_qp):
+    def mutant(cut):
+        ops = build_from_qp(cut)
+        return lm.RotatedLadders(a_plus=ops.a_minus, a_plus_dag=ops.a_minus_dag,
+                                 a_minus=ops.a_plus, a_minus_dag=ops.a_plus_dag)
+    return mutant
+
+
+def _x_field_on_both(hamiltonians):
+    # the same real potential (x-position / 10) added to H_up and H_down:
+    # complex conjugation still exchanges them, but they stop commuting
+    def mutant(cut):
+        h = hamiltonians(cut)
+        ax, _ = lm.mode_ops(cut)
+        x = (ax + ax.dag()) * (0.1 / math.sqrt(2.0))
+        return dataclasses.replace(h, h_up=h.h_up + x, h_down=h.h_down + x)
+    return mutant
+
+
+def _laguerre_weight_moved(index, delta):
+    # delta moved from ring index + 1 to ring index, or, for index -1, added
+    # to the outermost ring (below the rounding of the weights' sum)
+    def mutation(gauss_laguerre):
+        def mutant(n):
+            x, w = gauss_laguerre(n)
+            w = w.copy()
+            w[index] += delta
+            if index >= 0:
+                w[index + 1] -= delta
+            return x, w
+        return mutant
+    return mutation
+
+
+def _reversed_sector_map(partial_isometry):
+    # 'a-hol->hol' sends B[n, 0] to B[0, M - n] instead of B[0, n]
+    def mutant(kind, cutoff, rule):
+        k = partial_isometry(kind, cutoff, rule)
+        return k[::-1] if kind == "a-hol->hol" else k
+    return mutant
+
+
+def _angular_mean_off(angular_means):
+    # A[d = cutoff] off by 1e-11, under the resolutions' 1e-10 bound
+    def mutant(rule, cutoff):
+        a = angular_means(rule, cutoff).copy()
+        a[-1] += 1e-11
+        return a
+    return mutant
+
+
+def _j_sign_on_one_entry(conjugation_J):
+    def mutant(n):
+        weight = np.ones((n, n))
+        weight[0, 1] = -1.0
+        return WeightedConjugation(weight)
+    return mutant
+
+
+def _gibbs_weight_off(build_weights):
+    # the last Gibbs weight off by 1e-12 relative
+    def mutant(beta, n):
+        w = build_weights(beta, n)
+        alpha = w.alpha.copy()
+        alpha[-1] *= 1.0 + 1e-12
+        return mc.GibbsWeights(beta=beta, n=n, alpha=alpha)
+    return mutant
+
+
+def _flow_superop_without_conj(flow_superop):
+    def mutant(w, t):
+        u = np.exp(1j * t * w.energies)
+        return np.multiply.outer(u, u)
+    return mutant
+
+
+# (suite, target, module, attribute, mutation, failing set): the mutation
+# maps the attribute's value to its replacement
+ROWS = [
+    ("modular", "cyclic_fixed_by_j", mc, "cyclic_vector", _phi_off_diagonal,
+     {"cyclic_fixed_by_j"}),
+    ("modular", "s_conjugates_orbit", mc, "build_modular_triple",
+     _triple_with(S=_sqrt_delta_as_power_04), {"s_conjugates_orbit"}),
+    ("modular", "j_antiunitary", mc, "build_modular_triple",
+     _triple_with(J=_j_doubling_one_entry), {"j_antiunitary"}),
+    ("modular", "state_flow_invariant", mc, "modular_flow", _flow_without_conj,
+     {"state_flow_invariant", "flow_preserves_left_algebra"}),
+    # the superoperator of the flow run backwards
+    ("modular", "flow_preserves_left_algebra", mc, "flow_superop",
+     lambda flow_superop: lambda w, t: flow_superop(w, -t),
+     {"flow_preserves_left_algebra"}),
+    # bigH with its sign flipped
+    ("modular", "generator_eigenvalues", mc, "build_modular_triple",
+     _triple_with(big_h=lambda w, t: -t.big_h), {"generator_eigenvalues"}),
+    ("modular", "commutant_of_left_algebra", suites, "in_span",
+     _in_span_dropping_last, {"commutant_of_left_algebra"}),
+    # a rank cutoff of 0.9 times the largest singular value: the joint stack's
+    # singular values are sqrt 6 and sqrt 12, the left stack's all sqrt 6
+    ("modular", "joint_commutant_scalar", hs_space, "SVD_RTOL", lambda rtol: 0.9,
+     {"joint_commutant_scalar"}),
+    # a tolerance of 10: every sampled B counts as a member
+    ("modular", "centralizer_predicate", mc, "CENTRALIZER_TOL", lambda tol: 10.0,
+     {"centralizer_predicate"}),
+    # Tr A in place of Tr[rho A]: still invariant under the flow
+    ("modular", "centralizer_pairing_oracle", mc, "state_eval",
+     lambda state_eval: lambda w, a: complex(np.trace(a)),
+     {"centralizer_pairing_oracle"}),
+
+    # a_y 1% too large
+    ("landau", "ccr_interior", lm, "mode_ops", _scaled_a_y,
+     {"ccr_interior", "literal_ladder_breaks_ccr", "hamiltonians_commute"}),
+    # A+ and A- swapped in the covariant-momentum route
+    ("landau", "gauge_route_agreement", lm, "build_A_pm_from_qp", _swapped_pair,
+     {"gauge_route_agreement"}),
+    # the printed A+ built as the correct one
+    ("landau", "literal_ladder_breaks_ccr", lm, "build_A_pm",
+     lambda build: lambda cut, literal=False: build(cut),
+     {"literal_ladder_breaks_ccr"}),
+    ("landau", "hamiltonians_commute", lm, "hamiltonians", _x_field_on_both,
+     {"hamiltonians_commute"}),
+    ("landau", "conjugation_intertwines", lm, "mode_ops", _phase_on_a_y,
+     {"conjugation_intertwines"}),
+    # every Hermite function 1e-9 too large
+    ("landau", "hermite_fn_orthonormal", lm, "hermite_fn",
+     lambda hermite_fn: lambda n, x: hermite_fn(n, x) * (1.0 + 1e-9),
+     {"hermite_fn_orthonormal"}),
+
+    # every integral off by 1e-9 relative, as if the weights summed to 1 + 1e-9
+    ("quadrature", "moment_exactness", quad, "integrate_values",
+     lambda integrate: lambda rule, values: integrate(rule, values) * (1.0 + 1e-9),
+     {"moment_exactness"}),
+    # at most 12 rings: exact for the moments up to degree 12, not for the
+    # basis products up to degree 24
+    ("quadrature", "basis_orthonormality", quad, "gauss_laguerre",
+     lambda gauss_laguerre: lambda n: gauss_laguerre(min(n, 12)),
+     {"basis_orthonormality"}),
+    # the orders ignored: every rule is the default one, so the three
+    # errors are equal
+    ("quadrature", "order_convergence", quad, "build_rule",
+     lambda build_rule: lambda radial, angular: build_rule(40, 64),
+     {"order_convergence"}),
+
+    # the outermost ring's weight 3e-24 too large: G is off by 2.8e-9 at
+    # n = 10, but by less than 1e-10 in the 9 x 9 block that the bi-coherent
+    # resolution reads
+    ("coherent", "resolution_antiholomorphic", quad, "gauss_laguerre",
+     _laguerre_weight_moved(-1, 3e-24),
+     {"resolution_antiholomorphic", "partial_isometry"}),
+    # 1e-8 of weight moved from the second ring to the first
+    ("coherent", "resolution_bicoherent", quad, "gauss_laguerre",
+     _laguerre_weight_moved(0, 1e-8),
+     {"resolution_antiholomorphic", "resolution_bicoherent", "partial_isometry"}),
+    ("coherent", "partial_isometry", cs, "partial_isometry", _reversed_sector_map,
+     {"partial_isometry"}),
+    ("coherent", "moment_factorization", cs, "_angular_means", _angular_mean_off,
+     {"moment_factorization"}),
+    # the transpose forgotten: the identity permutation
+    ("coherent", "conjugated_projectors", suites, "transpose_permutation",
+     lambda transpose_permutation: lambda n: np.arange(n * n),
+     {"conjugated_projectors"}),
+    # J with weight -1 on E_01
+    ("coherent", "bicoherent_conjugation", mc, "conjugation_J", _j_sign_on_one_entry,
+     {"bicoherent_conjugation"}),
+    # B[n, k] divided by sqrt(n! k! + 1)
+    ("coherent", "reproducing_kernel", ch, "eval_normalized",
+     lambda evaluate: lambda p, z: ch.eval_poly(p.poly, z) / math.sqrt(p.norm_sq + 1),
+     {"reproducing_kernel"}),
+    # the raising matrix in place of the lowering one
+    ("coherent", "coherent_eigenvalue", cs, "ladder",
+     lambda ladder: lambda n: ladder(n).T, {"coherent_eigenvalue"}),
+    # u u in place of u u*: the flow no longer fixes the thermal vector
+    ("coherent", "modular_spectral", mc, "flow_superop", _flow_superop_without_conj,
+     {"modular_spectral"}),
+    ("coherent", "modular_spectral_relative", mc, "build_weights", _gibbs_weight_off,
+     {"modular_spectral", "modular_spectral_relative"}),
+    # the finite sums at conj(alpha)
+    ("coherent", "displacement_factorization", cs, "_raising_exp",
+     lambda raising_exp: lambda alpha, ncut: raising_exp(np.conj(alpha), ncut),
+     {"displacement_factorization"}),
+    # the eigensolved displacement at (x, -y)
+    ("coherent", "displacement_vacuum_column", cs, "displacement",
+     lambda displacement: lambda ncut, x, y: displacement(ncut, x, -y),
+     {"displacement_factorization", "displacement_vacuum_column"}),
+]
+
+
+def _fresh_caches(monkeypatch) -> None:
+    monkeypatch.setattr(quad, "_RULES", {})
+    monkeypatch.setattr(cs, "_MOMENTS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(lm, "_LADDERS", {})
+    monkeypatch.setattr(lm, "_POSITION", {})
+    monkeypatch.setattr(ch, "_TABLE", {(0, 0): ch.poly_const(1)})
+    monkeypatch.setattr(ch, "_RODRIGUES", {(0, 0): ch.poly_const(1)})
+
+
+def failing_checks(suite: str) -> set:
+    report = suites.run_suite(suite, suites.SuiteConfig())[0]
+    return {c.name for c in report.checks if not c.passed}
+
+
+@pytest.mark.parametrize(
+    "suite, target, module, attribute, mutation, failing", ROWS,
+    ids=[f"{row[0]}/{row[1]}" for row in ROWS])
+def test_mutation_turns_check_red(monkeypatch, suite, target, module, attribute,
+                                  mutation, failing):
+    assert target in failing
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(module, attribute, mutation(getattr(module, attribute)))
+    reds = LANDAU_REDS if suite == "landau" else set()
+    assert failing_checks(suite) == failing | reds
+
+
+CHECK_NAMES = {
+    "modular": [
+        "cyclic_fixed_by_j", "s_conjugates_orbit", "j_antiunitary",
+        "state_flow_invariant", "flow_preserves_left_algebra",
+        "generator_eigenvalues", "commutant_of_left_algebra",
+        "joint_commutant_scalar", "centralizer_predicate",
+        "centralizer_pairing_oracle"],
+    "kms": ["closed_form_pair", "real_time_agreement", "boundary_condition"],
+    "landau": [
+        "ccr_interior", "gauge_route_agreement", "literal_ladder_breaks_ccr",
+        "hamiltonians_commute", "fock_eigenvalues", "fock_orthonormality",
+        "conjugation_intertwines", "hermite_fn_orthonormal"],
+    "hermite": [
+        "three_way_equality", "literal_sum_erratum", "index_symmetry",
+        "contiguous_relations", "ladder_generation", "number_eigenvalues",
+        "level_eigenvalues", "real_hermite_recursion", "generating_function"],
+    "quadrature": ["moment_exactness", "basis_orthonormality", "order_convergence"],
+    "coherent": [
+        "resolution_antiholomorphic", "resolution_bicoherent", "partial_isometry",
+        "moment_factorization", "conjugated_projectors", "bicoherent_conjugation",
+        "reproducing_kernel", "coherent_eigenvalue", "modular_spectral",
+        "modular_spectral_relative", "displacement_factorization",
+        "displacement_vacuum_column"],
+    "wigner": [
+        "closed_form_literal", "closed_form_corrected", "origin_normalization",
+        "vacuum_gaussian", "displacement_rotation"],
+}
+
+
+def test_check_names_are_pinned():
+    reports = suites.run_suite("all", suites.SuiteConfig())
+    assert {r.suite: [c.name for c in r.checks] for r in reports} == CHECK_NAMES
+    assert list(CHECK_NAMES) == list(suites.SUITE_NAMES)
+
+
+def test_every_check_of_the_four_suites_has_a_row():
+    rows = {}
+    for suite, target, *_ in ROWS:
+        rows.setdefault(suite, []).append(target)
+    kept = {suite: [name for name in CHECK_NAMES[suite] if name not in LANDAU_REDS]
+            for suite in ("modular", "landau", "quadrature", "coherent")}
+    assert rows == kept
