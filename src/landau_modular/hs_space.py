@@ -100,28 +100,31 @@ def commutant_basis(generators: Sequence[np.ndarray]) -> tuple[int, list[np.ndar
 
     Solves the stacked linear system [M, G_k] = 0 over all k, in the
     generators' common dtype, at least double, so real generators give a
-    real factorization.  One QR reduces the stack to its square R factor,
-    which has the same singular values and right singular vectors and,
-    unlike a Gram matrix, does not square the condition number; singular
-    values of R below SVD_RTOL times the largest count as zero.
+    real factorization.  The stack is never formed: each generator's
+    d^2 x d^2 block is folded into the running square R factor by one QR of
+    R on top of the block, so memory stays at one block plus R whatever the
+    number of generators.  R* R is the stack's Gram matrix, so R has the
+    stack's singular values and right singular vectors and, unlike that
+    Gram matrix, does not square the condition number; singular values of
+    R below SVD_RTOL times the largest count as zero.
     """
     if len(generators) == 0:
         raise ValueError("commutant of an empty generator list is undefined here")
     d = generators[0].shape[0]
     if any(g.shape != (d, d) for g in generators):
         raise ValueError("generators must share one dimension")
-    gens = np.asarray(generators, dtype=np.result_type(float, *generators))
-    eye = np.eye(d)
-    # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec: the row
-    # (i, a) and column (j, b) of the block of G hold G_ij 1_ab - 1_ij G_ba
-    stacked = np.einsum("kij,ab->kiajb", gens, eye)
-    stacked -= np.einsum("ij,kba->kiajb", eye, gens)
-    # the stack has at least as many rows as columns, so R is d^2 x d^2
-    _, s, vh = np.linalg.svd(np.linalg.qr(stacked.reshape(-1, d * d), mode="r"))
+    dtype = np.result_type(float, *generators)
+    eye = np.eye(d, dtype=dtype)
+    r = np.empty((0, d * d), dtype=dtype)
+    for g in generators:
+        # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec
+        block = np.kron(g, eye) - np.kron(eye, g.T)
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    _, s, vh = np.linalg.svd(r)
     cutoff = SVD_RTOL * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     null = vh[rank:].conj()
-    basis = [null[r].reshape(d, d) for r in range(null.shape[0])]
+    basis = [row.reshape(d, d) for row in null]
     return len(basis), basis
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_linalg import HermitianEig, adjoint, hermitian_eig, hermitian_function
-from . import complex_hermite as ch
 
 
 @dataclass(frozen=True)
@@ -395,9 +394,9 @@ def displacement(ncut: int, x: float, y: float) -> np.ndarray:
     a = ladder(ncut)
     ad = adjoint(a)
     s2 = math.sqrt(2.0)
-    q = (a + ad) / s2
-    p = (a - ad) / (1j * s2)
-    return hermitian_function(x * q + y * p, lambda lam: np.exp(-1j * lam))
+    generator = x * ((a + ad) / s2) + y * ((a - ad) / (1j * s2))
+    del a, ad  # not held across the eigensolve
+    return hermitian_function(generator, lambda lam: np.exp(-1j * lam))
 
 
 _POSITION: dict = {}  # ncut -> HermitianEig of Q = (a + a*)/sqrt2
@@ -469,6 +468,9 @@ def wigner_closed_form(n: int, l: int, x: float, y: float,
 
         i^(n+l) e^(-|z|^2/2) B[l,n](zbar, z) / sqrt(2 pi).
     """
+    # imported here, so that the Landau and Fock paths never load it
+    from . import complex_hermite as ch
+
     z = (x - 1j * y) / math.sqrt(2.0)
     if literal:
         val = ch.eval_normalized(ch.H_basis(n, l), z)

@@ -126,8 +126,19 @@ def build_modular_triple(w: GibbsWeights) -> ModularTriple:
                          big_h=-np.log(ratio) / w.beta)
 
 
+def _require_real_time(t: float) -> None:
+    """Reject a non-real t: the flows invert their phases by conjugating
+    them, which holds only at real t."""
+    if np.imag(t) != 0:
+        raise ValueError(
+            f"the modular flow takes a real time, got {t}; build an "
+            f"imaginary-time map from GibbsWeights.energies")
+
+
 def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:
-    """The evolved operator exp(iHt) A exp(-iHt) for the Gibbs Hamiltonian."""
+    """The evolved operator exp(iHt) A exp(-iHt) for the Gibbs Hamiltonian,
+    at real t only."""
+    _require_real_time(t)
     if a.shape != (w.n, w.n):
         raise ValueError(f"operator must be {w.n} x {w.n}, got {a.shape}")
     phases = np.exp(1j * t * w.energies)
@@ -137,7 +148,9 @@ def modular_flow(w: GibbsWeights, t: float, a: np.ndarray) -> np.ndarray:
 
 def flow_superop(w: GibbsWeights, t: float) -> np.ndarray:
     """The diagonal superoperator X -> exp(iHt) X exp(-iHt) as its N x N
-    multiplier: u_i conj(u_j) at [i, j], with u = exp(iHt) on the diagonal."""
+    multiplier: u_i conj(u_j) at [i, j], with u = exp(iHt) on the diagonal,
+    at real t only."""
+    _require_real_time(t)
     u = np.exp(1j * t * w.energies)
     return np.multiply.outer(u, u.conj())
 

@@ -483,7 +483,8 @@ def _basis_values(z: np.ndarray, deg: int) -> np.ndarray:
         h[n, 1:] = zb * h[n - 1, 1:] - ks * h[n - 1, :-1]
     norms = [[math.sqrt(math.factorial(n) * math.factorial(k)) for k in range(m)]
              for n in range(m)]
-    return (h / np.array(norms)[:, :, None]).reshape(m * m, z.shape[0])
+    h /= np.array(norms)[:, :, None]
+    return h.reshape(m * m, z.shape[0])
 
 
 def _suite_quadrature(cfg: SuiteConfig) -> Report:
@@ -499,6 +500,7 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
             [abs(quad.integrate_values(rule, zbar_pows[m] * z_pows[k])
                  - quad.gauss_moment(m, k)) / max(1.0, math.gamma((m + k) / 2.0 + 1.0))
              for m in range(13) for k in range(13) if quad.covers(rule, m, k)], 1e-12)
+    del zbar_pows, z_pows  # 26 node-sized arrays, not read again
 
     # over blocks of 4 whole rings, so no (deg+1)^2 x nodes array; in-place conj
     deg, ring = 12, 4 * rule.angular_order

@@ -1,4 +1,4 @@
-"""Every check can fail: a mutation table for the modular, landau,
+"""Every check can fail: a mutation table for the modular, kms, landau,
 quadrature and coherent suites.
 
 Each row names one check, one mutation and the exact set of checks that
@@ -14,7 +14,7 @@ position eigensystem, the Hermite tables) are swapped for fresh ones in
 each row, so a mutated object is never read from a clean cache and never
 left behind in one.  Two more tests keep the table whole: one pins every
 suite's ordered check names, so a check that vanishes or is renamed is
-noticed, and one requires a row for each check of the four suites.
+noticed, and one requires a row for each check of the suites in COVERED.
 """
 
 import dataclasses
@@ -34,6 +34,8 @@ from landau_modular import suites
 from landau_modular.hs_space import WeightedConjugation
 
 LANDAU_REDS = {"fock_eigenvalues", "fock_orthonormality"}
+# the suites whose every check has a row
+COVERED = ("modular", "kms", "landau", "quadrature", "coherent")
 
 
 # --- mutations: each takes the original object and returns its replacement
@@ -82,6 +84,16 @@ def _flow_without_conj(modular_flow):
 def _in_span_dropping_last(in_span):
     # an off-by-one that drops the last basis element
     return lambda basis, target: in_span(basis[:-1], target)
+
+
+def _boundary_factors_swapped(kms_boundary_deviation):
+    # F(t + i beta) against phi(A sigma_t(B)), the factors in the wrong order
+    def mutant(w, a, b, t_grid):
+        return float(np.max(
+            [abs(mc.kms_function(w, a, b, complex(t, w.beta))
+                 - complex(np.sum(w.alpha[:, None] * a * mc.modular_flow(w, t, b).T)))
+             for t in t_grid]))
+    return mutant
 
 
 def _scaled_a_y(mode_ops):
@@ -206,6 +218,17 @@ ROWS = [
     ("modular", "centralizer_pairing_oracle", mc, "state_eval",
      lambda state_eval: lambda w, a: complex(np.trace(a)),
      {"centralizer_pairing_oracle"}),
+
+    # the kernel at conj(z): F(t + i beta) is evaluated at t - i beta
+    ("kms", "closed_form_pair", mc, "kms_function",
+     lambda kms_function: lambda w, a, b, z: kms_function(w, a, b, np.conj(z)),
+     {"closed_form_pair", "boundary_condition"}),
+    # the flow run backwards
+    ("kms", "real_time_agreement", mc, "modular_flow",
+     lambda modular_flow: lambda w, t, a: modular_flow(w, -t, a),
+     {"real_time_agreement", "boundary_condition"}),
+    ("kms", "boundary_condition", mc, "kms_boundary_deviation",
+     _boundary_factors_swapped, {"boundary_condition"}),
 
     # a_y 1% too large
     ("landau", "ccr_interior", lm, "mode_ops", _scaled_a_y,
@@ -346,10 +369,10 @@ def test_check_names_are_pinned():
     assert list(CHECK_NAMES) == list(suites.SUITE_NAMES)
 
 
-def test_every_check_of_the_four_suites_has_a_row():
+def test_every_check_of_the_covered_suites_has_a_row():
     rows = {}
     for suite, target, *_ in ROWS:
         rows.setdefault(suite, []).append(target)
     kept = {suite: [name for name in CHECK_NAMES[suite] if name not in LANDAU_REDS]
-            for suite in ("modular", "landau", "quadrature", "coherent")}
+            for suite in COVERED}
     assert rows == kept

@@ -385,7 +385,7 @@ def test_modular_and_kms_runs_load_only_their_layers():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [
-        "[]", "[]", "['complex_hermite', 'landau_modes']"]
+        "[]", "[]", "['landau_modes']"]
 
 
 def test_export_hermite_coeffs(tmp_path):

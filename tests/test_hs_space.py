@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,40 @@ def test_commutant_dimension_matches_full_svd_of_the_stack(seed):
         for m in basis:
             for g in gens:
                 assert np.max(np.abs(m @ g - g @ m)) < 1e-10 * np.max(np.abs(g))
+
+
+def _suite_generators() -> tuple[list, list]:
+    """The modular suite's generators at n = 3: the left and the right
+    multiplications by the nine real matrix units."""
+    n, eye = 3, np.eye(3)
+    units = [matrix_unit(n, i, j).real for i in range(n) for j in range(n)]
+    return ([sandwich_superop(e, eye) for e in units],
+            [sandwich_superop(eye, e) for e in units])
+
+
+def test_commutant_of_the_suite_generators_matches_the_stack():
+    left, right = _suite_generators()
+    for gens, expected in ((left, 9), (left + right, 1)):
+        dim, basis = commutant_basis(gens)
+        assert dim == len(basis) == _stack_nullity(gens) == expected
+
+
+def _traced_peak(gens) -> int:
+    commutant_basis(gens)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        commutant_basis(gens)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_commutant_memory_is_flat_in_the_generator_count():
+    # the blocks are folded into R one at a time, never stacked: 18
+    # generators cost about what 2 do (a stacked solve costs 7 times more)
+    left, right = _suite_generators()
+    joint = left + right
+    assert _traced_peak(joint) <= 1.25 * _traced_peak(joint[:2])
 
 
 def test_commutant_of_identity_is_everything():

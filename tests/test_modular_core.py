@@ -140,6 +140,23 @@ def test_modular_flow_phase_and_invariance():
                - mc.state_eval(w, a)) < 1e-13
 
 
+# t = i beta / 4, where conjugated phases would give a multiple of
+# rho^(1/4) A rho^(1/4), not rho^(1/4) A rho^(-1/4)
+IMAGINARY_T = 0.25j * LN2
+
+
+def test_modular_flow_rejects_imaginary_time():
+    w = mc.build_weights(LN2, 4)
+    with pytest.raises(ValueError, match="GibbsWeights.energies"):
+        mc.modular_flow(w, IMAGINARY_T, SplitMix64(22).complex_matrix(4))
+
+
+def test_flow_superop_rejects_imaginary_time():
+    w = mc.build_weights(LN2, 4)
+    with pytest.raises(ValueError, match="GibbsWeights.energies"):
+        mc.flow_superop(w, IMAGINARY_T)
+
+
 def test_kms_function_examples():
     w = mc.build_weights(LN2, 4)
     eye = np.eye(4)
