@@ -14,7 +14,6 @@ point.
 Run:  python3 demos/03_hermite_and_quadrature.py
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -73,11 +72,3 @@ vals = np.array([[chp.eval_normalized(chp.H_basis(n, k), z)
 gram = (vals * rule.weights) @ vals.conj().T
 dev = float(np.max(np.abs(gram - np.eye(M * M))))
 print(f"  max | <H_a, H_b> - delta_ab | for degrees < {M}: {dev:.3e}")
-
-print("\ngenerating function check (rational, exact):")
-print("  coefficient identity holds through degree 6:",
-      chp.generating_check(6))
-
-print("\nreal Hermite polynomials (integer coefficients):")
-for n in range(5):
-    print(f"  H_{n}(x): {chp.real_hermite(n)}")

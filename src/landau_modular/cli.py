@@ -75,6 +75,9 @@ def _export_hermite_coeffs(args, out) -> None:
     deg = args.cutoff
     if deg < 0:
         raise ValueError(f"cutoff (--cutoff) must be at least 0, got {deg}")
+    if deg > quad.MAX_CUTOFF:
+        raise ValueError(f"cutoff (--cutoff) must be at most {quad.MAX_CUTOFF}, "
+                         f"got {deg}")
     writer = csv.writer(out)
     writer.writerow(["n", "k", "m", "j", "re", "im"])
     for n in range(deg + 1):

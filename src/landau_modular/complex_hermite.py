@@ -7,12 +7,11 @@ built only when asked for.  Every coefficient of h[n, k] is an integer,
 (-1)^j j! C(n, j) C(k, j), and every operator applied to them (shifts,
 derivatives, sums, real scalings) is real, so plain int coefficients come
 out of all three construction routes; Fraction enters only for the halves
-of the level eigenvalues and the 1/(n! k!) of the generating function.  All
-identities (recursion, Rodrigues form, explicit double sum, generating
-function, ladder and number actions) are checked as exact equalities of
-coefficient maps; floating point enters only at evaluation time.  The
-recursion and the Rodrigues routes each build every entry once per
-process, into a table of their own that no other route reads.
+of the level eigenvalues.  All identities (recursion, Rodrigues form,
+explicit double sum, ladder and number actions) are checked as exact
+equalities of coefficient maps; floating point enters only at evaluation
+time.  The recursion and the Rodrigues routes each build every entry once
+per process, into a table of their own that no other route reads.
 
 Conventions:
     h[n, k]     degree-(n, k) polynomial; h[0, 0] = 1, h[1, 1] = zbar z - 1
@@ -224,29 +223,6 @@ def ch_explicit(n: int, k: int, literal: bool = False) -> BivarPoly:
     return BivarPoly(terms)
 
 
-def generating_coeff(n: int, k: int) -> BivarPoly:
-    """Exact (v^n ubar^k) Taylor coefficient of exp(ubar z + v zbar - ubar v).
-
-    Choosing j factors of (-ubar v), n-j of (v zbar) and k-j of (ubar z)
-    gives sum_j (-1)^j zbar^(n-j) z^(k-j) / ((n-j)!(k-j)!j!), which must
-    equal h[n, k] / (n! k!).
-    """
-    return BivarPoly({(n - j, k - j): Fraction((-1) ** j, math.factorial(n - j)
-                                               * math.factorial(k - j)
-                                               * math.factorial(j))
-                      for j in range(min(n, k) + 1)})
-
-
-def generating_check(max_order: int) -> bool:
-    """Whether the generating-function coefficients match the recursion exactly."""
-    for n in range(max_order + 1):
-        for k in range(max_order + 1):
-            scale = Fraction(1, math.factorial(n) * math.factorial(k))
-            if generating_coeff(n, k) != ch_recursion(n, k).scale(scale):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Ladder and number operators as exact polynomial maps.
 # ---------------------------------------------------------------------------
@@ -278,7 +254,7 @@ def number_apply(which: str, p: BivarPoly) -> BivarPoly:
 
 
 # ---------------------------------------------------------------------------
-# Orthonormalized basis and real Hermite polynomials.
+# The orthonormalized basis.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -302,23 +278,3 @@ def H_basis(n: int, l: int) -> NormalizedPoly:
 
 def eval_normalized(p: NormalizedPoly, z: complex) -> complex:
     return eval_poly(p.poly, z) / math.sqrt(p.norm_sq)
-
-
-def real_hermite(n: int) -> list:
-    """Physicists' Hermite polynomial as exact integer coefficients.
-
-    Returns c with h_n(x) = sum_j c[j] x^j, built from the recursion
-    h_{n+1} = 2x h_n - 2n h_{n-1}.
-    """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    prev = [1]
-    if n == 0:
-        return prev
-    cur = [0, 2]
-    for m in range(1, n):
-        nxt = [0] + [2 * c for c in cur]
-        for j, c in enumerate(prev):
-            nxt[j] -= 2 * m * c
-        prev, cur = cur, nxt
-    return cur

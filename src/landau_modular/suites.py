@@ -443,25 +443,6 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
             "(n_minus + 1/2) h[n, l] = (l + 1/2) h[n, l], and the mirrored "
             "statement for n_plus", 0.0 if ok else 1.0, 0.0)
 
-    def recursion_holds(n: int) -> bool:
-        hn = chp.real_hermite(n)
-        lhs = [0] + hn  # x * h_n
-        rhs = [n * c for c in chp.real_hermite(n - 1)] + [0, 0]
-        hn1 = chp.real_hermite(n + 1)
-        rhs = [rhs[j] + (hn1[j] if j < len(hn1) else 0) / 2 for j in range(n + 2)]
-        lhs = lhs + [0] * (len(rhs) - len(lhs))
-        return all(abs(a - b) == 0 for a, b in zip(lhs, rhs))
-
-    ok = chp.real_hermite(3) == [0, -12, 0, 8] \
-        and all(recursion_holds(n) for n in range(1, 9))
-    s.check("real_hermite_recursion",
-            "x h_n = n h_(n-1) + h_(n+1)/2, exact integer coefficients",
-            0.0 if ok else 1.0, 0.0)
-
-    s.check("generating_function",
-            "Taylor coefficients of exp(ubar z + v zbar - ubar v) are "
-            "h[n, k]/(n! k!), exactly, indices <= 8",
-            0.0 if chp.generating_check(8) else 1.0, 0.0)
     return s.report
 
 

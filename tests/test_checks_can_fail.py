@@ -1,20 +1,20 @@
-"""Every check can fail: a mutation table for the modular, kms, landau,
-quadrature and coherent suites.
+"""Every check can fail: a mutation table for every suite.
 
 Each row names one check, one mutation and the exact set of checks that
 the mutation turns red.  A mutation replaces one library function, one
 library constant or one input (through monkeypatch); the row then runs
 that one suite at the default configuration.  A check that no mutation
 outside it can turn red tests nothing, and is deleted rather than given a
-weaker row.  The two landau checks that are red at the default
-configuration have no row of their own and are in every landau row's set.
+weaker row.  The checks that are red at the default configuration (two
+landau checks and one wigner check) have no row of their own and are in
+every row's set of their suite.
 
 The per-process caches (quadrature rules, moment matrices, ladders, the
 position eigensystem, the Hermite tables) are swapped for fresh ones in
 each row, so a mutated object is never read from a clean cache and never
 left behind in one.  Two more tests keep the table whole: one pins every
 suite's ordered check names, so a check that vanishes or is renamed is
-noticed, and one requires a row for each check of the suites in COVERED.
+noticed, and one requires a row for each check of every suite.
 """
 
 import dataclasses
@@ -33,9 +33,9 @@ from landau_modular import modular_core as mc
 from landau_modular import suites
 from landau_modular.hs_space import WeightedConjugation
 
-LANDAU_REDS = {"fock_eigenvalues", "fock_orthonormality"}
-# the suites whose every check has a row
-COVERED = ("modular", "kms", "landau", "quadrature", "coherent")
+# suite -> the checks that are red at the default configuration
+DEFAULT_REDS = {"landau": {"fock_eigenvalues", "fock_orthonormality"},
+                "wigner": {"closed_form_literal"}}
 
 
 # --- mutations: each takes the original object and returns its replacement
@@ -187,6 +187,44 @@ def _flow_superop_without_conj(flow_superop):
     return mutant
 
 
+def _explicit_tripled(ch_explicit):
+    # the corrected sum times 3 wherever min(n, k) >= 2
+    def mutant(n, k, literal=False):
+        p = ch_explicit(n, k, literal)
+        return p.scale(3) if not literal and min(n, k) >= 2 else p
+    return mutant
+
+
+def _recursion_plus(extra, *entries):
+    # h[n, k] + extra at the given (n, k)
+    def mutation(ch_recursion):
+        def mutant(n, k):
+            p = ch_recursion(n, k)
+            return p + extra if (n, k) in entries else p
+        return mutant
+    return mutation
+
+
+def _raising_doubled(ladder_apply):
+    def mutant(which, p):
+        q = ladder_apply(which, p)
+        return q.scale(2) if which == "a_plus_dag" else q
+    return mutant
+
+
+def _number_ops_swapped(number_apply):
+    # n_plus and n_minus swapped, as in the printed display
+    swap = {"n_plus": "n_minus", "n_minus": "n_plus"}
+    return lambda which, p: number_apply(swap[which], p)
+
+
+def _corrected_form_negated(wigner_closed_form):
+    def mutant(n, l, x, y, literal=False):
+        v = wigner_closed_form(n, l, x, y, literal)
+        return v if literal else -v
+    return mutant
+
+
 # (suite, target, module, attribute, mutation, failing set): the mutation
 # maps the attribute's value to its replacement
 ROWS = [
@@ -249,6 +287,31 @@ ROWS = [
      lambda hermite_fn: lambda n, x: hermite_fn(n, x) * (1.0 + 1e-9),
      {"hermite_fn_orthonormal"}),
 
+    ("hermite", "three_way_equality", ch, "ch_explicit", _explicit_tripled,
+     {"three_way_equality"}),
+    # the printed sum built as the corrected one
+    ("hermite", "literal_sum_erratum", ch, "ch_explicit",
+     lambda ch_explicit: lambda n, k, literal=False: ch_explicit(n, k),
+     {"literal_sum_erratum"}),
+    # zbar added to h[8, 8], which only the symmetry and the three-way
+    # comparison read
+    ("hermite", "index_symmetry", ch, "ch_recursion",
+     _recursion_plus(ch.mul_zbar(ch.poly_const(1)), (8, 8)),
+     {"three_way_equality", "index_symmetry"}),
+    # 1 added to h[7, 8] and to h[8, 7]: the pair stays symmetric, but
+    # zbar h[7, 8] = z h[8, 7] fails
+    ("hermite", "contiguous_relations", ch, "ch_recursion",
+     _recursion_plus(ch.poly_const(1), (7, 8), (8, 7)),
+     {"three_way_equality", "contiguous_relations"}),
+    ("hermite", "ladder_generation", ch, "ladder_apply", _raising_doubled,
+     {"ladder_generation"}),
+    # the level statement is the number statement with h/2 added to both
+    # sides, so a wrong number operator turns both red
+    ("hermite", "number_eigenvalues", ch, "number_apply", _number_ops_swapped,
+     {"number_eigenvalues", "level_eigenvalues"}),
+    ("hermite", "level_eigenvalues", ch, "number_apply", _number_ops_swapped,
+     {"number_eigenvalues", "level_eigenvalues"}),
+
     # every integral off by 1e-9 relative, as if the weights summed to 1 + 1e-9
     ("quadrature", "moment_exactness", quad, "integrate_values",
      lambda integrate: lambda rule, values: integrate(rule, values) * (1.0 + 1e-9),
@@ -305,6 +368,23 @@ ROWS = [
     ("coherent", "displacement_vacuum_column", cs, "displacement",
      lambda displacement: lambda ncut, x, y: displacement(ncut, x, -y),
      {"displacement_factorization", "displacement_vacuum_column"}),
+
+    ("wigner", "closed_form_corrected", lm, "wigner_closed_form",
+     _corrected_form_negated, {"closed_form_corrected"}),
+    # every sample 1e-9 too large: under the 1e-6 bounds, over the 1e-12 one
+    ("wigner", "origin_normalization", lm, "wigner_sample",
+     lambda wigner_sample: lambda x_op, x, y, ncut: (
+         wigner_sample(x_op, x, y, ncut) * (1.0 + 1e-9)),
+     {"origin_normalization"}),
+    # every sample at (1.01 x, 1.01 y): the origin stays where it is
+    ("wigner", "vacuum_gaussian", lm, "wigner_sample",
+     lambda wigner_sample: lambda x_op, x, y, ncut: wigner_sample(
+         x_op, 1.01 * x, 1.01 * y, ncut),
+     {"closed_form_corrected", "vacuum_gaussian"}),
+    # the eigensolved displacement at (x, -y)
+    ("wigner", "displacement_rotation", lm, "displacement",
+     lambda displacement: lambda ncut, x, y: displacement(ncut, x, -y),
+     {"displacement_rotation"}),
 ]
 
 
@@ -330,8 +410,7 @@ def test_mutation_turns_check_red(monkeypatch, suite, target, module, attribute,
     assert target in failing
     _fresh_caches(monkeypatch)
     monkeypatch.setattr(module, attribute, mutation(getattr(module, attribute)))
-    reds = LANDAU_REDS if suite == "landau" else set()
-    assert failing_checks(suite) == failing | reds
+    assert failing_checks(suite) == failing | DEFAULT_REDS.get(suite, set())
 
 
 CHECK_NAMES = {
@@ -349,7 +428,7 @@ CHECK_NAMES = {
     "hermite": [
         "three_way_equality", "literal_sum_erratum", "index_symmetry",
         "contiguous_relations", "ladder_generation", "number_eigenvalues",
-        "level_eigenvalues", "real_hermite_recursion", "generating_function"],
+        "level_eigenvalues"],
     "quadrature": ["moment_exactness", "basis_orthonormality", "order_convergence"],
     "coherent": [
         "resolution_antiholomorphic", "resolution_bicoherent", "partial_isometry",
@@ -373,6 +452,7 @@ def test_every_check_of_the_covered_suites_has_a_row():
     rows = {}
     for suite, target, *_ in ROWS:
         rows.setdefault(suite, []).append(target)
-    kept = {suite: [name for name in CHECK_NAMES[suite] if name not in LANDAU_REDS]
-            for suite in COVERED}
+    kept = {suite: [name for name in CHECK_NAMES[suite]
+                    if name not in DEFAULT_REDS.get(suite, set())]
+            for suite in suites.SUITE_NAMES}
     assert rows == kept

@@ -314,6 +314,8 @@ def test_negative_hermite_cutoff_is_a_config_error(tmp_path, capsys):
     (("delta_spectrum", "--dim", "1"), "dim (--dim) must be at least 2, got 1"),
     (("delta_spectrum", "--beta", "nan"), "beta (--beta) must be finite, got nan"),
     (("delta_spectrum", "--beta", "0"), "beta (--beta) must be positive, got 0.0"),
+    (("hermite_coeffs", "--cutoff", "171"),
+     "cutoff (--cutoff) must be at most 170, got 171"),
 ])
 def test_export_applies_the_limits_of_the_flags_it_reads(args, message, tmp_path,
                                                           capsys):

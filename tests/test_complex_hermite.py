@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -93,13 +92,6 @@ def test_literal_explicit_sum_disagrees():
     assert diff == chp.poly_const(2)
 
 
-def test_generating_function_coefficients():
-    assert chp.generating_coeff(0, 0) == chp.poly_const(1)
-    g11 = chp.generating_coeff(1, 1)
-    assert g11 == chp.BivarPoly({(1, 1): 1, (0, 0): -1})
-    assert chp.generating_check(8)
-
-
 def test_ladder_actions():
     zsq = chp.BivarPoly({(0, 2): 1})
     assert chp.ladder_apply("a_minus", zsq) == chp.BivarPoly({(0, 1): 2})
@@ -190,23 +182,6 @@ def test_level_operator_eigenvalues():
             assert up == h.scale(Fraction(2 * l + 1, 2))
             down = chp.number_apply("n_plus", h) + h.scale(half)
             assert down == h.scale(Fraction(2 * n + 1, 2))
-
-
-def test_real_hermite():
-    assert chp.real_hermite(0) == [1]
-    assert chp.real_hermite(1) == [0, 2]
-    assert chp.real_hermite(3) == [0, -12, 0, 8]
-    # x h_n = n h_(n-1) + h_(n+1)/2, exactly
-    for n in range(1, 9):
-        x_hn = [0] + chp.real_hermite(n)
-        lower = chp.real_hermite(n - 1)
-        upper = chp.real_hermite(n + 1)
-        for j in range(n + 2):
-            lo = n * lower[j] if j < len(lower) else 0
-            up = upper[j] if j < len(upper) else 0
-            val = x_hn[j] if j < len(x_hn) else 0
-            assert up % 2 == 0
-            assert val == lo + up // 2
 
 
 def test_eval():
