@@ -19,10 +19,8 @@ and on covered monomials the integral is exactly delta_{mk} m!.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
 
 import numpy as np
 
@@ -193,11 +191,3 @@ def real_gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.hermite.hermgauss(n)
     return x, w * np.exp(x**2)
 
-
-def export_rule_csv(rule: ComplexGaussRule, out: TextIO) -> None:
-    """Write nodes and weights as CSV with 17 significant digits to a text
-    stream (open files with newline="")."""
-    writer = csv.writer(out)
-    writer.writerow(["index", "re", "im", "weight"])
-    for i, (z, w) in enumerate(zip(rule.nodes, rule.weights)):
-        writer.writerow([i, f"{z.real:.17g}", f"{z.imag:.17g}", f"{w:.17g}"])

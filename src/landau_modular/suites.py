@@ -143,9 +143,13 @@ class _Suite:
                   max_error=float(np.max(errors, initial=0.0)),
                   bound=float(bound)))
 
-    def erratum(self, name: str, statement: str, witness: str) -> None:
+    def erratum(self, name: str, statement: str, check: str) -> None:
+        """Record a misprint of the paper; its witness is the named check,
+        which must already be in the report."""
+        if check not in [c.name for c in self.report.checks]:
+            raise LookupError(f"erratum {name} names no recorded check {check!r}")
         self.report.errata.append(
-            {"name": name, "statement": statement, "witness": witness})
+            {"name": name, "statement": statement, "witness": check})
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +331,7 @@ def _suite_landau(cfg: SuiteConfig) -> Report:
         "The printed expansion of A+ ends in -(1/4)(a_x* + i a_y*); deriving "
         "A+ = (Q+ + iP+)/sqrt2 gives -(1/4)(a_x* - i a_y*).  The printed "
         "form violates the stated commutation relations.",
-        "with the printed A+, [A+, A-*] = -1/8 exactly on the interior "
-        "(deviation from -1/8 is < 1e-12)")
+        "literal_ladder_breaks_ccr")
 
     h = lm.hamiltonians(cut)
     comm = h.h_up @ h.h_down - h.h_down @ h.h_up
@@ -394,7 +397,7 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
         "The printed double sum for h[n, k] omits the alternating sign "
         "(-1)^j and the 1/j!; it evaluates h[1, 1] to zbar z + 1 instead "
         "of zbar z - 1.",
-        "literal minus Rodrigues at (1, 1) equals the constant 2, exactly")
+        "literal_sum_erratum")
 
     ok = all({(j, m): c for (m, j), c in chp.ch_recursion(n, k).terms.items()}
              == chp.ch_recursion(k, n).terms
@@ -431,7 +434,7 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
         "direct differentiation of h[1, 0] = zbar gives eigenvalue 1 for "
         "the zbar-counting operator, fixing the assignment n_plus -> n, "
         "n_minus -> k.",
-        "n_plus(zbar) = zbar and n_minus(zbar) = 0, exactly")
+        "number_eigenvalues")
 
     half = Fraction(1, 2)
     ok = all(chp.number_apply("n_minus", h) + h.scale(half)
@@ -594,8 +597,7 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
         "the diagonal spectrum e^(-beta(n-k)) validated against the Gibbs "
         "construction requires the generator N+ - N- (no factor 2, "
         "opposite sign).",
-        "Delta eigenvalues match alpha_n/alpha_k to < 1e-12 with generator "
-        "N+ - N-")
+        "modular_spectral_relative")
 
     alpha = 0.5 + 0.3j
     s.check("displacement_factorization",
@@ -645,8 +647,7 @@ def _suite_wigner(cfg: SuiteConfig) -> Report:
         "omits a phase i^(n+l) and swaps the polynomial indices; no "
         "re-phasing of the basis repairs it (the diagonal n = l = 1 case "
         "fails by an exact sign).",
-        "corrected form matches the trace definition to machine precision "
-        "on the test grid; the printed form deviates by order 1")
+        "closed_form_literal")
 
     x00 = matrix_unit(1, 0, 0)
     s.check("origin_normalization", "sample of |0><0| at the origin is "

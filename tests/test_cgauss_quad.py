@@ -202,10 +202,22 @@ def test_real_rule_normalizes_gaussian():
 
 
 def test_export_csv(tmp_path):
-    rule = quad.build_rule(3, 4)
+    # the CLI is the one CSV writer of a rule; its 17 significant digits
+    # read back to the nodes and weights bit for bit
+    import csv
+
+    from landau_modular.cli import main
+
     path = tmp_path / "rule.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        quad.export_rule_csv(rule, fh)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,re,im,weight"
-    assert len(lines) == 1 + 12
+    assert main(["export", "quad_rule", "--radial", "3", "--angular", "4",
+                 "--out", str(path)]) == 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "re", "im", "weight"]
+    assert len(rows) == 1 + 12
+    rule = quad.build_rule(3, 4)
+    assert [int(r[0]) for r in rows[1:]] == list(range(12))
+    nodes = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
+    weights = np.array([float(r[3]) for r in rows[1:]])
+    assert np.array_equal(nodes, rule.nodes)
+    assert np.array_equal(weights, rule.weights)

@@ -39,6 +39,13 @@ def test_report_schema_fields():
         assert set(c) == {"name", "identity", "max_error", "bound", "pass"}
 
 
+def test_every_erratum_names_a_check_of_its_report():
+    for report in run_suite("all", SuiteConfig()):
+        names = [c.name for c in report.checks]
+        for e in report.errata:
+            assert e["witness"] in names, (report.suite, e["name"])
+
+
 def test_exact_checks_report_zero_error():
     report = run_suite("hermite", SuiteConfig())[0]
     exact = [c for c in report.checks if c.bound == 0.0]
@@ -352,10 +359,10 @@ def test_cli_and_landau_library_load_no_scipy():
         "from landau_modular import landau_modes as lm\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    main(['verify', 'all', '--seed', '42'])\n"
-        "    main(['verify', 'modular', '--dim', '32'])\n"
-        "    main(['export', 'quad_rule'])\n"
-        "    main(['export', 'delta_spectrum'])\n"
+        "    assert main(['verify', 'all', '--seed', '42']) == 1\n"
+        "    assert main(['verify', 'modular', '--dim', '32']) == 0\n"
+        "    assert main(['export', 'quad_rule']) == 0\n"
+        "    assert main(['export', 'delta_spectrum']) == 0\n"
         "lm.hamiltonians(lm.ModeCut(24))\n"
         "lm.fock_psi(lm.ModeCut(24), 2, 1)\n"
         "print(sorted(m for m in sys.modules"
@@ -406,6 +413,26 @@ def test_export_hermite_coeffs(tmp_path):
         "658f2dbebb95665a888f71a955f75d3c0cddd921e14b0e4ca9f2e4ca9812a344")
 
 
+def test_export_memory_is_flat_in_the_cutoff(tmp_path):
+    # the rows are streamed as they are computed; a table held whole (the
+    # Hermite polynomials or the CSV text) grows at least as cutoff^3
+    import tracemalloc
+
+    out = tmp_path / "coeffs.csv"
+    assert main(["export", "hermite_coeffs", "--cutoff", "20",
+                 "--out", str(out)]) == 0
+    peaks = []
+    for cutoff in ("20", "40"):
+        tracemalloc.start()
+        try:
+            assert main(["export", "hermite_coeffs", "--cutoff", cutoff,
+                         "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_export_delta_spectrum(tmp_path):
     import math
     out = tmp_path / "delta.csv"
@@ -420,7 +447,9 @@ def test_export_quad_rule(tmp_path):
     out = tmp_path / "rule.csv"
     assert main(["export", "quad_rule", "--radial", "3", "--angular", "4",
                  "--out", str(out)]) == 0
-    assert len(out.read_text().strip().splitlines()) == 13
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "index,re,im,weight"
+    assert len(lines) == 1 + 12
 
 
 def test_export_wigner_grid(tmp_path):
