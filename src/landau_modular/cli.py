@@ -5,8 +5,9 @@ tables.  Exit status: 0 all checks passed, 1 at least one check failed,
 
 An export streams its CSV rows to `--out` or stdout as it computes them,
 so no table is held in memory: `export hermite_coeffs` peaks at about
-30 MB RSS at every cutoff from 12 to 100 (2.7 s at cutoff 100, one BLAS
-thread of a 2-vCPU x86 machine); the cutoff-170 export has not been run.
+30 MB RSS at every cutoff from 12 to 170.  On one BLAS thread of a 2-vCPU
+x86 machine it takes about 1.4 s at cutoff 100 (348,552 lines) and 10 s
+at cutoff 170 (1,681,387 lines, 201 MB).
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ def coeff_eval(v: np.ndarray, w: complex) -> complex:
     total = 0j
     for (n, k), c in np.ndenumerate(v):
         if c != 0:
-            total += c * ch.eval_normalized(ch.H_basis(n, k), w)
+            total += c * ch.basis_value(n, k, w)
     return total
 
 

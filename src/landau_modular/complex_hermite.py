@@ -6,12 +6,13 @@ arithmetic acts on the map directly, and the sorted ((m, k), QC) view is
 built only when asked for.  Every coefficient of h[n, k] is an integer,
 (-1)^j j! C(n, j) C(k, j), and every operator applied to them (shifts,
 derivatives, sums, real scalings) is real, so plain int coefficients come
-out of all three construction routes; Fraction enters only for the halves
-of the level eigenvalues.  All identities (recursion, Rodrigues form,
-explicit double sum, ladder and number actions) are checked as exact
-equalities of coefficient maps; floating point enters only at evaluation
-time.  The recursion and the Rodrigues routes each build every entry once
-per process, into a table of their own that no other route reads.
+out of all three construction routes; a Fraction enters only through a
+non-integer scale factor, which no `verify` or `export` run uses.  All
+identities (recursion, Rodrigues form, explicit double sum, ladder and
+number actions) are checked as exact equalities of coefficient maps;
+floating point enters only at evaluation time.  The recursion and the
+Rodrigues routes each build every entry once per process, into a table of
+their own that no other route reads; the explicit sum reads no table.
 
 Conventions:
     h[n, k]     degree-(n, k) polynomial; h[0, 0] = 1, h[1, 1] = zbar z - 1
@@ -24,7 +25,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -201,25 +201,23 @@ def ch_rodrigues(n: int, k: int) -> BivarPoly:
 def ch_explicit(n: int, k: int, literal: bool = False) -> BivarPoly:
     """h[n, k] as the finite double-factorial sum.
 
-    Corrected form: n! k! sum_j (-1)^j zbar^(n-j) z^(k-j) / ((n-j)!(k-j)!j!).
-    With literal=True the alternating sign and the 1/j! are dropped — a
-    historically printed variant kept only so tests can witness that it
+    Corrected form: sum_j c_j zbar^(n-j) z^(k-j), with
+    c_j = (-1)^j n! k! / ((n-j)! (k-j)! j!).  Each term is built from the one
+    before it: c_0 = 1 and c_(j+1) = -c_j (n - j)(k - j) / (j + 1), an exact
+    integer division, since c_(j+1) is an integer.  With literal=True the
+    alternating sign and the 1/j! are dropped, so c_(j+1) = c_j (n - j)(k - j)
+    — a historically printed variant kept only so tests can witness that it
     disagrees with the Rodrigues construction (at (1, 1) by exactly 2).
-    Each term is an exact quotient, kept an int when it divides evenly
-    (always, in both forms) and a Fraction otherwise.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
     terms: dict = {}
-    nf, kf = math.factorial(n), math.factorial(k)
+    c = 1
     for j in range(min(n, k) + 1):
-        den = math.factorial(n - j) * math.factorial(k - j)
-        num = nf * kf
+        terms[n - j, k - j] = c
+        c *= (n - j) * (k - j)
         if not literal:
-            num *= (-1) ** j
-            den *= math.factorial(j)
-        q, r = divmod(num, den)
-        terms[n - j, k - j] = Fraction(num, den) if r else q
+            c = -c // (j + 1)
     return BivarPoly(terms)
 
 
@@ -257,24 +255,8 @@ def number_apply(which: str, p: BivarPoly) -> BivarPoly:
 # The orthonormalized basis.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalizedPoly:
-    """An exact polynomial divided by the square root of an exact integer.
-
-    Represents poly / sqrt(norm_sq); used for the orthonormal basis
-    B[n, l] = h[n, l] / sqrt(n! l!), whose squared norm against the
-    Gaussian measure is norm_sq-exactly 1.
-    """
-
-    poly: BivarPoly
-    norm_sq: int
-
-
-def H_basis(n: int, l: int) -> NormalizedPoly:
-    """The orthonormal basis element h[n, l] / sqrt(n! l!)."""
-    return NormalizedPoly(poly=ch_recursion(n, l),
-                          norm_sq=math.factorial(n) * math.factorial(l))
-
-
-def eval_normalized(p: NormalizedPoly, z: complex) -> complex:
-    return eval_poly(p.poly, z) / math.sqrt(p.norm_sq)
+def basis_value(n: int, k: int, z: complex) -> complex:
+    """Floating-point value of the orthonormal basis element
+    B[n, k] = h[n, k] / sqrt(n! k!) at (conj(z), z)."""
+    return eval_poly(ch_recursion(n, k), z) / math.sqrt(
+        math.factorial(n) * math.factorial(k))

@@ -473,9 +473,9 @@ def wigner_closed_form(n: int, l: int, x: float, y: float,
 
     z = (x - 1j * y) / math.sqrt(2.0)
     if literal:
-        val = ch.eval_normalized(ch.H_basis(n, l), z)
+        val = ch.basis_value(n, l, z)
         phase = 1.0
     else:
-        val = ch.eval_normalized(ch.H_basis(l, n), z)
+        val = ch.basis_value(l, n, z)
         phase = 1j ** (n + l)
     return phase * math.exp(-abs(z) ** 2 / 2.0) * val / math.sqrt(2.0 * math.pi)

@@ -233,7 +233,9 @@ ROWS = [
     ("modular", "s_conjugates_orbit", mc, "build_modular_triple",
      _triple_with(S=_sqrt_delta_as_power_04), {"s_conjugates_orbit"}),
     ("modular", "j_antiunitary", mc, "build_modular_triple",
-     _triple_with(J=_j_doubling_one_entry), {"j_antiunitary"}),
+     _triple_with(J=_j_doubling_one_entry), {"j_antiunitary", "j_antiunitary_relative"}),
+    ("modular", "j_antiunitary_relative", mc, "build_modular_triple",
+     _triple_with(J=_j_doubling_one_entry), {"j_antiunitary", "j_antiunitary_relative"}),
     ("modular", "state_flow_invariant", mc, "modular_flow", _flow_without_conj,
      {"state_flow_invariant", "flow_preserves_left_algebra"}),
     # the superoperator of the flow run backwards
@@ -305,12 +307,8 @@ ROWS = [
      {"three_way_equality", "contiguous_relations"}),
     ("hermite", "ladder_generation", ch, "ladder_apply", _raising_doubled,
      {"ladder_generation"}),
-    # the level statement is the number statement with h/2 added to both
-    # sides, so a wrong number operator turns both red
     ("hermite", "number_eigenvalues", ch, "number_apply", _number_ops_swapped,
-     {"number_eigenvalues", "level_eigenvalues"}),
-    ("hermite", "level_eigenvalues", ch, "number_apply", _number_ops_swapped,
-     {"number_eigenvalues", "level_eigenvalues"}),
+     {"number_eigenvalues"}),
 
     # every integral off by 1e-9 relative, as if the weights summed to 1 + 1e-9
     ("quadrature", "moment_exactness", quad, "integrate_values",
@@ -349,8 +347,9 @@ ROWS = [
     ("coherent", "bicoherent_conjugation", mc, "conjugation_J", _j_sign_on_one_entry,
      {"bicoherent_conjugation"}),
     # B[n, k] divided by sqrt(n! k! + 1)
-    ("coherent", "reproducing_kernel", ch, "eval_normalized",
-     lambda evaluate: lambda p, z: ch.eval_poly(p.poly, z) / math.sqrt(p.norm_sq + 1),
+    ("coherent", "reproducing_kernel", ch, "basis_value",
+     lambda basis_value: lambda n, k, z: ch.eval_poly(ch.ch_recursion(n, k), z)
+     / math.sqrt(math.factorial(n) * math.factorial(k) + 1),
      {"reproducing_kernel"}),
     # the raising matrix in place of the lowering one
     ("coherent", "coherent_eigenvalue", cs, "ladder",
@@ -376,11 +375,6 @@ ROWS = [
      lambda wigner_sample: lambda x_op, x, y, ncut: (
          wigner_sample(x_op, x, y, ncut) * (1.0 + 1e-9)),
      {"origin_normalization"}),
-    # every sample at (1.01 x, 1.01 y): the origin stays where it is
-    ("wigner", "vacuum_gaussian", lm, "wigner_sample",
-     lambda wigner_sample: lambda x_op, x, y, ncut: wigner_sample(
-         x_op, 1.01 * x, 1.01 * y, ncut),
-     {"closed_form_corrected", "vacuum_gaussian"}),
     # the eigensolved displacement at (x, -y)
     ("wigner", "displacement_rotation", lm, "displacement",
      lambda displacement: lambda ncut, x, y: displacement(ncut, x, -y),
@@ -416,7 +410,7 @@ def test_mutation_turns_check_red(monkeypatch, suite, target, module, attribute,
 CHECK_NAMES = {
     "modular": [
         "cyclic_fixed_by_j", "s_conjugates_orbit", "j_antiunitary",
-        "state_flow_invariant", "flow_preserves_left_algebra",
+        "j_antiunitary_relative", "state_flow_invariant", "flow_preserves_left_algebra",
         "generator_eigenvalues", "commutant_of_left_algebra",
         "joint_commutant_scalar", "centralizer_predicate",
         "centralizer_pairing_oracle"],
@@ -427,8 +421,7 @@ CHECK_NAMES = {
         "conjugation_intertwines", "hermite_fn_orthonormal"],
     "hermite": [
         "three_way_equality", "literal_sum_erratum", "index_symmetry",
-        "contiguous_relations", "ladder_generation", "number_eigenvalues",
-        "level_eigenvalues"],
+        "contiguous_relations", "ladder_generation", "number_eigenvalues"],
     "quadrature": ["moment_exactness", "basis_orthonormality", "order_convergence"],
     "coherent": [
         "resolution_antiholomorphic", "resolution_bicoherent", "partial_isometry",
@@ -438,7 +431,7 @@ CHECK_NAMES = {
         "displacement_vacuum_column"],
     "wigner": [
         "closed_form_literal", "closed_form_corrected", "origin_normalization",
-        "vacuum_gaussian", "displacement_rotation"],
+        "displacement_rotation"],
 }
 
 

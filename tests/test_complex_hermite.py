@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -77,12 +78,27 @@ def test_each_route_reads_only_its_own_table(monkeypatch):
 
 def test_recursion_and_rodrigues_coefficients_are_ints():
     # every coefficient (-1)^j j! C(n, j) C(k, j) is an integer, so no route
-    # builds a Fraction: the explicit sum's quotients all divide evenly
+    # builds a Fraction: the explicit sum's term ratios all divide evenly
     for n in range(13):
         for k in range(13):
             for route in (chp.ch_recursion, chp.ch_rodrigues, chp.ch_explicit):
                 p = route(n, k)
                 assert all(type(c) is int for c in p.terms.values())
+
+
+def test_explicit_sum_matches_recursion_at_large_indices():
+    # the term ratios past the 13 x 13 block that the hermite suite compares
+    for n, k in ((40, 37), (100, 3), (170, 2)):
+        assert chp.ch_explicit(n, k) == chp.ch_recursion(n, k)
+
+
+def test_literal_terms_are_falling_factorial_products():
+    # the printed sum's coefficient of zbar^(n-j) z^(k-j) is
+    # n! k! / ((n-j)! (k-j)!)
+    for n, k in ((2, 3), (7, 4), (12, 12), (40, 37)):
+        assert chp.ch_explicit(n, k, literal=True).terms == {
+            (n - j, k - j): math.perm(n, j) * math.perm(k, j)
+            for j in range(min(n, k) + 1)}
 
 
 def test_literal_explicit_sum_disagrees():
@@ -167,10 +183,10 @@ def test_contiguous_relations():
 
 
 def test_normalized_basis():
-    b = chp.H_basis(3, 0)
-    assert b.norm_sq == 6
-    assert b.poly == chp.BivarPoly({(3, 0): 1})
-    assert abs(chp.eval_normalized(chp.H_basis(1, 1), 1 + 1j) - 1.0) < 1e-15
+    # B[3, 0] = zbar^3 / sqrt(3!) and B[1, 1] = zbar z - 1
+    z = 0.6 - 0.8j
+    assert abs(chp.basis_value(3, 0, z) - z.conjugate() ** 3 / math.sqrt(6)) < 1e-15
+    assert abs(chp.basis_value(1, 1, 1 + 1j) - 1.0) < 1e-15
 
 
 def test_level_operator_eigenvalues():

@@ -272,10 +272,10 @@ def test_wigner_suite_forms_one_block_per_grid_point(monkeypatch):
     monkeypatch.setattr(lm, "displacement_block",
                         lambda ncut, x, y, n: sizes.append(n) or block(ncut, x, y, n))
     run_suite("wigner", SuiteConfig())
-    # 25 grid points for the 16 matrix units, the origin, 25 for the vacuum
-    # and 8 full-size rotations against the direct route
-    assert len(sizes) == 59
-    assert (sizes.count(4), sizes.count(1), sizes.count(64)) == (25, 26, 8)
+    # 25 grid points for the 16 matrix units, the origin and 8 full-size
+    # rotations against the direct route
+    assert len(sizes) == 34
+    assert (sizes.count(4), sizes.count(1), sizes.count(64)) == (25, 1, 8)
 
 
 def test_wigner_rotation_matches_direct_displacement():
