@@ -233,9 +233,11 @@ ROWS = [
     ("modular", "s_conjugates_orbit", mc, "build_modular_triple",
      _triple_with(S=_sqrt_delta_as_power_04), {"s_conjugates_orbit"}),
     ("modular", "j_antiunitary", mc, "build_modular_triple",
-     _triple_with(J=_j_doubling_one_entry), {"j_antiunitary", "j_antiunitary_relative"}),
+     _triple_with(J=_j_doubling_one_entry),
+     {"j_antiunitary", "j_antiunitary_relative"}),
     ("modular", "j_antiunitary_relative", mc, "build_modular_triple",
-     _triple_with(J=_j_doubling_one_entry), {"j_antiunitary", "j_antiunitary_relative"}),
+     _triple_with(J=_j_doubling_one_entry),
+     {"j_antiunitary", "j_antiunitary_relative"}),
     ("modular", "state_flow_invariant", mc, "modular_flow", _flow_without_conj,
      {"state_flow_invariant", "flow_preserves_left_algebra"}),
     # the superoperator of the flow run backwards
@@ -410,10 +412,10 @@ def test_mutation_turns_check_red(monkeypatch, suite, target, module, attribute,
 CHECK_NAMES = {
     "modular": [
         "cyclic_fixed_by_j", "s_conjugates_orbit", "j_antiunitary",
-        "j_antiunitary_relative", "state_flow_invariant", "flow_preserves_left_algebra",
-        "generator_eigenvalues", "commutant_of_left_algebra",
-        "joint_commutant_scalar", "centralizer_predicate",
-        "centralizer_pairing_oracle"],
+        "j_antiunitary_relative", "state_flow_invariant",
+        "flow_preserves_left_algebra", "generator_eigenvalues",
+        "commutant_of_left_algebra", "joint_commutant_scalar",
+        "centralizer_predicate", "centralizer_pairing_oracle"],
     "kms": ["closed_form_pair", "real_time_agreement", "boundary_condition"],
     "landau": [
         "ccr_interior", "gauge_route_agreement", "literal_ladder_breaks_ccr",
