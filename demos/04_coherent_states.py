@@ -7,12 +7,13 @@ space HS(C^(M+1)): its norm is the Frobenius norm, and its modular data
 are modular_core's on M+1 levels (the thermal vector is cyclic_vector, the
 modular conjugation J is conjugation_J, the adjoint c -> c*).  The
 anti-holomorphic sector is the column c[:, 0], the holomorphic one the
-row c[0, :], and the maps between them are (M+1) x (M+1) matrices.
-Three families of coherent states (anti-holomorphic-sector, holomorphic-
-sector, and the full bi-coherent family) each resolve the identity on
-their sector when integrated against the Gaussian quadrature rule; the
-rule must carry an exactness certificate covering the required moments
-or the computation refuses to run.
+row c[0, :], and the maps between them are (M+1) x (M+1) matrices: the
+moment matrix G of the quadrature rule or its conjugate.  Three families
+of coherent states (anti-holomorphic-sector, holomorphic-sector, and the
+full bi-coherent family) each resolve the identity on their sector when
+integrated against the Gaussian quadrature rule; the rule must carry an
+exactness certificate covering the required moments or the computation
+refuses to run.
 
 Run:  python3 demos/04_coherent_states.py
 """
@@ -38,26 +39,28 @@ print("bi-coherent coefficient c[2,3]      =", c[2, 3])
 print("predicted v^2 ubar^3 / sqrt(2! 3!)  =",
       v ** 2 * np.conj(u) ** 3 / math.sqrt(12.0))
 
+# every sector integral below is the moment matrix G of the rule, its
+# conjugate or a block of it, built once
+g = cs.moment_matrix(rule, M)
 print("\nresolutions of identity (max deviation from the identity matrix):")
-for which in ("a-hol", "hol", "bcs"):
-    print(f"  {which:5s}: {cs.resolution_check(which, M, rule):.3e}")
+for which, p in (("a-hol", g), ("hol", g.conj()), ("bcs", np.kron(g, g.conj()))):
+    print(f"  {which:5s}: {float(np.max(np.abs(p - np.eye(p.shape[0])))):.3e}")
 
 small = quad.build_rule(2, 3)
 try:
-    cs.resolution_check("a-hol", M, small)
+    cs.moment_matrix(small, M)
 except ValueError as exc:
     print("\nan under-resolved rule is refused:")
     print("  ", exc)
 
 print("\nantilinear partial isometry between the two sectors:")
 # each map is its linear part K on the sector: column c[:, 0] -> row c[0, :]
-# as v -> K @ conj(v), and the reverse
-iso = cs.partial_isometry("a-hol->hol", M, rule)
+# as v -> K @ conj(v) with K = conj(G), and the reverse with K = G
+iso, rev = g.conj(), g
 v = np.zeros(M + 1, dtype=complex)
 v[2] = 1j
 img = iso @ v.conj()
 print("  image of i * e_(2,0) has c[0,2]   =", img[2], " (antilinear: -i)")
-rev = cs.partial_isometry("hol->a-hol", M, rule)
 comp = rev @ iso.conj()
 print("  reverse o forward vs projector    =",
       float(np.max(np.abs(comp - np.eye(M + 1)))))

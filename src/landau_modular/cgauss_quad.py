@@ -37,9 +37,9 @@ class ComplexGaussRule:
     (at index r * K + j, read-only) are derived from the ring data here and
     nowhere else, so every rule is a tensor rule.
 
-    A rule compares and hashes by identity, so a table keyed on a rule
-    (coherent_states' moment matrices) gives a hand-built rule its own
-    entry even when its ring data equal those of a shared one.
+    A rule compares and hashes by identity: its fields are arrays, for
+    which a field-by-field == has no single truth value and which have no
+    hash; two rules built from equal ring data are still two rules.
     """
 
     radii: np.ndarray         # rho_r, length R
@@ -86,7 +86,8 @@ def gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights (summing to 1) of the n-point rule for
     int_0^inf e^-s g(s) ds, 1 <= n <= MAX_RADIAL_ORDER (Golub-Welsch)."""
     if not 1 <= n <= MAX_RADIAL_ORDER:
-        raise ValueError(f"radial order must be in [1, {MAX_RADIAL_ORDER}], got {n}")
+        raise ValueError(f"radial order (--radial) must be in "
+                         f"[1, {MAX_RADIAL_ORDER}], got {n}")
     k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0)
                            + np.diag(k, 1) + np.diag(k, -1))
@@ -114,9 +115,10 @@ def build_rule(radial: int, angular: int) -> ComplexGaussRule:
     """
     rule = _RULES.get((radial, angular))
     if rule is None:
-        s, ws = gauss_laguerre(radial)
         if angular < 2:
-            raise ValueError(f"angular order must be >= 2, got {angular}")
+            raise ValueError(f"angular order (--angular) must be at least 2, "
+                             f"got {angular}")
+        s, ws = gauss_laguerre(radial)
         if not np.all(ws / angular > 0):
             # the smallest Laguerre weight is subnormal at large radial orders
             raise ValueError(
@@ -161,7 +163,8 @@ def require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
     if not covers_degree(rule, cutoff):
         raise ValueError(
             f"quadrature certificate does not cover monomial degree {cutoff}: "
-            f"need radial order >= {cutoff // 2 + 1} and angular order > {cutoff}")
+            f"need radial order (--radial) >= {cutoff // 2 + 1} and angular "
+            f"order (--angular) > {cutoff}")
 
 
 def integrate_values(rule: ComplexGaussRule, values: np.ndarray) -> complex:

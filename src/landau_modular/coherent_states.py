@@ -12,19 +12,19 @@ modular_core.flow_superop(w, -beta t), and the modular conjugation
 modular_core.conjugation_J, the adjoint c -> c*.  The
 anti-holomorphic sector is spanned by the column k = 0 (powers of zbar),
 the holomorphic sector by the row n = 0 (powers of z); each is an
-(M+1)-vector, and every map between or onto the sectors is stored at that
-size, through the moment matrix G of the quadrature rule.  G is built from
-the rule's tensor structure, a product over its rings times the mean over
-its angles, so no array of the rule's node count is formed; the same
-entries summed over the nodes by integrate_values are the independent
-route that moment_factorization_check compares it with.  The Weyl
-displacement is landau_modes.displacement.
+(M+1)-vector, and every map between or onto the sectors is the moment
+matrix G of the quadrature rule, its conjugate or a block of it, built
+once per coherent run and passed to every sector check.  G is built
+from the rule's tensor structure, a product over its rings times the
+mean over its angles, so no array of the rule's node count is formed;
+the same entries summed over the nodes by integrate_values are the
+independent route that moment_factorization_check compares it with.
+The Weyl displacement is landau_modes.displacement.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
@@ -81,9 +81,6 @@ def sector_projector(kind: str, cutoff: int) -> np.ndarray:
     return diag
 
 
-_MOMENTS = weakref.WeakKeyDictionary()  # rule -> the largest G built on it
-
-
 def _ring_powers(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
     """P[n, r] = rho_r^n / sqrt(n!), 0 <= n <= cutoff, over the rule's rings."""
     return np.array([rule.radii**n / math.sqrt(math.factorial(n))
@@ -97,84 +94,38 @@ def _angular_means(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
     return np.mean(np.exp(1j * np.multiply.outer(d, rule.angles)), axis=1)
 
 
-def _moment_matrix(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
+def moment_matrix(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
     """G[n, m] = integral of (z^n / sqrt(n!)) conj(z^m / sqrt(m!)) dnu,
-    0 <= n, m <= cutoff, read-only.
+    0 <= n, m <= cutoff.  Refuses rules whose exactness certificate does
+    not cover the cutoff degree.
 
     The rule is a tensor rule, so the sum over its nodes factors into a
     radial and an angular sum: G[n, m] = R[n, m] A[n - m] with
     R = P diag(w) P^T over the rings and A the angular means.  No array
-    of the rule's node count is built.  G is built once per rule at the
-    largest cutoff asked for, and a smaller cutoff takes its leading block
-    (no entry depends on the cutoff).  The table is keyed on the rule
-    instance (rules hash by identity) and does not keep a rule alive.
+    of the rule's node count is built.
+
+    The resolution integral of |eta_z><eta_z| dnu is G on the k = 0
+    sector, its holomorphic mirror conj(G), and the bi-coherent one
+    kron(G, conj(G)).  The antilinear map f -> integral eta_breve(zbar)
+    conj(<eta_z, f>) dnu reads the column c[:, 0], writes the row c[0, :]
+    and acts as v -> K @ conj(v) with K = conj(G); the reverse map has
+    K = G.  Neither reads outside its source sector.
     """
-    g = _MOMENTS.get(rule)
-    if g is None or g.shape[0] <= cutoff:
-        p = _ring_powers(rule, cutoff)
-        n = np.arange(cutoff + 1)
-        a = _angular_means(rule, cutoff)[np.subtract.outer(n, n) + cutoff]
-        g = ((p * rule.ring_weights) @ p.T) * a
-        g.flags.writeable = False
-        _MOMENTS[rule] = g
-    return g[:cutoff + 1, :cutoff + 1]
+    require_coverage(rule, cutoff)
+    p = _ring_powers(rule, cutoff)
+    n = np.arange(cutoff + 1)
+    a = _angular_means(rule, cutoff)[np.subtract.outer(n, n) + cutoff]
+    return ((p * rule.ring_weights) @ p.T) * a
 
 
-def moment_factorization_check(rule: ComplexGaussRule, cutoff: int) -> float:
-    """Max deviation of the factored moment matrix from the same entries
-    summed over the rule's nodes, one integrate_values sum each, an
-    independent route."""
-    pows = [rule.nodes**n / math.sqrt(math.factorial(n)) for n in range(cutoff + 1)]
+def moment_factorization_check(rule: ComplexGaussRule, g: np.ndarray) -> float:
+    """Max deviation of a leading block g of the moment matrix from the
+    same entries summed over the rule's nodes, one integrate_values sum
+    each, an independent route."""
+    pows = [rule.nodes**n / math.sqrt(math.factorial(n)) for n in range(g.shape[0])]
     direct = np.array([[integrate_values(rule, pa * pb.conj()) for pb in pows]
                        for pa in pows])
-    return float(np.max(np.abs(_moment_matrix(rule, cutoff) - direct)))
-
-
-def resolution_check(kind: str, cutoff: int, rule: ComplexGaussRule) -> float:
-    """Max deviation of a coherent-state resolution from its target.
-
-    'a-hol': integral of |eta_z><eta_z| dnu against the k = 0 sector
-    projector; 'hol': the mirrored statement; 'bcs': the double integral
-    over (u, v) against the full identity.  The sector integrals are G and
-    conj(G) on their sector's index set and 0, like the projector, outside
-    it.  The identity is real, so max|conj(G) - I| = max|G - I|: 'hol'
-    returns exactly the 'a-hol' value.  Refuses rules whose exactness
-    certificate does not cover the cutoff degree.
-    """
-    require_coverage(rule, cutoff)
-    g = _moment_matrix(rule, cutoff)
-    if kind == "a-hol":
-        return float(np.max(np.abs(g - np.eye(cutoff + 1))))
-    if kind == "hol":
-        # element ((0,a),(0,b)) = integral zbar^a z^b dnu / norms
-        return float(np.max(np.abs(g.conj() - np.eye(cutoff + 1))))
-    if kind == "bcs":
-        # c[n, k](u, v) factorizes, so the double integral is a Kronecker
-        # product of two single-plane moment matrices.
-        p = np.kron(g, g.conj())
-        return float(np.max(np.abs(p - np.eye(p.shape[0]))))
-    raise ValueError(f"unknown resolution kind {kind!r}")
-
-
-def partial_isometry(kind: str, cutoff: int, rule: ComplexGaussRule) -> np.ndarray:
-    """The antilinear cross-sector map from a coherent-state kernel
-    integral, as the (M+1) x (M+1) matrix K of its linear part: the image
-    of a source-sector vector v is K @ conj(v).
-
-    'a-hol->hol' is f -> integral eta_breve(zbar) conj(<eta_z, f>) dnu: it
-    reads the column c[:, 0], writes the row c[0, :], and sends B[n, 0] to
-    B[0, n] isometrically; K = conj(G), K[k, n] = integral zbar^k z^n dnu /
-    norms.  'hol->a-hol' is the reverse, with K = G.  Neither map reads
-    outside its source sector, so each kills the complement, and the
-    composition, antilinear after antilinear, is the linear rev @ conj(iso).
-    """
-    require_coverage(rule, cutoff)
-    g = _moment_matrix(rule, cutoff)
-    if kind == "a-hol->hol":
-        return g.conj()
-    if kind == "hol->a-hol":
-        return g
-    raise ValueError(f"unknown isometry kind {kind!r}")
+    return float(np.max(np.abs(g - direct)))
 
 
 def vector_cs_check(z: complex, cutoff: int) -> tuple[float, float, float]:

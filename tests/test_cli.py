@@ -150,12 +150,23 @@ def test_largest_finite_gibbs_ratio_is_accepted():
 
 @pytest.mark.parametrize("args, message", [
     (("all", "--cutoff", "100"),
-     "quadrature certificate does not cover monomial degree 100: "
-     "need radial order >= 51 and angular order > 100"),
+     "quadrature certificate does not cover monomial degree 100: need radial "
+     "order (--radial) >= 51 and angular order (--angular) > 100"),
     (("coherent", "--cutoff", "171", "--radial", "86", "--angular", "172"),
      "cutoff (--cutoff) must be at most 170, the largest n for which n! is "
      "a finite double, got 171"),
-    (("modular", "--radial", "500"), "radial order must be in [1, 194], got 500"),
+    (("modular", "--radial", "500"),
+     "radial order (--radial) must be in [1, 194], got 500"),
+    (("modular", "--radial", "0"),
+     "radial order (--radial) must be in [1, 194], got 0"),
+    (("modular", "--angular", "1"),
+     "angular order (--angular) must be at least 2, got 1"),
+    # both orders out of range: the angular one is named first
+    (("kms", "--radial", "0", "--angular", "0"),
+     "angular order (--angular) must be at least 2, got 0"),
+    (("coherent", "--cutoff", "12", "--radial", "6"),
+     "quadrature certificate does not cover monomial degree 12: need radial "
+     "order (--radial) >= 7 and angular order (--angular) > 12"),
 ])
 def test_unsupported_coherent_configuration_is_a_config_error(args, message, capsys):
     # the configuration is checked as a whole, before any suite runs

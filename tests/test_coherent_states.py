@@ -90,60 +90,83 @@ def test_reproducing_kernel_pointwise():
 
 
 def test_resolutions_of_identity():
-    rule = rule_default()
-    assert cs.resolution_check("a-hol", 8, rule) < 1e-10
-    assert cs.resolution_check("hol", 8, rule) < 1e-10
-    assert cs.resolution_check("bcs", 8, rule) < 1e-10
+    # the anti-holomorphic resolution is G, its holomorphic mirror conj(G),
+    # and the bi-coherent one kron(G, conj(G))
+    g = cs.moment_matrix(rule_default(), 8)
+    assert np.max(np.abs(g - np.eye(9))) < 1e-10
+    assert np.max(np.abs(g.conj() - np.eye(9))) < 1e-10
+    assert np.max(np.abs(np.kron(g, g.conj()) - np.eye(81))) < 1e-10
 
 
 def test_resolution_refuses_uncovered_rule():
     small = quad.build_rule(2, 3)
     with pytest.raises(ValueError, match="certificate"):
-        cs.resolution_check("a-hol", 8, small)
+        cs.moment_matrix(small, 8)
     # the message names the smallest radial order that covers the cutoff
     for cutoff in (9, 10, 11):
         need = min(r for r in range(1, cutoff + 2)
                    if quad.covers_degree(quad.build_rule(r, 64), cutoff))
-        with pytest.raises(ValueError, match=f"radial order >= {need} and"):
-            cs.resolution_check("a-hol", cutoff, quad.build_rule(need - 1, 64))
+        with pytest.raises(ValueError,
+                           match=rf"radial order \(--radial\) >= {need} and"):
+            cs.moment_matrix(quad.build_rule(need - 1, 64), cutoff)
 
 
 def test_coherent_suite_builds_one_moment_matrix(monkeypatch):
     from landau_modular.suites import SuiteConfig, run_suite
-    # a fresh rule table gives a fresh rule, which has no moment matrix yet
-    monkeypatch.setattr(quad, "_RULES", {}, raising=False)
     builds, calls = [], []
-    powers = cs._ring_powers
-    monkeypatch.setattr(cs, "_ring_powers",
-                        lambda rule, c: builds.append((rule, c)) or powers(rule, c))
+    moments = cs.moment_matrix
+    monkeypatch.setattr(cs, "moment_matrix",
+                        lambda rule, c: builds.append((rule, c)) or moments(rule, c))
     integrate = cs.integrate_values
     monkeypatch.setattr(cs, "integrate_values",
                         lambda rule, v: calls.append(rule) or integrate(rule, v))
     cfg = SuiteConfig(cutoff=16, radial=48, angular=96)
     run_suite("coherent", cfg)
-    # one G at the cutoff, from the ring data, shared by both resolutions,
-    # the bi-coherent block and both isometries; the only node sums are the
+    # one G at the cutoff, read by both resolutions, the bi-coherent block,
+    # both isometries and moment_factorization; the only node sums are the
     # independent route of moment_factorization, at cutoff 10
     rule = quad.build_rule(cfg.radial, cfg.angular)
     assert builds == [(rule, cfg.cutoff)]
     assert len(calls) == 11 ** 2 and all(r is rule for r in calls)
+    # nothing is kept between runs: the next run builds its own G
+    run_suite("coherent", cfg)
+    assert builds == [(rule, cfg.cutoff)] * 2
+
+
+@pytest.mark.parametrize("warm, cfg", [
+    ((40, 64, 63), {}),
+    ((86, 171, 170), {"cutoff": 8, "radial": 86, "angular": 171}),
+])
+def test_coherent_report_does_not_depend_on_earlier_moment_matrices(
+        warm, cfg, monkeypatch):
+    # a G at a larger cutoff on the same rule sums its ring products in
+    # another order; a report read from a block of it would differ in the
+    # last bits from a fresh one (the first four checks at the default
+    # configuration, moment_factorization at cutoff 8)
+    from landau_modular.suites import SuiteConfig, report_to_json, run_suite
+
+    def report():
+        return report_to_json(run_suite("coherent", SuiteConfig(**cfg))[0])
+
+    # new rules, on which nothing has been built yet
+    monkeypatch.setattr(quad, "_RULES", {})
+    fresh = report()
+    radial, angular, cutoff = warm
+    cs.moment_matrix(quad.build_rule(radial, angular), cutoff)
+    assert report() == fresh
 
 
 def test_hand_built_rule_gets_its_own_moment_matrix():
     shared = quad.build_rule(20, 24)
-    g = cs._moment_matrix(shared, 6)
-    assert not g.flags.writeable
-    # equal ring data still make a different rule, with its own G; built at
-    # a smaller cutoff, it is the leading block of the larger one
+    g = cs.moment_matrix(shared, 6)
+    # equal ring data still make a different rule
     same = quad.ComplexGaussRule(shared.radii.copy(), shared.ring_weights.copy(), 24)
     assert same != shared and hash(same) != hash(shared)
-    assert np.array_equal(cs._moment_matrix(same, 4), g[:5, :5])
     scaled = quad.ComplexGaussRule(1.1 * shared.radii, shared.ring_weights, 24)
-    g_scaled = cs._moment_matrix(scaled, 6)
+    g_scaled = cs.moment_matrix(scaled, 6)
     assert np.allclose(np.diag(g_scaled).real, 1.21 ** np.arange(7), rtol=1e-10)
     assert np.max(np.abs(g - np.eye(7))) < 1e-10
-    assert cs.resolution_check("a-hol", 6, scaled) > 1.0
-    assert cs.resolution_check("a-hol", 6, shared) < 1e-10
+    assert np.max(np.abs(g_scaled - np.eye(7))) > 1.0
 
 
 def _node_sums(nodes, weights, cutoff, block=1024):
@@ -164,9 +187,10 @@ def _node_sums(nodes, weights, cutoff, block=1024):
 def test_factored_moment_matrix_matches_node_sums(radial, angular, cutoff):
     # measured: 6.7e-16, 6.7e-16 and 3.2e-14
     rule = quad.build_rule(radial, angular)
-    g = cs._moment_matrix(rule, cutoff)
+    g = cs.moment_matrix(rule, cutoff)
     assert np.max(np.abs(g - _node_sums(rule.nodes, rule.weights, cutoff))) < 1e-13
-    assert cs.moment_factorization_check(rule, min(cutoff, 10)) < 1e-13
+    k = min(cutoff, 10) + 1
+    assert cs.moment_factorization_check(rule, g[:k, :k]) < 1e-13
 
 
 @pytest.mark.parametrize("part", ["_angular_means", "_ring_powers"])
@@ -180,8 +204,6 @@ def test_corrupted_factor_turns_moment_factorization_red(monkeypatch, part):
         return out
 
     def factorization():
-        # a fresh rule table gives a fresh rule, which has no moment matrix yet
-        monkeypatch.setattr(quad, "_RULES", {}, raising=False)
         checks = run_suite("coherent", SuiteConfig(cutoff=4))[0].checks
         return {c.name: c for c in checks}["moment_factorization"]
 
@@ -193,7 +215,7 @@ def test_corrupted_factor_turns_moment_factorization_red(monkeypatch, part):
 def test_partial_isometry_mapping():
     rule = rule_default()
     m = 6
-    iso = cs.partial_isometry("a-hol->hol", m, rule)
+    iso = cs.moment_matrix(rule, m).conj()  # the a-hol -> hol map
     assert iso.shape == (m + 1, m + 1)
     # B[2, 0], read as its column, goes to B[0, 2], written as the row
     v = np.zeros(m + 1, dtype=complex)
@@ -211,8 +233,8 @@ def test_partial_isometry_mapping():
 def test_partial_isometries_compose_to_projector():
     rule = rule_default()
     m = 6
-    iso = cs.partial_isometry("a-hol->hol", m, rule)
-    rev = cs.partial_isometry("hol->a-hol", m, rule)
+    rev = cs.moment_matrix(rule, m)
+    iso = rev.conj()
     # on the source sector, which is all the composition reads
     assert np.max(np.abs(rev @ iso.conj() - np.eye(m + 1))) < 1e-10
 
@@ -260,12 +282,12 @@ def node_sets(monkeypatch):
     matrix is a Hermitian G with complex entries, far from the identity,
     so G, conj(G) and the identity can be told apart, which no tensor rule
     allows (its G is real on a covered cutoff).  No rule has these nodes,
-    so G is patched to their sums, and the default rule stands in for the
-    coverage check."""
+    so moment_matrix is patched to their sums, and the default rule stands
+    in as its argument."""
     for rule in (rule_default(), stretched_rule()):
         yield rule, rule.nodes, rule.weights
     nodes, weights = rule_default().nodes + (0.3 - 0.2j), rule_default().weights
-    monkeypatch.setattr(cs, "_moment_matrix",
+    monkeypatch.setattr(cs, "moment_matrix",
                         lambda rule, cutoff: _node_sums(nodes, weights, cutoff))
     yield rule_default(), nodes, weights
 
@@ -274,7 +296,8 @@ def node_sets(monkeypatch):
 def test_partial_isometry_matches_embedded_kernel_integral(kind, monkeypatch):
     m = 6
     for rule, nodes, weights in node_sets(monkeypatch):
-        k = cs.partial_isometry(kind, m, rule)
+        g = cs.moment_matrix(rule, m)
+        k = g.conj() if kind == "a-hol->hol" else g  # the map's linear part
         ref = embedded_isometry(kind, m, nodes, weights)
         scale = np.max(np.abs(ref))
         rng = SplitMix64(31)
@@ -304,7 +327,9 @@ def test_resolution_check_matches_embedded_projector(kind, monkeypatch):
         cols = _coherent_columns(nodes, m, kind)
         integral = (cols * weights) @ cols.conj().T
         ref = float(np.max(np.abs(integral - np.diag(cs.sector_projector(kind, m)))))
-        got.append(cs.resolution_check(kind, m, rule))
+        g = cs.moment_matrix(rule, m)
+        resolution = g if kind == "a-hol" else g.conj()  # on the sector
+        got.append(float(np.max(np.abs(resolution - np.eye(m + 1)))))
         assert abs(got[-1] - ref) <= 1e-13 * max(1.0, ref)
     # the exact rule resolves its sector, the stretched and shifted nodes do not
     assert got[0] < 1e-10 and min(got[1:]) > 1.0
