@@ -85,9 +85,10 @@ print("  its diagonal entry 0 vs the untruncated sqrt(1 - e^-beta):",
       chi[0, 0].real, math.sqrt(1.0 - math.exp(-BETA)))
 
 print("\ndisplacement operator factorisation:")
+alpha = 0.5 + 0.3j
 print("  deviation at alpha = 0.5 + 0.3i, cut 40:",
-      f"{cs.displacement_check(0.5 + 0.3j, 40):.3e}")
+      f"{cs.displacement_check(alpha, cs.displacement_operator(alpha, 40)):.3e}")
 alpha = 0.4 - 0.6j
-col = cs.displacement_vacuum_column(alpha, 32)
+col = cs.displacement_operator(alpha, 32)[:, 0]
 expect = math.exp(-abs(alpha) ** 2 / 2.0) * alpha ** 3 / math.sqrt(6.0)
 print("  D(alpha) vacuum column entry 3:", col[3], " expected:", expect)

@@ -15,6 +15,9 @@ for the monomial conj(z)^m z^k:
               or  (m != k and |m - k| < K and min(m, k) <= 2R-1)
 
 and on covered monomials the integral is exactly delta_{mk} m!.
+
+ring_angle_sum, a sum over the rings times a mean over the angles, gives
+both the quadrature suite's basis Gram and the coherent moment matrix.
 """
 
 from __future__ import annotations
@@ -165,6 +168,22 @@ def require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
             f"quadrature certificate does not cover monomial degree {cutoff}: "
             f"need radial order (--radial) >= {cutoff // 2 + 1} and angular "
             f"order (--angular) > {cutoff}")
+
+
+def _angular_means(rule: ComplexGaussRule, span: int) -> np.ndarray:
+    """A[d + span] = mean of e^(i d theta_j) over the angles, |d| <= span."""
+    d = np.arange(-span, span + 1)
+    return np.mean(np.exp(1j * np.multiply.outer(d, rule.angles)), axis=1)
+
+
+def ring_angle_sum(rule: ComplexGaussRule, ring_values: np.ndarray,
+                   freqs: np.ndarray) -> np.ndarray:
+    """[a, b] = node sum of w f_a conj(f_b), f_a(rho_r e^(i theta)) = F[a, r]
+    e^(i freqs[a] theta) with F = ring_values: the ring sum (F w) F* times the
+    angular mean A[freqs[a] - freqs[b]], with no array of the node count."""
+    span = int(freqs.max() - freqs.min())
+    a = _angular_means(rule, span)[np.subtract.outer(freqs, freqs) + span]
+    return ((ring_values * rule.ring_weights) @ ring_values.conj().T) * a
 
 
 def integrate_values(rule: ComplexGaussRule, values: np.ndarray) -> complex:

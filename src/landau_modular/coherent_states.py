@@ -14,12 +14,10 @@ anti-holomorphic sector is spanned by the column k = 0 (powers of zbar),
 the holomorphic sector by the row n = 0 (powers of z); each is an
 (M+1)-vector, and every map between or onto the sectors is the moment
 matrix G of the quadrature rule, its conjugate or a block of it, built
-once per coherent run and passed to every sector check.  G is built
-from the rule's tensor structure, a product over its rings times the
-mean over its angles, so no array of the rule's node count is formed;
-the same entries summed over the nodes by integrate_values are the
-independent route that moment_factorization_check compares it with.
-The Weyl displacement is landau_modes.displacement.
+once per coherent run and passed to every sector check.  G comes from
+cgauss_quad.ring_angle_sum, which also gives the quadrature suite's basis
+Gram; moment_factorization_check compares it with its node sums by
+integrate_values.  The Weyl displacement is landau_modes.displacement.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ import numpy as np
 
 from . import complex_hermite as ch
 from . import modular_core as mc
-from .cgauss_quad import ComplexGaussRule, integrate_values, require_coverage
+from .cgauss_quad import (ComplexGaussRule, integrate_values, require_coverage,
+                          ring_angle_sum)
 from .landau_modes import displacement, ladder
 
 # importable from this module because perfbench/test_perfbench.py pins it here
@@ -87,22 +86,14 @@ def _ring_powers(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
                      for n in range(cutoff + 1)])
 
 
-def _angular_means(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
-    """A[d + cutoff] = mean over the rule's angles of e^(i d theta_j),
-    -cutoff <= d <= cutoff."""
-    d = np.arange(-cutoff, cutoff + 1)
-    return np.mean(np.exp(1j * np.multiply.outer(d, rule.angles)), axis=1)
-
-
 def moment_matrix(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
     """G[n, m] = integral of (z^n / sqrt(n!)) conj(z^m / sqrt(m!)) dnu,
     0 <= n, m <= cutoff.  Refuses rules whose exactness certificate does
     not cover the cutoff degree.
 
-    The rule is a tensor rule, so the sum over its nodes factors into a
-    radial and an angular sum: G[n, m] = R[n, m] A[n - m] with
-    R = P diag(w) P^T over the rings and A the angular means.  No array
-    of the rule's node count is built.
+    z^n / sqrt(n!) is P[n, r] e^(i n theta) on ring r, so ring_angle_sum
+    gives G[n, m] = R[n, m] A[n - m], R = P diag(w) P^T over the rings and
+    A the angular means, with no array of the rule's node count.
 
     The resolution integral of |eta_z><eta_z| dnu is G on the k = 0
     sector, its holomorphic mirror conj(G), and the bi-coherent one
@@ -112,10 +103,7 @@ def moment_matrix(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
     K = G.  Neither reads outside its source sector.
     """
     require_coverage(rule, cutoff)
-    p = _ring_powers(rule, cutoff)
-    n = np.arange(cutoff + 1)
-    a = _angular_means(rule, cutoff)[np.subtract.outer(n, n) + cutoff]
-    return ((p * rule.ring_weights) @ p.T) * a
+    return ring_angle_sum(rule, _ring_powers(rule, cutoff), np.arange(cutoff + 1))
 
 
 def moment_factorization_check(rule: ComplexGaussRule, g: np.ndarray) -> float:
@@ -205,7 +193,7 @@ def modular_spectral_relative_check(beta: float, cutoff: int) -> float:
     return float(np.max(_ratio_errors(w) * np.exp(beta * d)))
 
 
-def _displacement(alpha: complex, ncut: int) -> np.ndarray:
+def displacement_operator(alpha: complex, ncut: int) -> np.ndarray:
     """e^(alpha a* - conj(alpha) a) = U(-sqrt2 Im alpha, sqrt2 Re alpha), the
     phase-space displacement of landau_modes from one eigensolve."""
     s2 = math.sqrt(2.0)
@@ -223,26 +211,22 @@ def _raising_exp(alpha: complex, ncut: int) -> np.ndarray:
     return np.tril(np.cumprod(ratio, axis=0))
 
 
-def displacement_check(alpha: complex, ncut: int) -> float:
+def displacement_check(alpha: complex, u: np.ndarray) -> float:
     """Deviation between the two factorized forms of the displacement.
 
-    Compares e^(|alpha|^2 / 2) e^(alpha a* - conj(alpha) a), from one
-    eigensolve, with e^(alpha a*) e^(-conj(alpha) a), from the finite sums
-    of the two nilpotent factors (e^(-conj(alpha) a) is the transpose of
+    Compares e^(|alpha|^2 / 2) u, u from displacement_operator, with
+    e^(alpha a*) e^(-conj(alpha) a), from the finite sums of the two
+    nilpotent factors (e^(-conj(alpha) a) is the transpose of
     e^(-conj(alpha) a*)), on the lower half of the truncation.  Refuses
     cuts below 8 |alpha|^2 + 20.
     """
+    ncut = u.shape[0]
     if abs(alpha) > 1.5:
         raise ValueError(f"|alpha| must be <= 1.5, got {abs(alpha)}")
     need = 8.0 * abs(alpha) ** 2 + 20.0
     if ncut < need:
         raise ValueError(f"cut {ncut} too small: need at least {math.ceil(need)}")
-    lhs = math.exp(abs(alpha) ** 2 / 2.0) * _displacement(alpha, ncut)
+    lhs = math.exp(abs(alpha) ** 2 / 2.0) * u
     rhs = _raising_exp(alpha, ncut) @ _raising_exp(-np.conj(alpha), ncut).T
     half = ncut // 2
     return float(np.max(np.abs(lhs[:half, :half] - rhs[:half, :half])))
-
-
-def displacement_vacuum_column(alpha: complex, ncut: int) -> np.ndarray:
-    """Vacuum column of e^(alpha a* - conj(alpha) a), from one eigensolve."""
-    return _displacement(alpha, ncut)[:, 0]

@@ -288,11 +288,13 @@ def test_criterion_13_determinism(tmp_path):
 def test_criterion_13_determinism_at_reach(tmp_path):
     # the reach configurations: the phase-space rotation is a BLAS product at
     # ncut 128, the coherent moment matrix is a BLAS product over the rings at
-    # cutoffs 16 and 170, and the KMS traces are entrywise sums at dim 256
+    # cutoffs 16 and 170, the KMS traces are entrywise sums at dim 256, and
+    # the modular inner products are BLAS products at dim 256, where a BLAS
+    # dot (frob) is split across threads
     runs = (("wigner", "--ncut", "128"),
             ("coherent", "--cutoff", "16", "--radial", "48", "--angular", "96"),
             ("coherent", "--cutoff", "170", "--radial", "86", "--angular", "171"),
-            ("kms", "--dim", "256"))
+            ("kms", "--dim", "256"), ("modular", "--dim", "256"))
     for args in runs:
         outputs = []
         for tag, threads in (("a", "2"), ("b", "1")):

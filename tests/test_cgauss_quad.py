@@ -35,9 +35,10 @@ def test_verify_all_builds_the_default_rule_once(monkeypatch):
 
 
 def test_quadrature_suite_builds_no_basis_by_nodes_array():
-    # the basis Gram is summed over blocks of four rings: one 169 x 2560
-    # complex array of basis values at the default orders would be 6.9 MB
-    # (measured peak 3.75 MB; 16.2 MB with whole-rule arrays)
+    # the basis is evaluated on the 40 radii and the Gram is the ring x angle
+    # sum: one 169 x 2560 complex array of basis values at the default orders
+    # would be 6.9 MB (measured peak 1.3 MB; 2.3 MB when the Gram was summed
+    # over blocks of four rings, 16.2 MB with whole-rule arrays)
     import tracemalloc
 
     from landau_modular.suites import SuiteConfig, run_suite
@@ -49,6 +50,43 @@ def test_quadrature_suite_builds_no_basis_by_nodes_array():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_quadrature_suite_evaluates_the_basis_on_the_radii(monkeypatch):
+    from landau_modular import suites
+    points = []
+    basis_values = suites._basis_values
+    monkeypatch.setattr(suites, "_basis_values",
+                        lambda z, deg: points.append(z.shape[0]) or basis_values(z, deg))
+    cfg = suites.SuiteConfig()
+    suites.run_suite("quadrature", cfg)
+    assert points == [cfg.radial]  # 40 values per basis function, not 2560
+
+
+def _node_sum_gram(rule, deg, block=1024):
+    """The basis Gram summed over the nodes, a block of them at a time: the
+    route that neither factors the rule nor reads its rings."""
+    from landau_modular.suites import _basis_values
+    gram = np.zeros(((deg + 1) ** 2,) * 2, dtype=complex)
+    for b in range(0, rule.nodes.shape[0], block):
+        vals = _basis_values(rule.nodes[b:b + block], deg)
+        gram += (vals * rule.weights[b:b + block]) @ vals.conj().T
+    return gram
+
+
+@pytest.mark.parametrize("radial, angular", [(40, 64), (86, 171), (13, 25)])
+def test_factored_basis_gram_matches_node_sums(monkeypatch, radial, angular):
+    from landau_modular import suites
+    grams = []
+    ring_angle_sum = quad.ring_angle_sum
+    monkeypatch.setattr(quad, "ring_angle_sum",
+                        lambda *args: grams.append(ring_angle_sum(*args)) or grams[-1])
+    suites.run_suite("quadrature", suites.SuiteConfig(radial=radial, angular=angular))
+    (gram,) = grams
+    # measured: 1.06e-12, 1.65e-12 and 2.53e-12, the rounding of the two sums
+    # on diagonal entries near 1
+    rule = quad.build_rule(radial, angular)
+    assert np.max(np.abs(gram - _node_sum_gram(rule, 12))) < 5e-12
 
 
 def test_build_rule_rejects_bad_orders():

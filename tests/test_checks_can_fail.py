@@ -154,9 +154,10 @@ def _moment_matrix_shifted(moment_matrix):
 
 
 def _angular_mean_off(angular_means):
-    # A[d = cutoff] off by 1e-11, under the resolutions' 1e-10 bound
-    def mutant(rule, cutoff):
-        a = angular_means(rule, cutoff).copy()
+    # A[d = span] off by 1e-11 (span = cutoff in G), under the resolutions'
+    # 1e-10 bound
+    def mutant(rule, span):
+        a = angular_means(rule, span).copy()
         a[-1] += 1e-11
         return a
     return mutant
@@ -238,6 +239,10 @@ ROWS = [
     ("modular", "j_antiunitary_relative", mc, "build_modular_triple",
      _triple_with(J=_j_doubling_one_entry),
      {"j_antiunitary", "j_antiunitary_relative"}),
+    # the inner product without its conjugation: Tr[x^T y].  J maps it to its
+    # conjugate too, so only the norm sees it
+    ("modular", "hs_inner_norm", suites, "hs_inner",
+     lambda hs_inner: lambda x, y: complex(np.trace(x.T @ y)), {"hs_inner_norm"}),
     ("modular", "state_flow_invariant", mc, "modular_flow", _flow_without_conj,
      {"state_flow_invariant", "flow_preserves_left_algebra"}),
     # the superoperator of the flow run backwards
@@ -340,7 +345,7 @@ ROWS = [
     # measured: 7.0e-11, 1.4e-10, 1.4e-10 and 7.0e-11 on the first four checks
     ("coherent", "partial_isometry", cs, "moment_matrix", _moment_matrix_shifted,
      {"resolution_bicoherent", "partial_isometry", "moment_factorization"}),
-    ("coherent", "moment_factorization", cs, "_angular_means", _angular_mean_off,
+    ("coherent", "moment_factorization", quad, "_angular_means", _angular_mean_off,
      {"moment_factorization"}),
     # the transpose forgotten: the identity permutation
     ("coherent", "conjugated_projectors", suites, "transpose_permutation",
@@ -412,7 +417,7 @@ def test_mutation_turns_check_red(monkeypatch, suite, target, module, attribute,
 CHECK_NAMES = {
     "modular": [
         "cyclic_fixed_by_j", "s_conjugates_orbit", "j_antiunitary",
-        "j_antiunitary_relative", "state_flow_invariant",
+        "j_antiunitary_relative", "hs_inner_norm", "state_flow_invariant",
         "flow_preserves_left_algebra", "generator_eigenvalues",
         "commutant_of_left_algebra", "joint_commutant_scalar",
         "centralizer_predicate", "centralizer_pairing_oracle"],

@@ -219,7 +219,7 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(mc, "cyclic_vector", lambda w: np.full((w.n, w.n), np.nan))
         assert math.isnan(cs.modular_spectral_check(0.7, 4))
-    # the fifth inner product, in the third of the ten samples that
+    # the fifth inner product, <x, y> in the second of the ten samples that
     # j_antiunitary passes to check, goes NaN: the builtin max would keep
     # the first sample and pass
     clean = {c.name: c for c in run_suite("modular", SuiteConfig())[0].checks}

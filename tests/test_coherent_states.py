@@ -196,7 +196,9 @@ def test_factored_moment_matrix_matches_node_sums(radial, angular, cutoff):
 @pytest.mark.parametrize("part", ["_angular_means", "_ring_powers"])
 def test_corrupted_factor_turns_moment_factorization_red(monkeypatch, part):
     from landau_modular.suites import SuiteConfig, run_suite
-    good = getattr(cs, part)
+    # the angular means belong to the rule's module, the ring powers to G's
+    module = quad if part == "_angular_means" else cs
+    good = getattr(module, part)
 
     def corrupted(rule, cutoff):
         out = good(rule, cutoff).copy()
@@ -208,7 +210,7 @@ def test_corrupted_factor_turns_moment_factorization_red(monkeypatch, part):
         return {c.name: c for c in checks}["moment_factorization"]
 
     assert factorization().passed
-    monkeypatch.setattr(cs, part, corrupted)
+    monkeypatch.setattr(module, part, corrupted)
     check = factorization()
     assert not check.passed and check.max_error > 1e-11
 
@@ -402,17 +404,28 @@ def test_modular_spectral_relative_companion(monkeypatch):
 
 
 def test_displacement_factorization():
-    assert cs.displacement_check(0.0, 24) < 1e-14
-    assert cs.displacement_check(0.5 + 0.3j, 40) < 1e-8
+    for alpha, ncut, bound in ((0.0, 24, 1e-14), (0.5 + 0.3j, 40, 1e-8)):
+        u = cs.displacement_operator(alpha, ncut)
+        assert cs.displacement_check(alpha, u) < bound
     with pytest.raises(ValueError):
-        cs.displacement_check(0.5, 8)
+        cs.displacement_check(0.5, cs.displacement_operator(0.5, 8))
     with pytest.raises(ValueError):
-        cs.displacement_check(2.0, 64)
+        cs.displacement_check(2.0, cs.displacement_operator(2.0, 64))
+
+
+def test_coherent_suite_solves_the_displacement_once(monkeypatch):
+    from landau_modular.suites import SuiteConfig, run_suite
+    calls = []
+    displacement = cs.displacement
+    monkeypatch.setattr(cs, "displacement",
+                        lambda *args: calls.append(args) or displacement(*args))
+    run_suite("coherent", SuiteConfig())
+    assert len(calls) == 1  # both displacement checks read the one solve
 
 
 def test_displacement_vacuum_column():
     alpha = 0.4 - 0.6j
-    col = cs.displacement_vacuum_column(alpha, 32)
+    col = cs.displacement_operator(alpha, 32)[:, 0]
     expect = np.array([math.exp(-abs(alpha) ** 2 / 2.0) * alpha**n
                        / math.sqrt(math.factorial(n)) for n in range(32)])
     assert np.max(np.abs(col - expect)) < 1e-10
@@ -423,9 +436,9 @@ def test_displacement_routes_match_expm():
     a = lm.ladder(ncut)
     ad = a.conj().T
     full = expm(alpha * ad - np.conj(alpha) * a)
-    assert np.max(np.abs(cs._displacement(alpha, ncut) - full)) < 1e-13
-    assert np.max(np.abs(cs.displacement_vacuum_column(alpha, ncut)
-                         - full[:, 0])) < 1e-14
+    u = cs.displacement_operator(alpha, ncut)
+    assert np.max(np.abs(u - full)) < 1e-13
+    assert np.max(np.abs(u[:, 0] - full[:, 0])) < 1e-14
     assert np.max(np.abs(cs._raising_exp(alpha, ncut)
                          - expm(alpha * ad))) < 1e-13
     assert np.max(np.abs(cs._raising_exp(-np.conj(alpha), ncut).T
