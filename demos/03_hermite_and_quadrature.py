@@ -66,8 +66,7 @@ for m, k in ((0, 0), (1, 1), (2, 2), (3, 1), (4, 4)):
 
 print("\northonormality of normalised complex Hermite functions:")
 M = 6
-vals = np.array([[chp.basis_value(n, k, z) for z in rule.nodes]
-                 for n in range(M) for k in range(M)])
+vals = chp.basis_values(rule.nodes, M - 1)  # row n * M + k holds B[n, k]
 gram = (vals * rule.weights) @ vals.conj().T
 dev = float(np.max(np.abs(gram - np.eye(M * M))))
 print(f"  max | <H_a, H_b> - delta_ab | for degrees < {M}: {dev:.3e}")

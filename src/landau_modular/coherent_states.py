@@ -36,14 +36,17 @@ from .landau_modes import displacement, ladder
 from .cgauss_quad import covers_degree  # noqa: F401
 
 
+def normalized_powers(z, cutoff: int) -> np.ndarray:
+    """Row n holds z^n / sqrt(n!), 0 <= n <= cutoff, for a number or an
+    array z."""
+    return np.array([z**n / math.sqrt(math.factorial(n)) for n in range(cutoff + 1)])
+
+
 def bcs(u: complex, v: complex, cutoff: int) -> np.ndarray:
     """Bi-coherent state: c[n, k] = v^n conj(u)^k / sqrt(n! k!)."""
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    pows_v = np.array([v**n / math.sqrt(math.factorial(n)) for n in range(cutoff + 1)])
-    ub = np.conj(u)
-    pows_u = np.array([ub**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)])
-    return np.outer(pows_v, pows_u)
+    return np.outer(normalized_powers(v, cutoff), normalized_powers(np.conj(u), cutoff))
 
 
 def eta(z: complex, cutoff: int) -> np.ndarray:
@@ -57,12 +60,9 @@ def eta_breve(zbar: complex, cutoff: int) -> np.ndarray:
 
 
 def coeff_eval(v: np.ndarray, w: complex) -> complex:
-    """Pointwise value sum c[n, k] B[n, k](wbar, w)."""
-    total = 0j
-    for (n, k), c in np.ndenumerate(v):
-        if c != 0:
-            total += c * ch.basis_value(n, k, w)
-    return total
+    """Pointwise value sum c[n, k] B[n, k](wbar, w) of a square coefficient
+    array, as one pairwise sum."""
+    return np.sum(v.reshape(-1) * ch.basis_values(w, v.shape[0] - 1))
 
 
 def sector_projector(kind: str, cutoff: int) -> np.ndarray:
@@ -78,12 +78,6 @@ def sector_projector(kind: str, cutoff: int) -> np.ndarray:
     else:
         raise ValueError(f"unknown sector {kind!r}; expected 'a-hol' or 'hol'")
     return diag
-
-
-def _ring_powers(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
-    """P[n, r] = rho_r^n / sqrt(n!), 0 <= n <= cutoff, over the rule's rings."""
-    return np.array([rule.radii**n / math.sqrt(math.factorial(n))
-                     for n in range(cutoff + 1)])
 
 
 def moment_matrix(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
@@ -103,14 +97,15 @@ def moment_matrix(rule: ComplexGaussRule, cutoff: int) -> np.ndarray:
     K = G.  Neither reads outside its source sector.
     """
     require_coverage(rule, cutoff)
-    return ring_angle_sum(rule, _ring_powers(rule, cutoff), np.arange(cutoff + 1))
+    p = normalized_powers(rule.radii, cutoff)  # P[n, r] = rho_r^n / sqrt(n!)
+    return ring_angle_sum(rule, p, np.arange(cutoff + 1))
 
 
 def moment_factorization_check(rule: ComplexGaussRule, g: np.ndarray) -> float:
     """Max deviation of a leading block g of the moment matrix from the
     same entries summed over the rule's nodes, one integrate_values sum
     each, an independent route."""
-    pows = [rule.nodes**n / math.sqrt(math.factorial(n)) for n in range(g.shape[0])]
+    pows = normalized_powers(rule.nodes, g.shape[0] - 1)
     direct = np.array([[integrate_values(rule, pa * pb.conj()) for pb in pows]
                        for pa in pows])
     return float(np.max(np.abs(g - direct)))

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def _exact(a):
     """An int stays an int (every Hermite coefficient is one); any other
@@ -126,15 +128,6 @@ def d_zbar(p: BivarPoly) -> BivarPoly:
 
 def d_z(p: BivarPoly) -> BivarPoly:
     return BivarPoly({(m, k - 1): k * c for (m, k), c in p.terms.items() if k})
-
-
-def eval_poly(p: BivarPoly, z: complex) -> complex:
-    """Floating-point value p(conj(z), z), summed in (m, k) order."""
-    zb = complex(z).conjugate()
-    total = 0j
-    for (m, k), c in sorted(p.terms.items()):
-        total += complex(c) * zb**m * z**k
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +248,22 @@ def number_apply(which: str, p: BivarPoly) -> BivarPoly:
 # The orthonormalized basis.
 # ---------------------------------------------------------------------------
 
-def basis_value(n: int, k: int, z: complex) -> complex:
-    """Floating-point value of the orthonormal basis element
-    B[n, k] = h[n, k] / sqrt(n! k!) at (conj(z), z)."""
-    return eval_poly(ch_recursion(n, k), z) / math.sqrt(
-        math.factorial(n) * math.factorial(k))
+def basis_values(z, deg: int) -> np.ndarray:
+    """Values of B[n, k] = h[n, k] / sqrt(n! k!) at the points z, of any
+    shape, for 0 <= n, k <= deg: row n * (deg+1) + k of the result has the
+    shape of z.  They come from the coupled recursions of ch_recursion on
+    value arrays, each step vectorised over k."""
+    z = np.asarray(z)
+    zb, m = z.conj(), deg + 1
+    ks = np.arange(1, m).reshape((-1,) + (1,) * z.ndim)
+    h = np.empty((m, m) + z.shape, dtype=complex)
+    h[0, 0] = 1.0
+    for k in range(1, m):
+        h[0, k] = z * h[0, k - 1]
+    for n in range(1, m):
+        h[n, 0] = zb * h[n - 1, 0]
+        h[n, 1:] = zb * h[n - 1, 1:] - ks * h[n - 1, :-1]
+    norms = [[math.sqrt(math.factorial(n) * math.factorial(k)) for k in range(m)]
+             for n in range(m)]
+    h /= np.array(norms).reshape((m, m) + (1,) * z.ndim)
+    return h.reshape((m * m,) + z.shape)

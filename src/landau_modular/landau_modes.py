@@ -46,10 +46,7 @@ def ladder(n: int) -> np.ndarray:
     """Single-mode lowering matrix: a[m-1, m] = sqrt(m)."""
     if n < 2:
         raise ValueError(f"ladder dimension must be >= 2, got {n}")
-    a = np.zeros((n, n), dtype=complex)
-    for m in range(1, n):
-        a[m - 1, m] = math.sqrt(m)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
 def hermite_fn(n: int, x: float) -> float:
@@ -193,10 +190,8 @@ INTERIOR_MARGIN = 4
 
 def interior_mask(cut: ModeCut) -> np.ndarray:
     """Boolean mask of basis states with n_x + n_y <= ncut - INTERIOR_MARGIN."""
-    n = cut.ncut
-    nx = np.repeat(np.arange(n), n)
-    ny = np.tile(np.arange(n), n)
-    return nx + ny <= n - INTERIOR_MARGIN
+    nx, ny = np.divmod(np.arange(cut.dim), cut.ncut)
+    return nx + ny <= cut.ncut - INTERIOR_MARGIN
 
 
 def _dense_columns(op, mask: np.ndarray) -> np.ndarray:
@@ -458,9 +453,10 @@ def wigner_sample(x_op: np.ndarray, x: float, y: float,
     return complex(samples) if x_op.ndim == 2 else samples
 
 
-def wigner_closed_form(n: int, l: int, x: float, y: float,
-                       literal: bool = False) -> complex:
-    """Closed form for the phase-space sample of the matrix unit |n><l|.
+def wigner_closed_form(n: int, l: int, x: float | np.ndarray, y: float | np.ndarray,
+                       literal: bool = False) -> complex | np.ndarray:
+    """Closed form for the phase-space sample of the matrix unit |n><l|, at
+    one point (x, y) or at the points of two arrays of one shape.
 
     The literal form e^(-|z|^2/2) B[n,l](zbar, z) / sqrt(2 pi) with
     z = (x - iy)/sqrt2 misses a phase and an index swap; the corrected
@@ -472,10 +468,8 @@ def wigner_closed_form(n: int, l: int, x: float, y: float,
     from . import complex_hermite as ch
 
     z = (x - 1j * y) / math.sqrt(2.0)
-    if literal:
-        val = ch.basis_value(n, l, z)
-        phase = 1.0
-    else:
-        val = ch.basis_value(l, n, z)
-        phase = 1j ** (n + l)
-    return phase * math.exp(-abs(z) ** 2 / 2.0) * val / math.sqrt(2.0 * math.pi)
+    deg = max(n, l)
+    a, b = (n, l) if literal else (l, n)
+    val = ch.basis_values(z, deg)[a * (deg + 1) + b]
+    phase = 1.0 if literal else 1j ** (n + l)
+    return phase * np.exp(-np.abs(z) ** 2 / 2.0) * val / math.sqrt(2.0 * math.pi)

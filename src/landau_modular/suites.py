@@ -359,16 +359,17 @@ def _suite_landau(cfg: SuiteConfig) -> Report:
     # these cut-16 checks stay on the eigensolved vacuum (solved once), so
     # their errors keep measuring that route at the stated cut
     vac = lm.ground_state(cut)
+    # each of the 18 states the two Fock checks read is built once
+    states = {(n, l): lm.fock_psi(cut, n, l, vacuum=vac)
+              for n in range(5) for l in range(5) if max(n, l) < 4 or n + l <= 4}
     s.check("fock_eigenvalues",
             "H_up Psi_nl = (l + 1/2) Psi_nl and H_down Psi_nl = (n + 1/2) Psi_nl",
-            [err for n in range(4) for l in range(4)
-             for psi in [lm.fock_psi(cut, n, l, vacuum=vac)]
+            [err for n in range(4) for l in range(4) for psi in [states[n, l]]
              for err in (float(np.linalg.norm(h.h_up @ psi - (l + 0.5) * psi)),
                          float(np.linalg.norm(h.h_down @ psi - (n + 0.5) * psi)))],
             1e-9)
 
     labels = [(n, l) for n in range(5) for l in range(5) if n + l <= 4]
-    states = {lab: lm.fock_psi(cut, *lab, vacuum=vac) for lab in labels}
     s.check("fock_orthonormality",
             "<Psi_nl, Psi_n'l'> = delta delta for n + l <= 4",
             [abs(complex(np.vdot(states[a], states[b])) - (1.0 if a == b else 0.0))
@@ -459,25 +460,9 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _basis_values(z: np.ndarray, deg: int) -> np.ndarray:
-    """Values of B[n, k] at the points z, rows n * (deg+1) + k, by the coupled
-    recursions on value arrays, each step vectorised over k."""
-    zb, m = z.conj(), deg + 1
-    ks = np.arange(1, m)[:, None]
-    h = np.empty((m, m, z.shape[0]), dtype=complex)
-    h[0, 0] = 1.0
-    for k in range(1, m):
-        h[0, k] = z * h[0, k - 1]
-    for n in range(1, m):
-        h[n, 0] = zb * h[n - 1, 0]
-        h[n, 1:] = zb * h[n - 1, 1:] - ks * h[n - 1, :-1]
-    norms = [[math.sqrt(math.factorial(n) * math.factorial(k)) for k in range(m)]
-             for n in range(m)]
-    h /= np.array(norms)[:, :, None]
-    return h.reshape(m * m, z.shape[0])
-
-
 def _suite_quadrature(cfg: SuiteConfig) -> Report:
+    from . import complex_hermite as chp
+
     s = _Suite("quadrature", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)
 
@@ -494,7 +479,7 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
 
     # B[n, k](rho e^(i theta)) = e^(i(k - n) theta) B[n, k](rho): a ring x angle sum
     n, k = np.divmod(np.arange(13 * 13), 13)
-    gram = quad.ring_angle_sum(rule, _basis_values(rule.radii, 12), k - n)
+    gram = quad.ring_angle_sum(rule, chp.basis_values(rule.radii, 12), k - n)
     s.check("basis_orthonormality",
             "<B[n, k], B[m, l]> = delta delta under dnu, indices <= 12",
             np.abs(gram - np.eye(13 * 13)), 1e-10)
@@ -630,13 +615,15 @@ def _suite_wigner(cfg: SuiteConfig) -> Report:
     labels = [(n, l) for n in range(4) for l in range(4)]
     # the 16 matrix units share one displacement block per grid point
     units = np.array([matrix_unit(4, n, l) for n, l in labels])
-    points = [(float(x), float(y)) for x in grid for y in grid]
-    samples = [lm.wigner_sample(units, x, y, cfg.ncut) for x, y in points]
+    xs, ys = np.repeat(grid, 5), np.tile(grid, 5)
+    # samples[:, i] is the sample of the i-th unit at every grid point
+    samples = np.array([lm.wigner_sample(units, float(x), float(y), cfg.ncut)
+                        for x, y in zip(xs, ys)])
 
     def closed_form_errors(literal: bool) -> list:
-        return [abs(got - lm.wigner_closed_form(n, l, x, y, literal=literal))
-                for (x, y), row in zip(points, samples)
-                for (n, l), got in zip(labels, row)]
+        return [np.abs(samples[:, i]
+                       - lm.wigner_closed_form(n, l, xs, ys, literal=literal))
+                for i, (n, l) in enumerate(labels)]
 
     s.check("closed_form_literal",
             "phase-space sample of |n><l| equals "

@@ -55,8 +55,8 @@ def test_quadrature_suite_builds_no_basis_by_nodes_array():
 def test_quadrature_suite_evaluates_the_basis_on_the_radii(monkeypatch):
     from landau_modular import suites
     points = []
-    basis_values = suites._basis_values
-    monkeypatch.setattr(suites, "_basis_values",
+    basis_values = chp.basis_values
+    monkeypatch.setattr(chp, "basis_values",
                         lambda z, deg: points.append(z.shape[0]) or basis_values(z, deg))
     cfg = suites.SuiteConfig()
     suites.run_suite("quadrature", cfg)
@@ -66,10 +66,9 @@ def test_quadrature_suite_evaluates_the_basis_on_the_radii(monkeypatch):
 def _node_sum_gram(rule, deg, block=1024):
     """The basis Gram summed over the nodes, a block of them at a time: the
     route that neither factors the rule nor reads its rings."""
-    from landau_modular.suites import _basis_values
     gram = np.zeros(((deg + 1) ** 2,) * 2, dtype=complex)
     for b in range(0, rule.nodes.shape[0], block):
-        vals = _basis_values(rule.nodes[b:b + block], deg)
+        vals = chp.basis_values(rule.nodes[b:b + block], deg)
         gram += (vals * rule.weights[b:b + block]) @ vals.conj().T
     return gram
 
@@ -219,8 +218,8 @@ def test_moment_sweep_at_default_orders():
 
 def test_hermite_basis_norm_via_quadrature():
     rule = quad.build_rule(8, 9)
-    got = quad.integrate_values(
-        rule, np.array([abs(chp.basis_value(2, 3, z)) ** 2 for z in rule.nodes]))
+    # B[2, 3] is row 2 * 4 + 3 of the values up to degree 3
+    got = quad.integrate_values(rule, np.abs(chp.basis_values(rule.nodes, 3)[11]) ** 2)
     assert abs(got - 1.0) < 1e-12
 
 

@@ -163,6 +163,16 @@ def _angular_mean_off(angular_means):
     return mutant
 
 
+def _basis_norm_off(basis_values):
+    # row n * (deg+1) + k rescaled from 1 / sqrt(n! k!) to 1 / sqrt(n! k! + 1)
+    def mutant(z, deg):
+        f = np.array([float(math.factorial(n) * math.factorial(k))
+                      for n in range(deg + 1) for k in range(deg + 1)])
+        scale = np.sqrt(f / (f + 1))
+        return basis_values(z, deg) * scale.reshape((-1,) + (1,) * np.ndim(z))
+    return mutant
+
+
 def _j_sign_on_one_entry(conjugation_J):
     def mutant(n):
         weight = np.ones((n, n))
@@ -355,9 +365,7 @@ ROWS = [
     ("coherent", "bicoherent_conjugation", mc, "conjugation_J", _j_sign_on_one_entry,
      {"bicoherent_conjugation"}),
     # B[n, k] divided by sqrt(n! k! + 1)
-    ("coherent", "reproducing_kernel", ch, "basis_value",
-     lambda basis_value: lambda n, k, z: ch.eval_poly(ch.ch_recursion(n, k), z)
-     / math.sqrt(math.factorial(n) * math.factorial(k) + 1),
+    ("coherent", "reproducing_kernel", ch, "basis_values", _basis_norm_off,
      {"reproducing_kernel"}),
     # the raising matrix in place of the lowering one
     ("coherent", "coherent_eigenvalue", cs, "ladder",

@@ -193,24 +193,36 @@ def test_factored_moment_matrix_matches_node_sums(radial, angular, cutoff):
     assert cs.moment_factorization_check(rule, g[:k, :k]) < 1e-13
 
 
-@pytest.mark.parametrize("part", ["_angular_means", "_ring_powers"])
+@pytest.mark.parametrize("part", ["_angular_means", "ring_powers"])
 def test_corrupted_factor_turns_moment_factorization_red(monkeypatch, part):
     from landau_modular.suites import SuiteConfig, run_suite
-    # the angular means belong to the rule's module, the ring powers to G's
-    module = quad if part == "_angular_means" else cs
-    good = getattr(module, part)
 
-    def corrupted(rule, cutoff):
-        out = good(rule, cutoff).copy()
+    def corrupt(out):
+        out = out.copy()
         out[-1] = out[-1] * (1.0 + 1e-9) + 1e-9  # A[d = cutoff], or P[n = cutoff]
         return out
+
+    # the angular means belong to the rule's module; the ring powers are
+    # the P that moment_matrix hands to the ring x angle sum
+    if part == "_angular_means":
+        module, name = quad, "_angular_means"
+        good = quad._angular_means
+
+        def corrupted(rule, span):
+            return corrupt(good(rule, span))
+    else:
+        module, name = cs, "ring_angle_sum"
+        good = cs.ring_angle_sum
+
+        def corrupted(rule, ring_values, freqs):
+            return good(rule, corrupt(ring_values), freqs)
 
     def factorization():
         checks = run_suite("coherent", SuiteConfig(cutoff=4))[0].checks
         return {c.name: c for c in checks}["moment_factorization"]
 
     assert factorization().passed
-    monkeypatch.setattr(module, part, corrupted)
+    monkeypatch.setattr(module, name, corrupted)
     check = factorization()
     assert not check.passed and check.max_error > 1e-11
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from landau_modular import complex_hermite as chp
@@ -183,10 +184,38 @@ def test_contiguous_relations():
 
 
 def test_normalized_basis():
-    # B[3, 0] = zbar^3 / sqrt(3!) and B[1, 1] = zbar z - 1
+    # B[3, 0] = zbar^3 / sqrt(3!) and B[1, 1] = zbar z - 1, rows 3 * 4 and 1 * 2 + 1
     z = 0.6 - 0.8j
-    assert abs(chp.basis_value(3, 0, z) - z.conjugate() ** 3 / math.sqrt(6)) < 1e-15
-    assert abs(chp.basis_value(1, 1, 1 + 1j) - 1.0) < 1e-15
+    assert abs(chp.basis_values(z, 3)[12] - z.conjugate() ** 3 / math.sqrt(6)) < 1e-15
+    assert abs(chp.basis_values(1 + 1j, 1)[3] - 1.0) < 1e-15
+
+
+def _exact_basis_value(n, k, z):
+    """B[n, k](zbar, z) from the exact map of ch_recursion, summed in
+    (m, j) order over its monomials zbar^m z^j, and the sum of the
+    monomials' magnitudes on the same scale, which bounds its rounding."""
+    z = complex(z)
+    terms = [complex(c) * z.conjugate() ** m * z**j
+             for (m, j), c in sorted(chp.ch_recursion(n, k).terms.items())]
+    norm = math.sqrt(math.factorial(n) * math.factorial(k))
+    return sum(terms) / norm, sum(abs(t) for t in terms) / norm
+
+
+@pytest.mark.parametrize("z", [0.7 + 0.2j,
+                               np.array([0.0, 0.3, 1.1, 1.9]),
+                               np.array([[-1.1 + 0.9j, 1.5 - 1.2j, 0.4 + 1.8j],
+                                         [0.0, -0.5j, 1.3 + 0.1j]])],
+                         ids=["0-d", "1-d", "2-d"])
+def test_basis_values_match_the_exact_tables(z):
+    vals = chp.basis_values(z, 12)
+    assert vals.shape == (169,) + np.shape(z)
+    eps = np.finfo(float).eps
+    for n in range(13):
+        for k in range(13):
+            for i in np.ndindex(np.shape(z)):
+                exact, scale = _exact_basis_value(n, k, np.asarray(z)[i])
+                # measured: at most 3.1 eps of the monomials' magnitudes
+                assert abs(vals[(n * 13 + k,) + i] - exact) <= 64 * eps * scale
 
 
 def test_level_operator_eigenvalues():
@@ -201,6 +230,7 @@ def test_level_operator_eigenvalues():
 
 
 def test_eval():
-    assert chp.eval_poly(chp.ch_recursion(1, 1), 1.0) == 0.0
+    # B[1, 1](1) = 1 - 1 and B[0, 3] = z^3 / sqrt(3!), rows 1 * 2 + 1 and 3
+    assert chp.basis_values(1.0, 1)[3] == 0.0
     z = 0.7 - 0.3j
-    assert abs(chp.eval_poly(chp.ch_recursion(0, 3), z) - z**3) < 1e-15
+    assert abs(chp.basis_values(z, 3)[3] * math.sqrt(6) - z**3) < 1e-15
