@@ -177,7 +177,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

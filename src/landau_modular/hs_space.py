@@ -117,8 +117,12 @@ def commutant_basis(generators: Sequence[np.ndarray]) -> tuple[int, list[np.ndar
     eye = np.eye(d, dtype=dtype)
     r = np.empty((0, d * d), dtype=dtype)
     for g in generators:
-        # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec
-        block = np.kron(g, eye) - np.kron(eye, g.T)
+        # vec([G, M]) = (G kron I - I kron G^T) vec(M), row-major vec; each
+        # Kronecker product is one broadcast outer product, the same
+        # entrywise products np.kron forms, without its generic reshaping
+        block = ((g[:, None, :, None] * eye[None, :, None, :])
+                 - (eye[:, None, :, None] * g.T[None, :, None, :]))
+        block = block.reshape(d * d, d * d)
         r = np.linalg.qr(np.vstack([r, block]), mode="r")
     _, s, vh = np.linalg.svd(r)
     cutoff = SVD_RTOL * (s[0] if s.size else 1.0)

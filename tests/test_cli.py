@@ -408,6 +408,50 @@ def test_modular_and_kms_runs_load_only_their_layers():
         "[]", "[]", "['landau_modes']"]
 
 
+def test_importing_the_library_leaves_the_collector_alone():
+    # tests and tools import the library in-process, so no module but the
+    # process entry may freeze or switch off the garbage collector
+    code = (
+        "import gc, importlib, pkgutil\n"
+        "import landau_modular\n"
+        "names = sorted(m.name for m in pkgutil.iter_modules("
+        "landau_modular.__path__) if m.name != '__main__')\n"
+        "for name in names:\n"
+        "    importlib.import_module('landau_modular.' + name)\n"
+        "print(len(names), 'cli' in names, 'suites' in names)\n"
+        "print(gc.get_freeze_count(), gc.isenabled())\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["10 True True", "0 True"]
+
+
+def test_importing_the_entry_runs_nothing_and_main_freezes():
+    code = (
+        "import contextlib, gc, io\n"
+        "import landau_modular.__main__ as entry\n"
+        "print(gc.get_freeze_count(), gc.isenabled())\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert entry.main(['verify', 'kms']) == 0\n"
+        "print(gc.get_freeze_count() > 0, gc.isenabled())\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["0 True", "True True"]
+    assert proc.stderr == ""
+
+
+def test_console_script_target_matches_python_m():
+    # the installed `landau-modular` script calls __main__.main, as -m does
+    args = ["verify", "kms", "--seed", "42"]
+    script = [sys.executable, "-c",
+              "import sys; from landau_modular.__main__ import main; "
+              "sys.exit(main())", *args]
+    runs = [subprocess.run(cmd, capture_output=True, timeout=120)
+            for cmd in (script, [sys.executable, "-m", "landau_modular", *args])]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout != b""
+
+
 def test_export_hermite_coeffs(tmp_path):
     out = tmp_path / "coeffs.csv"
     assert main(["export", "hermite_coeffs", "--cutoff", "2",

@@ -238,6 +238,26 @@ def test_commutant_dimension_matches_full_svd_of_the_stack(seed):
                 assert np.max(np.abs(m @ g - g @ m)) < 1e-10 * np.max(np.abs(g))
 
 
+def test_commutant_blocks_are_the_kronecker_products():
+    # each block is built by broadcasting, not np.kron; the products are
+    # the same, so folding kron-built blocks the same way gives the same
+    # basis bit for bit
+    rng = SplitMix64(5)
+    gens = [rng.complex_matrix(3) for _ in range(3)]
+    eye = np.eye(3, dtype=complex)
+    for subset in (gens[:1], gens):
+        r = np.empty((0, 9), dtype=complex)
+        for g in subset:
+            block = np.kron(g, eye) - np.kron(eye, g.T)
+            r = np.linalg.qr(np.vstack([r, block]), mode="r")
+        _, s, vh = np.linalg.svd(r)
+        rank = int(np.sum(s > SVD_RTOL * s[0]))
+        expected = [row.conj().reshape(3, 3).tobytes() for row in vh[rank:]]
+        dim, basis = commutant_basis(subset)
+        assert dim == len(expected) == (3 if len(subset) == 1 else 1)
+        assert [m.tobytes() for m in basis] == expected
+
+
 def _suite_generators() -> tuple[list, list]:
     """The modular suite's generators at n = 3: the left and the right
     multiplications by the nine real matrix units."""
