@@ -25,7 +25,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,8 +32,12 @@ import numpy as np
 def _exact(a):
     """An int stays an int (every Hermite coefficient is one); any other
     real, such as a float or a quotient, becomes an exact Fraction, and a
-    complex value raises TypeError."""
-    return a if type(a) is int else Fraction(a)
+    complex value raises TypeError.  `fractions` is imported here, on the
+    first non-int, since no `verify` or `export` run reaches this branch."""
+    if type(a) is int:
+        return a
+    from fractions import Fraction
+    return Fraction(a)
 
 
 class QC:

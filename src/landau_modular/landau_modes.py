@@ -99,7 +99,9 @@ class BandedOp:
                 f"operand shape {x.shape} does not match dimension {self.dim}")
         y = np.zeros(self.dim, dtype=np.result_type(x, *self.diags.values()))
         for k, d in self.diags.items():
-            y += d * _shift(x, k)
+            # rows lo..hi-1 are those whose column i + k lies inside
+            lo, hi = max(-k, 0), self.dim - max(k, 0)
+            y[lo:hi] += d[lo:hi] * x[lo + k:hi + k]
         return y
 
     def _product(self, other: BandedOp) -> BandedOp:

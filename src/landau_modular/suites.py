@@ -647,14 +647,29 @@ def _suite_wigner(cfg: SuiteConfig) -> Report:
             abs(lm.wigner_sample(x00, 0.0, 0.0, cfg.ncut)
                 - 1.0 / math.sqrt(2.0 * math.pi)), 1e-12)
 
-    # corners and edge midpoints of the grid: every quadrant and both axes
+    # corners and edge midpoints of the grid: every quadrant and both axes.
+    # points[-1 - i] = -points[i], and U(-x, -y) = U(x, y)*, so one direct
+    # eigensolve is the reference for both points of a pair
+    points = [(float(x), float(y)) for x in grid[::2] for y in grid[::2]
+              if not x == y == 0.0]
+
+    def rotation_error(point, u, adjoint):
+        block = lm.displacement_block(cfg.ncut, *point, cfg.ncut)
+        if adjoint:
+            np.conj(block, out=block)
+            block = block.T
+        block -= u  # in place, as the conjugate: a copy adds an ncut^2 array
+        return float(np.max(np.abs(block)))
+
+    def pair_errors(i):
+        u = lm.displacement(cfg.ncut, *points[i])
+        return (rotation_error(points[i], u, adjoint=False),
+                rotation_error(points[-1 - i], u, adjoint=True))
+
     s.check("displacement_rotation",
             "e^(i theta N) e^(-i r Q) e^(-i theta N) from one eigensolve of Q "
             "equals exp(-i(xQ + yP)) at (x, y) = r(cos theta, sin theta)",
-            [float(np.max(np.abs(
-                lm.displacement_block(cfg.ncut, float(x), float(y), cfg.ncut)
-                - lm.displacement(cfg.ncut, float(x), float(y)))))
-             for x in grid[::2] for y in grid[::2] if not x == y == 0.0], 1e-12)
+            [e for i in range(len(points) // 2) for e in pair_errors(i)], 1e-12)
     return s.report
 
 

@@ -408,6 +408,29 @@ def test_modular_and_kms_runs_load_only_their_layers():
         "[]", "[]", "['landau_modes']"]
 
 
+def test_phase_space_and_hermite_runs_load_no_rational_modules():
+    # a fresh process, since tests here build Fractions; `fractions` (and the
+    # `decimal` it imports) is loaded only on a non-int exact scalar, which
+    # the last line supplies as the control
+    code = (
+        "import contextlib, io, sys\n"
+        "import landau_modular.cli\n"
+        "def loaded():\n"
+        "    return [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert landau_modular.cli.main(['verify', 'wigner']) == 1\n"
+        "    assert landau_modular.cli.main(['verify', 'coherent']) == 0\n"
+        "    assert landau_modular.cli.main(['verify', 'hermite']) == 0\n"
+        "print(loaded())\n"
+        "from landau_modular import complex_hermite as chp\n"
+        "chp.poly_const(1).scale(0.5)\n"
+        "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "['fractions', 'decimal']"]
+
+
 def test_importing_the_library_leaves_the_collector_alone():
     # tests and tools import the library in-process, so no module but the
     # process entry may freeze or switch off the garbage collector

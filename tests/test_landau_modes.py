@@ -59,6 +59,22 @@ def test_banded_ops_match_dense_kron_references(ncut):
     assert lm.build_A_pm(cut).a_plus.toarray() == pytest.approx(dense, abs=1e-15)
 
 
+@pytest.mark.parametrize("ncut", (3, 5))
+def test_banded_matvec_matches_dense_for_each_offset(ncut):
+    # offsets 0 and +-1 (the x ladders on the joint index) and +-ncut (the y
+    # ladders): each diagonal adds into the rows whose column is inside
+    dim = ncut * ncut
+    rng = SplitMix64(ncut)
+    v = rng.complex_matrix(ncut).reshape(-1)
+    for offsets in ((0,), (1,), (-1,), (ncut,), (-ncut,), (-ncut, -1, 0, 1, ncut)):
+        op = lm.BandedOp(dim, {k: rng.complex_matrix(ncut).reshape(-1)
+                               for k in offsets})
+        assert np.allclose(op @ v, op.toarray() @ v, rtol=0, atol=1e-14)
+        real = lm.BandedOp(dim, {k: d.real for k, d in op.diags.items()})
+        assert np.allclose(real @ v.real, real.toarray() @ v.real, rtol=0, atol=1e-14)
+        assert (real @ v.real).dtype == float
+
+
 def test_banded_rows_at_the_cut_edge_do_not_wrap():
     # a_y shifts the joint index by 1, so the row n_y = ncut - 1 of one x block
     # sits next to n_y = 0 of the next block; the banded diagonal must hold a
@@ -267,15 +283,38 @@ def test_wigner_sample_of_a_stack_matches_single_samples():
 
 def test_wigner_suite_forms_one_block_per_grid_point(monkeypatch):
     from landau_modular.suites import SuiteConfig, run_suite
-    sizes = []
-    block = lm.displacement_block
-    monkeypatch.setattr(lm, "displacement_block",
-                        lambda ncut, x, y, n: sizes.append(n) or block(ncut, x, y, n))
+    sizes, full, direct = [], [], []
+    block, displacement = lm.displacement_block, lm.displacement
+
+    def counted_block(ncut, x, y, n):
+        sizes.append(n)
+        if n == ncut:
+            full.append((x, y))
+        return block(ncut, x, y, n)
+
+    monkeypatch.setattr(lm, "displacement_block", counted_block)
+    monkeypatch.setattr(lm, "displacement",
+                        lambda ncut, x, y: direct.append((x, y)) or displacement(ncut, x, y))
     run_suite("wigner", SuiteConfig())
     # 25 grid points for the 16 matrix units, the origin and 8 full-size
     # rotations against the direct route
     assert len(sizes) == 34
     assert (sizes.count(4), sizes.count(1), sizes.count(64)) == (25, 1, 8)
+    # every point but the origin of the 3 x 3 grid is rotated, and one direct
+    # eigensolve serves each pair +-p
+    corners = {(x, y) for x in (-2.0, 0.0, 2.0) for y in (-2.0, 0.0, 2.0)} - {(0.0, 0.0)}
+    assert len(full) == 8 and set(full) == corners
+    assert len(direct) == 4
+    assert {p for x, y in direct for p in ((x, y), (-x, -y))} == corners
+
+
+@pytest.mark.parametrize("ncut", (16, 64))
+def test_mirrored_displacement_is_the_adjoint(ncut):
+    # U(-x, -y) = exp(i(xQ + yP)) = U(x, y)*, the identity that lets the
+    # wigner suite's rotation check share one direct eigensolve per pair +-p
+    for x, y in ((-2.0, -2.0), (-2.0, 0.0), (-2.0, 2.0), (0.0, -2.0)):
+        u = lm.displacement(ncut, x, y)
+        assert np.max(np.abs(lm.displacement(ncut, -x, -y) - u.conj().T)) < 1e-13
 
 
 def test_wigner_rotation_matches_direct_displacement():
