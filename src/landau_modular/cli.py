@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import sys
 import time
 from dataclasses import fields
@@ -55,8 +54,11 @@ def _cmd_verify(args) -> int:
     elapsed_ms = 1000.0 * (time.monotonic() - start)
 
     for report in reports:
+        # a failing check that an erratum names is red because of the misprint
+        witnesses = {e["witness"] for e in report.errata}
         for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
+            status = ("PASS" if c.passed
+                      else "FAIL (erratum)" if c.name in witnesses else "FAIL")
             print(f"[{report.suite}] {status} {c.name}: "
                   f"max_error={c.max_error:.3e} bound={c.bound:.3e}",
                   file=sys.stderr)
@@ -138,6 +140,8 @@ _EXPORTS = {
 
 
 def _cmd_export(args) -> int:
+    import csv  # here, so that a `verify` process does not load it
+
     header, rows = _EXPORTS[args.what](args)
     with _output(args.out) as fh:
         writer = csv.writer(fh)

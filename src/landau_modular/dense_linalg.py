@@ -72,5 +72,11 @@ def func_calculus(eig: HermitianEig, f: Callable[[float], complex]) -> np.ndarra
 
 
 def hermitian_function(a: np.ndarray, f: Callable[[float], complex]) -> np.ndarray:
-    """Convenience wrapper: func_calculus(hermitian_eig(a), f)."""
-    return func_calculus(hermitian_eig(a), f)
+    """func_calculus(hermitian_eig(a), f).
+
+    a is dropped once its eigensystem is formed, so a caller that passes
+    its only reference frees it before the product is formed.
+    """
+    eig = hermitian_eig(a)
+    del a
+    return func_calculus(eig, f)

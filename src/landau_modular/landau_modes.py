@@ -388,12 +388,18 @@ def displacement(ncut: int, x: float, y: float) -> np.ndarray:
     space.  It is the independent reference for displacement_block.
     """
     _finite_point(x, y)
+    # hermitian_function holds the only reference to the generator and
+    # drops it after the eigensolve, so the product peaks at 4 ncut^2
+    # complex arrays, not 5
+    return hermitian_function(_generator(ncut, x, y), lambda lam: np.exp(-1j * lam))
+
+
+def _generator(ncut: int, x: float, y: float) -> np.ndarray:
+    """xQ + yP on the ncut-dimensional space."""
     a = ladder(ncut)
     ad = adjoint(a)
     s2 = math.sqrt(2.0)
-    generator = x * ((a + ad) / s2) + y * ((a - ad) / (1j * s2))
-    del a, ad  # not held across the eigensolve
-    return hermitian_function(generator, lambda lam: np.exp(-1j * lam))
+    return x * ((a + ad) / s2) + y * ((a - ad) / (1j * s2))
 
 
 _POSITION: dict = {}  # ncut -> HermitianEig of Q = (a + a*)/sqrt2

@@ -28,6 +28,7 @@ from landau_modular import coherent_states as cs
 from landau_modular import complex_hermite as ch
 from landau_modular import hs_space
 from landau_modular import landau_modes as lm
+from landau_modular import landau_suites
 from landau_modular import modular_core as mc
 from landau_modular import suites
 from landau_modular.hs_space import WeightedConjugation
@@ -358,7 +359,7 @@ ROWS = [
     ("coherent", "moment_factorization", quad, "_angular_means", _angular_mean_off,
      {"moment_factorization"}),
     # the transpose forgotten: the identity permutation
-    ("coherent", "conjugated_projectors", suites, "transpose_permutation",
+    ("coherent", "conjugated_projectors", landau_suites, "transpose_permutation",
      lambda transpose_permutation: lambda n: np.arange(n * n),
      {"conjugated_projectors"}),
     # J with weight -1 on E_01

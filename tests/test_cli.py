@@ -389,7 +389,8 @@ def test_modular_and_kms_runs_load_only_their_layers():
     code = (
         "import contextlib, io, sys\n"
         "import landau_modular.cli\n"
-        "lazy = ('complex_hermite', 'landau_modes', 'coherent_states')\n"
+        "lazy = ('complex_hermite', 'landau_modes', 'coherent_states', "
+        "'landau_suites')\n"
         "def loaded():\n"
         "    return [m for m in lazy if 'landau_modular.' + m in sys.modules]\n"
         "print(loaded())\n"
@@ -405,7 +406,7 @@ def test_modular_and_kms_runs_load_only_their_layers():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [
-        "[]", "[]", "['landau_modes']"]
+        "[]", "[]", "['landau_modes', 'landau_suites']"]
 
 
 def test_phase_space_and_hermite_runs_load_no_rational_modules():
@@ -445,7 +446,7 @@ def test_importing_the_library_leaves_the_collector_alone():
         "print(gc.get_freeze_count(), gc.isenabled())\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["10 True True", "0 True"]
+    assert proc.stdout.splitlines() == ["11 True True", "0 True"]
 
 
 def test_importing_the_entry_runs_nothing_and_main_freezes():
@@ -462,6 +463,64 @@ def test_importing_the_entry_runs_nothing_and_main_freezes():
     assert proc.stdout.splitlines() == ["0 True", "True True"]
     assert proc.stderr == ""
 
+
+def test_importing_the_entry_loads_neither_the_cli_nor_numpy():
+    code = (
+        "import sys\n"
+        "import landau_modular.__main__\n"
+        "print([m for m in ('landau_modular.cli', 'numpy') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_collection_runs_while_main_imports_the_cli():
+    # the gc hook records each collection that starts before the CLI has
+    # finished importing; the profile hook records the collector's state
+    # when the suite starts.  Importing the CLI outside main is the control
+    # that the hook sees the import-time collections
+    probe = (
+        "import contextlib, gc, io, sys\n"
+        "import landau_modular.__main__ as entry\n"
+        "def imported():\n"
+        "    return hasattr(sys.modules.get('landau_modular.cli'), 'main')\n"
+        "during_import, suite_sees = [], []\n"
+        "def on_gc(phase, info):\n"
+        "    if phase == 'start' and not imported():\n"
+        "        during_import.append(info['generation'])\n"
+        "def on_call(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == '_suite_kms':\n"
+        "        suite_sees.append(gc.isenabled())\n"
+        "print(imported())\n"
+        "gc.callbacks.append(on_gc)\n"
+        "sys.setprofile(on_call)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    {run}\n"
+        "sys.setprofile(None)\n"
+        "print(len(during_import) > 0, suite_sees, gc.isenabled())\n")
+    runs = {"assert entry.main(['verify', 'kms']) == 0": ["False", "False [True] True"],
+            "import landau_modular.cli": ["False", "True [] True"]}
+    for run, expected in runs.items():
+        proc = subprocess.run([sys.executable, "-c", probe.format(run=run)],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines() == expected, run
+
+
+def test_stderr_tags_a_red_that_an_erratum_names():
+    # the JSON report and the exit code do not change; the human summary
+    # tells a misprint's witness from a truncation red
+    fails = {}
+    for suite in ("wigner", "landau"):
+        proc = subprocess.run([sys.executable, "-m", "landau_modular", "verify", suite],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        fails[suite] = [line.split(":")[0] for line in proc.stderr.splitlines()
+                        if "FAIL" in line]
+    assert fails == {
+        "wigner": ["[wigner] FAIL (erratum) closed_form_literal"],
+        "landau": ["[landau] FAIL fock_eigenvalues", "[landau] FAIL fock_orthonormality"],
+    }
 
 def test_console_script_target_matches_python_m():
     # the installed `landau-modular` script calls __main__.main, as -m does

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,20 @@ def test_mirrored_displacement_is_the_adjoint(ncut):
         u = lm.displacement(ncut, x, y)
         assert np.max(np.abs(lm.displacement(ncut, -x, -y) - u.conj().T)) < 1e-13
 
+
+def test_displacement_frees_its_generator_before_the_product():
+    ncut = 256
+    lm.displacement(ncut, 2.0, 2.0)  # first-call allocations stay outside
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lm.displacement(ncut, 2.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the eigenvectors, their scaled copy, their adjoint and the product are
+    # 4 ncut^2 complex arrays; a generator held through the product made 5
+    assert peak <= 4.5 * ncut * ncut * 16
 
 def test_wigner_rotation_matches_direct_displacement():
     # off-grid points, the negative x axis (atan2 = pi), the negative y axis
