@@ -27,7 +27,7 @@ mask = lm.interior_mask(cut)
 print(f"-- two-mode cut at {NCUT} per mode, {int(mask.sum())} interior modes --\n")
 
 ops = lm.build_A_pm(cut)
-eye = np.eye(cut.dim)
+eye = lm.BandedOp(cut.dim, {0: np.ones(cut.dim)})
 
 print("interior deviation of the canonical commutators:")
 for name, p, q, target in [

@@ -202,14 +202,3 @@ def gauss_moment(m: int, k: int) -> float:
     """Closed form of the covered integrals: delta_{mk} * m!."""
     return float(math.factorial(m)) if m == k else 0.0
 
-
-def real_gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Hermite-style rule for int f(x) dx on the real line.
-
-    Returns plain nodes and weights with the exp(-x^2) factor divided out,
-    so sum(w * f(x)) approximates the unweighted integral of f times any
-    Gaussian-decaying factor carried by f itself.
-    """
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return x, w * np.exp(x**2)
-

@@ -61,7 +61,8 @@ class SuiteConfig:
     dim: int = field(default=16, metadata={"help": "Gibbs truncation dimension"})
     beta: float = field(default=0.7, metadata={"help": "inverse temperature"})
     cutoff: int = field(default=10, metadata={"help": "coherent basis cutoff"})
-    ncut: int = field(default=64, metadata={"help": "single-mode phase-space cut"})
+    ncut: int = field(default=64, metadata={"help": "single-mode phase-space cut; the "
+                      "landau suite's algebraic and Fock checks run at min(ncut, 16)"})
     radial: int = field(default=40, metadata={"help": "radial quadrature order"})
     angular: int = field(default=64, metadata={"help": "angular quadrature order"})
     seed: int = field(default=42, metadata={"help": "seed for random operators"})

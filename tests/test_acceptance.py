@@ -174,7 +174,7 @@ def test_criterion_09_landau_ccr_suite():
     cut = lm.ModeCut(16)
     mask = lm.interior_mask(cut)
     ops = lm.build_A_pm(cut)
-    eye = np.eye(cut.dim)
+    eye = lm.BandedOp(cut.dim, {0: np.ones(cut.dim)})
     for p, q, target in [
         (ops.a_plus, ops.a_plus_dag, eye),
         (ops.a_minus, ops.a_minus_dag, eye),

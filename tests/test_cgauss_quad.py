@@ -243,12 +243,6 @@ def test_monotone_convergence_on_kernel():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_real_rule_normalizes_gaussian():
-    x, w = quad.real_gauss_rule(40)
-    total = float(np.sum(w * np.exp(-x ** 2)))
-    assert abs(total - math.sqrt(math.pi)) < 1e-12
-
-
 def test_export_csv(tmp_path):
     # the CLI is the one CSV writer of a rule; its 17 significant digits
     # read back to the nodes and weights bit for bit

@@ -432,6 +432,34 @@ def test_phase_space_and_hermite_runs_load_no_rational_modules():
     assert proc.stdout.splitlines() == ["[]", "['fractions', 'decimal']"]
 
 
+def test_landau_and_full_runs_load_no_numpy_polynomial():
+    # a fresh process, since tests here take Gauss-Hermite rules as their
+    # reference; the landau suite integrates on a trapezoidal grid, and
+    # the last lines, which build one such rule, are the control
+    code = (
+        "import contextlib, io, sys\n"
+        "import landau_modular.cli\n"
+        "def quiet():\n"
+        "    out = contextlib.ExitStack()\n"
+        "    out.enter_context(contextlib.redirect_stdout(io.StringIO()))\n"
+        "    out.enter_context(contextlib.redirect_stderr(io.StringIO()))\n"
+        "    return out\n"
+        "def loaded():\n"
+        "    return 'numpy.polynomial' in sys.modules\n"
+        "with quiet():\n"
+        "    assert landau_modular.cli.main(['verify', 'landau']) == 1\n"
+        "print(loaded())\n"
+        "with quiet():\n"
+        "    assert landau_modular.cli.main(['verify', 'all']) == 1\n"
+        "print(loaded())\n"
+        "import numpy as np\n"
+        "np.polynomial.hermite.hermgauss(2)\n"
+        "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["False", "False", "True"]
+
+
 def test_importing_the_library_leaves_the_collector_alone():
     # tests and tools import the library in-process, so no module but the
     # process entry may freeze or switch off the garbage collector

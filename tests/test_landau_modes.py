@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from landau_modular import cgauss_quad as quad
 from landau_modular import landau_modes as lm
 from landau_modular.rng import SplitMix64
 
@@ -22,12 +21,33 @@ def test_ladder_matrix():
 def test_hermite_fn_values_and_orthonormality():
     assert abs(lm.hermite_fn(0, 0.0) - math.pi ** -0.25) < 1e-14
     assert lm.hermite_fn(1, 0.0) == 0.0
-    x, w = quad.real_gauss_rule(60)
+    # the 60-point Gauss-Hermite rule, with the weight e^(-x^2) divided out,
+    # is a reference independent of the suite's trapezoidal rule
+    x, w = np.polynomial.hermite.hermgauss(60)
+    w = w * np.exp(x ** 2)
     for m in range(9):
         for n in range(9):
             vals = [lm.hermite_fn(m, xi) * lm.hermite_fn(n, xi) for xi in x]
             got = float(np.sum(w * vals))
             assert abs(got - (1.0 if m == n else 0.0)) < 1e-10
+
+
+def test_hermite_fn_of_an_array_matches_the_scalar_calls():
+    x = 0.25 * np.arange(-40.0, 41.0)
+    # np.exp and math.exp may differ in the last place of e^(-x^2/2)
+    e = np.exp(-x * x / 2.0)
+    ref = np.array([math.exp(-t * t / 2.0) for t in x])
+    assert np.all(np.abs(e - ref) <= np.spacing(ref))
+    same = e == ref
+    assert same.mean() > 0.5
+    for n in range(9):
+        got = lm.hermite_fn(n, x)
+        want = np.array([lm.hermite_fn(n, float(t)) for t in x])
+        assert got.shape == x.shape
+        # from one starting value the array recurrence is the scalar one
+        assert np.array_equal(got[same], want[same])
+        assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+        assert type(lm.hermite_fn(n, 0.75)) is float
 
 
 def _dense_modes(ncut: int) -> tuple[np.ndarray, np.ndarray]:
@@ -50,8 +70,8 @@ def test_banded_ops_match_dense_kron_references(ncut):
     assert np.array_equal(op.dag().toarray(), op.toarray().conj().T)
     assert np.array_equal(op.conj().toarray(), op.toarray().conj())
     assert np.array_equal((-op / 2).toarray(), -op.toarray() / 2)
-    cols = np.array([0, 3, cut.dim - 1])
-    assert np.array_equal(op.columns(cols), op.toarray()[:, cols])
+    idx = np.array([0, 3, ncut, ncut + 1, cut.dim - 1])
+    assert np.array_equal(op.block(idx), op.toarray()[np.ix_(idx, idx)])
     v = SplitMix64(ncut).complex_matrix(ncut).reshape(-1)
     assert np.allclose(op @ v, dense @ v, rtol=0, atol=1e-13)
     for left, right in ((op, op.dag()), (op.dag(), op), (ay, ay.dag()), (ax @ ay, op)):
@@ -100,24 +120,74 @@ def test_banded_rows_at_the_cut_edge_do_not_wrap():
         ay @ np.ones(cut.dim + 1)
 
 
-def test_interior_deviation_takes_banded_or_dense_operands():
-    cut = lm.ModeCut(8)
+def _dense(op: lm.BandedOp) -> np.ndarray:
+    """op as a sum of dense np.diag matrices, independent of BandedOp.block."""
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    for k, d in op.diags.items():
+        out += np.diag(d[max(-k, 0):op.dim - max(k, 0)], k)
+    return out
+
+
+def _dense_interior_deviation(op, target, mask) -> float:
+    """The column norms of the dense difference: the reference the banded
+    interior_deviation must equal bit for bit."""
+    return float(np.linalg.norm(_dense(op)[:, mask] - _dense(target)[:, mask],
+                                axis=0).max())
+
+
+@pytest.mark.parametrize("ncut", (8, 16, 24))
+def test_interior_deviation_matches_dense_column_norms(ncut):
+    cut = lm.ModeCut(ncut)
+    mask = lm.interior_mask(cut)
+    ops = lm.build_A_pm(cut)
+    lit = lm.build_A_pm(cut, literal=True)
+    h = lm.hamiltonians(cut)
+    eye, zero = lm.BandedOp(cut.dim, {0: np.ones(cut.dim)}), lm.BandedOp(cut.dim, {})
+    cases = [
+        (ops.a_plus, ops.a_plus_dag, eye),
+        (ops.a_minus, ops.a_minus_dag, eye),
+        (ops.a_plus, ops.a_minus, zero),
+        (ops.a_plus, ops.a_minus_dag, zero),
+        (ops.a_plus_dag, ops.a_minus, zero),
+        (ops.a_plus_dag, ops.a_minus_dag, zero),
+        (lit.a_plus, ops.a_minus_dag, -0.125 * eye),
+        (h.h_up, h.h_down, zero),
+    ]
+    for p, q, target in cases:
+        comm = p @ q - q @ p
+        assert lm.interior_deviation(comm, target, mask) \
+            == _dense_interior_deviation(comm, target, mask)
+    # a deviation far from zero, against a target with its own diagonal
+    target = lm.BandedOp(cut.dim, {0: np.arange(cut.dim, dtype=float)})
+    got = lm.interior_deviation(h.h_up, target, mask)
+    assert got == _dense_interior_deviation(h.h_up, target, mask)
+    assert got > 0
+    # seven diagonals of mixed magnitudes, where the order of the column sum
+    # shows in the last bits
+    rng = SplitMix64(ncut)
+    op = lm.BandedOp(cut.dim, {k: rng.complex_matrix(ncut).reshape(-1) * 10.0 ** (k % 5)
+                               for k in (-ncut - 1, -ncut, -1, 0, 1, ncut, ncut + 1)})
+    assert lm.interior_deviation(op, zero, mask) \
+        == _dense_interior_deviation(op, zero, mask)
+
+
+def test_ground_state_block_matches_dense_slice(monkeypatch):
+    cut = lm.ModeCut(16)
     mask = lm.interior_mask(cut)
     h = lm.hamiltonians(cut)
-    dense = h.h_up.toarray()
-    target = np.diag(np.arange(cut.dim, dtype=float))
-    got = lm.interior_deviation(h.h_up, target, mask)
-    assert got == lm.interior_deviation(dense, target, mask)
-    banded_target = lm.BandedOp(cut.dim, {0: np.diag(target)})
-    assert got == lm.interior_deviation(dense, banded_target, mask)
-    assert got > 0
+    dense = _dense(h.n_plus + h.n_minus)[np.ix_(mask, mask)]
+    seen, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
+    lm.ground_state(cut)
+    assert len(seen) == 1 and seen[0].shape == (91, 91)
+    assert np.array_equal(seen[0], 0.5 * (dense + dense.conj().T))
 
 
 def test_ccr_on_interior():
     cut = lm.ModeCut(16)
     mask = lm.interior_mask(cut)
     ops = lm.build_A_pm(cut)
-    eye = np.eye(cut.dim)
+    eye = lm.BandedOp(cut.dim, {0: np.ones(cut.dim)})
     for p, q, target in [
         (ops.a_plus, ops.a_plus_dag, eye),
         (ops.a_minus, ops.a_minus_dag, eye),
@@ -136,7 +206,8 @@ def test_literal_variant_breaks_ccr():
     lit = lm.build_A_pm(cut, literal=True)
     good = lm.build_A_pm(cut)
     comm = lit.a_plus @ good.a_minus_dag - good.a_minus_dag @ lit.a_plus
-    assert lm.interior_deviation(comm, -0.125 * np.eye(cut.dim), mask) < 1e-12
+    eye = lm.BandedOp(cut.dim, {0: np.ones(cut.dim)})
+    assert lm.interior_deviation(comm, -0.125 * eye, mask) < 1e-12
 
 
 def test_two_constructions_agree():
