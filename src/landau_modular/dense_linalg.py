@@ -9,7 +9,6 @@ coherent_states, whose series are finite on the truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,20 +29,10 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Spectral data of a Hermitian matrix.
-
-    eigenvalues are real and ascending; eigenvectors is the unitary matrix
-    whose columns are the corresponding eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(a: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, as numpy's EighResult:
+    eigenvalues real and ascending, eigenvectors the unitary matrix whose
+    columns are the corresponding eigenvectors.
 
     Raises ValueError if the input deviates from Hermiticity by more than
     HERMITIAN_RTOL relative to its Frobenius norm (with absolute floor).
@@ -52,15 +41,16 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
     dev = frob(a - a.conj().T)
     if dev > max(HERMITIAN_RTOL * frob(a), ABS_FLOOR):
         raise ValueError(f"matrix is not Hermitian: ||A - A*|| = {dev:.3e}")
-    w, u = np.linalg.eigh(a)
-    return HermitianEig(eigenvalues=w, eigenvectors=u)
+    return np.linalg.eigh(a)
 
 
-def func_calculus(eig: HermitianEig, f: Callable[[float], complex]) -> np.ndarray:
+def func_calculus(eig: tuple[np.ndarray, np.ndarray],
+                  f: Callable[[float], complex]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    Returns U diag(f(lambda)) U*.  Raises ValueError naming the offending
-    eigenvalue if f produces a non-finite value.
+    eig is hermitian_eig's result.  Returns U diag(f(lambda)) U*.  Raises
+    ValueError naming the offending eigenvalue if f produces a non-finite
+    value.
     """
     vals = np.array([f(lam) for lam in eig.eigenvalues], dtype=complex)
     bad = ~np.isfinite(vals)

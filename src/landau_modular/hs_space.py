@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 # Singular values of the commutant stack below SVD_RTOL times the largest
-# count as zero.
+# count as zero (in commutant_dim_within, below SVD_RTOL times the
+# generators' norm).
 SVD_RTOL = 1e-8
 # in_span's largest least-squares residual, relative to max(1, ||target||).
 SPAN_TOL = 1e-8
@@ -130,6 +131,30 @@ def commutant_basis(generators: Sequence[np.ndarray]) -> tuple[int, list[np.ndar
     null = vh[rank:].conj()
     basis = [row.reshape(d, d) for row in null]
     return len(basis), basis
+
+
+def commutant_dim_within(basis: Sequence[np.ndarray],
+                         generators: Sequence[np.ndarray]) -> int:
+    """Dimension of the members of span(basis) that commute with the
+    generators, for an orthonormal basis such as commutant_basis returns.
+
+    The commutant of a union is the intersection of the commutants, so a
+    joint commutant is the commutant of the second set solved inside a
+    basis of the first.  Row b of the system (the transpose of the linear
+    system, with the same singular values) stacks [M_b, G_k] over k, and
+    the dimension is the basis size less the system's rank.  A unit member's
+    commutator with G_k is at most 2 ||G_k|| in norm, so singular values
+    below SVD_RTOL times the generators' joint Frobenius norm count as zero:
+    the system's own largest singular value is rounding when every member
+    commutes.
+    """
+    if len(basis) == 0:
+        return 0
+    m = np.asarray(basis)[:, None]
+    g = np.asarray(generators)[None]
+    system = (m @ g - g @ m).reshape(len(basis), -1)
+    s = np.linalg.svd(system, compute_uv=False)
+    return len(basis) - int(np.sum(s > SVD_RTOL * np.linalg.norm(g)))
 
 
 def in_span(basis: Sequence[np.ndarray], target: np.ndarray) -> bool:

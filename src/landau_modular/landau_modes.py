@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_linalg import HermitianEig, adjoint, hermitian_eig, hermitian_function
+from .dense_linalg import adjoint, hermitian_eig, hermitian_function
 
 
 @dataclass(frozen=True)
@@ -409,10 +409,10 @@ def _generator(ncut: int, x: float, y: float) -> np.ndarray:
     return x * ((a + ad) / s2) + y * ((a - ad) / (1j * s2))
 
 
-_POSITION: dict = {}  # ncut -> HermitianEig of Q = (a + a*)/sqrt2
+_POSITION: dict = {}  # ncut -> hermitian_eig of Q = (a + a*)/sqrt2
 
 
-def _position_eig(ncut: int) -> HermitianEig:
+def _position_eig(ncut: int) -> tuple[np.ndarray, np.ndarray]:
     """The eigensystem of the truncated position operator, solved once per
     cut per process and shared."""
     eig = _POSITION.get(ncut)

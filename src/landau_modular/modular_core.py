@@ -163,17 +163,24 @@ def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> c
     OverflowError when |Im z| spread exceeds ln(DBL_MAX), the same limit
     as require_finite_ratios, so every z = t + i beta on an accepted
     configuration is evaluated.
+
+    The kernel e^(iz (E_k - E_j)) is the outer product of 1/u and u, with
+    u = e^(iz (E - c)) and c the midpoint of the energies: N exponentials,
+    not N^2.  Centring keeps each factor's modulus within
+    e^(|Im z| spread / 2) <= e^355, a normal double with a normal
+    reciprocal, so the product is finite wherever the guard lets z through.
     """
     if a.shape != (w.n, w.n) or b.shape != (w.n, w.n):
         raise ValueError("operators must match the truncation dimension")
     energies = w.energies
-    spread = float(energies.max() - energies.min())
+    lo, hi = float(energies.min()), float(energies.max())
+    spread = hi - lo
     if abs(z.imag) * spread > LOG_DBL_MAX:
         raise OverflowError(
             f"imaginary part {z.imag} times spectral spread {spread:.3f} overflows exp"
         )
-    diff = energies[None, :] - energies[:, None]  # (j, k) -> E_k - E_j
-    kernel = np.exp(1j * z * diff)
+    u = np.exp(1j * z * (energies - 0.5 * (lo + hi)))
+    kernel = np.multiply.outer(1 / u, u)  # (j, k) -> e^(iz (E_k - E_j))
     return complex(np.sum(w.alpha[:, None] * a * b.T * kernel))
 
 

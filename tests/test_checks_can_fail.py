@@ -26,7 +26,6 @@ import pytest
 from landau_modular import cgauss_quad as quad
 from landau_modular import coherent_states as cs
 from landau_modular import complex_hermite as ch
-from landau_modular import hs_space
 from landau_modular import landau_modes as lm
 from landau_modular import landau_suites
 from landau_modular import modular_core as mc
@@ -265,9 +264,11 @@ ROWS = [
      _triple_with(big_h=lambda w, t: -t.big_h), {"generator_eigenvalues"}),
     ("modular", "commutant_of_left_algebra", suites, "in_span",
      _in_span_dropping_last, {"commutant_of_left_algebra"}),
-    # a rank cutoff of 0.9 times the largest singular value: the joint stack's
-    # singular values are sqrt 6 and sqrt 12, the left stack's all sqrt 6
-    ("modular", "joint_commutant_scalar", hs_space, "SVD_RTOL", lambda rtol: 0.9,
+    # the restricted solve against the first right generator only: the
+    # members of the left commutant I v M_3 that commute with I v E_00 are
+    # I v (C + M_2), five dimensions
+    ("modular", "joint_commutant_scalar", suites, "commutant_dim_within",
+     lambda within: lambda basis, generators: within(basis, generators[:1]),
      {"joint_commutant_scalar"}),
     # a tolerance of 10: every sampled B counts as a member
     ("modular", "centralizer_predicate", mc, "CENTRALIZER_TOL", lambda tol: 10.0,

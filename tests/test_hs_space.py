@@ -7,6 +7,7 @@ from landau_modular.hs_space import (
     SVD_RTOL,
     WeightedConjugation,
     commutant_basis,
+    commutant_dim_within,
     conjugation_J,
     hs_inner,
     in_span,
@@ -236,6 +237,8 @@ def test_commutant_dimension_matches_full_svd_of_the_stack(seed):
         for m in basis:
             for g in gens:
                 assert np.max(np.abs(m @ g - g @ m)) < 1e-10 * np.max(np.abs(g))
+        # the second generator's commutant solved inside the first one's
+        assert commutant_dim_within(commutant_basis(gens[:1])[1], gens[1:]) == expected
 
 
 def test_commutant_blocks_are_the_kronecker_products():
@@ -272,6 +275,18 @@ def test_commutant_of_the_suite_generators_matches_the_stack():
     for gens, expected in ((left, 9), (left + right, 1)):
         dim, basis = commutant_basis(gens)
         assert dim == len(basis) == _stack_nullity(gens) == expected
+
+
+def test_joint_commutant_inside_the_left_one_matches_the_joint_solve():
+    # (A u B)' = A' n B': the right generators' commutant inside the left
+    # commutant has the dimension of the joint commutant, and the first
+    # right generator alone leaves I v (C + M_2)
+    left, right = _suite_generators()
+    _, basis = commutant_basis(left)
+    joint, _ = commutant_basis(left + right)
+    assert commutant_dim_within(basis, right) == joint == 1
+    assert commutant_dim_within(basis, right[:1]) == 5
+    assert commutant_dim_within([], right) == 0
 
 
 def _traced_peak(gens) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from landau_modular import modular_core as mc
+from landau_modular import suites
 from landau_modular.hs_space import matrix_unit
 from landau_modular.rng import SplitMix64
 from test_hs_space import superop_matrix
@@ -227,3 +228,74 @@ def test_centralizer_agrees_with_pairing_oracle():
                               - matrix_unit(4, k, l) @ b))
             for k in range(4) for l in range(4))
         assert member == (pair_dev <= 1e-10)
+
+
+EPS = np.finfo(float).eps
+
+
+def _kms_reference_terms(w, a, b, z):
+    """The N^2 terms of F(z), each kernel entry its own exponential."""
+    e = w.energies
+    return w.alpha[:, None] * a * b.T * np.exp(1j * z * (e[None, :] - e[:, None]))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_kms_function_matches_the_n_squared_exponentials(n):
+    # the kernel as an outer product of N centred exponentials agrees with
+    # N^2 exponentials of the energy differences to a few eps of the sum of
+    # the terms' moduli, at real z, on the boundary strip and below it
+    rng = SplitMix64(30 + n)
+    for beta in (0.3, 0.7):
+        w = mc.build_weights(beta, n)
+        for z in (0.3, -1.7, complex(1.0, beta), complex(-2.0, beta), complex(0.5, -0.4)):
+            a, b = rng.complex_matrix(n), rng.complex_matrix(n)
+            terms = _kms_reference_terms(w, a, b, z)
+            err = abs(mc.kms_function(w, a, b, complex(z)) - complex(np.sum(terms)))
+            assert err <= 8 * EPS * float(np.sum(np.abs(terms)))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_kms_function_finite_just_under_the_overflow_limit(n):
+    # beta (n - 1) a hair under ln(DBL_MAX): the centred factors stay near
+    # e^355 and their outer product is finite; F(t + i beta) is the boundary
+    # value Tr[rho sigma_t(B) A], which never forms a large number
+    beta = mc.LOG_DBL_MAX / (n - 1) * (1 - 1e-12)
+    w = mc.build_weights(beta, n)
+    rng = SplitMix64(40 + n)
+    a, b = rng.complex_matrix(n), rng.complex_matrix(n)
+    for t in (-1.0, 0.0, 2.0):
+        f = mc.kms_function(w, a, b, complex(t, beta))
+        boundary = complex(np.sum(w.alpha[:, None] * mc.modular_flow(w, t, b) * a.T))
+        assert np.isfinite(f)
+        assert abs(f - boundary) <= 1e-12 * abs(boundary)
+
+
+def _flow_block_error(w, t, a) -> float:
+    """flow_preserves_left_algebra by the blocks of U(A v I)U*: its entries
+    ((i, j), (k, j)) are d_ij A_ik conj(d_kj), against sigma_t(A)_ik."""
+    d = mc.flow_superop(w, t)
+    sig = mc.modular_flow(w, t, a)
+    return max(float(np.max(np.abs((d[:, j, None] * a) * d[None, :, j].conj() - sig)))
+               for j in range(w.n))
+
+
+def _flow_suite_error(n) -> float:
+    report = suites.run_suite("modular", suites.SuiteConfig(dim=n))[0]
+    return next(c.max_error for c in report.checks
+                if c.name == "flow_preserves_left_algebra")
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_flow_action_agrees_with_the_block_route(monkeypatch, n):
+    # the suite tests the flow on three seeded vectors, one matrix product
+    # a side; the blocks of the superoperator are an independent route.
+    # Both read rounding of order eps N, and both read O(1) for a flow
+    # superoperator run backwards
+    a = SplitMix64(50 + n).complex_matrix(n)
+    w = mc.build_weights(0.7, n)
+    assert _flow_block_error(w, 0.8, a) <= 2 * EPS * n
+    assert _flow_suite_error(n) <= 2 * EPS * n
+    superop = mc.flow_superop
+    monkeypatch.setattr(mc, "flow_superop", lambda w, t: superop(w, -t))
+    assert _flow_block_error(w, 0.8, a) > 0.1
+    assert _flow_suite_error(n) > 0.1
