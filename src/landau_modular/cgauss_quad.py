@@ -23,7 +23,6 @@ both the quadrature suite's basis Gram and the coherent moment matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +31,6 @@ import numpy as np
 MAX_RADIAL_ORDER = 194
 
 
-@dataclass(frozen=True, eq=False)
 class ComplexGaussRule:
     """A tensor rule for the normalized planar Gaussian measure: R rings of
     radius rho_r and weight w_r, each carrying the K equal angles
@@ -40,18 +38,17 @@ class ComplexGaussRule:
     (at index r * K + j, read-only) are derived from the ring data here and
     nowhere else, so every rule is a tensor rule.
 
-    A rule compares and hashes by identity: its fields are arrays, for
-    which a field-by-field == has no single truth value and which have no
+    A rule compares and hashes by identity: its data are arrays, for
+    which an entry-by-entry == has no single truth value and which have no
     hash; two rules built from equal ring data are still two rules.
     """
 
-    radii: np.ndarray         # rho_r, length R
-    ring_weights: np.ndarray  # w_r, positive, sums to 1
-    angular_order: int        # K
-    nodes: np.ndarray = field(init=False)    # complex, length R*K
-    weights: np.ndarray = field(init=False)  # positive real, sums to 1
+    __slots__ = ("radii", "ring_weights", "angular_order", "nodes", "weights")
 
-    def __post_init__(self):
+    def __init__(self, radii: np.ndarray, ring_weights: np.ndarray, angular_order: int):
+        self.radii = radii                  # rho_r, length R
+        self.ring_weights = ring_weights    # w_r, positive, sums to 1
+        self.angular_order = angular_order  # K
         nodes = (self.radii[:, None] * np.exp(1j * self.angles)[None, :]).reshape(-1)
         weights = np.repeat(self.ring_weights / self.angular_order, self.angular_order)
         # written so that NaN fails every test
@@ -62,8 +59,8 @@ class ComplexGaussRule:
         if not abs(weights.sum() - 1.0) <= 1e-13:
             raise ValueError("weights must sum to 1 (the measure is normalized)")
         nodes.flags.writeable = weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        self.nodes = nodes      # complex, length R*K
+        self.weights = weights  # positive real, sums to 1
 
     @property
     def radial_order(self) -> int:

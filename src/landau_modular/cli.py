@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import sys
 import time
-from dataclasses import fields
 
 import numpy as np
 
@@ -24,20 +23,19 @@ from . import __version__
 from . import cgauss_quad as quad
 from . import modular_core as mc
 from .hs_space import matrix_unit
-from .suites import SUITE_NAMES, SuiteConfig, check_flags, report_to_json, run_suite
+from .suites import FLAGS, SUITE_NAMES, SuiteConfig, check_flags, report_to_json, run_suite
 
 EXPORT_NAMES = ("hermite_coeffs", "quad_rule", "delta_spectrum", "wigner_grid")
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    for f in fields(SuiteConfig):
-        p.add_argument(f"--{f.name}", type=type(f.default), default=f.default,
-                       help=f.metadata["help"])
+    for name, (default, text) in FLAGS.items():
+        p.add_argument(f"--{name}", type=type(default), default=default, help=text)
     p.add_argument("--out", default=None, help="output file path")
 
 
 def _config_from_args(args) -> SuiteConfig:
-    return SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
+    return SuiteConfig(**{name: getattr(args, name) for name in FLAGS})
 
 
 def _output(path):

@@ -9,6 +9,7 @@ coherent_states, whose series are finite on the truncation.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -20,8 +21,15 @@ HERMITIAN_RTOL = 1e-10
 
 
 def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm: the root of the pairwise np.sum of the squared real
+    parts plus that of the squared imaginary parts.  It takes no BLAS dot
+    product (np.linalg.norm does), so its bits do not depend on the BLAS
+    thread count."""
+    a = np.asarray(a)
+    sq = np.sum(a.real * a.real)
+    if np.iscomplexobj(a):
+        sq += np.sum(a.imag * a.imag)
+    return math.sqrt(sq)
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ with an N x N weight W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +56,6 @@ def sandwich_superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.kron(left, right.conj())
 
 
-@dataclass(frozen=True)
 class WeightedConjugation:
     """The antilinear map X -> (W . X)*: entrywise product with the N x N
     weight W, then the conjugate transpose.
@@ -66,7 +64,10 @@ class WeightedConjugation:
     J, and J D for an entrywise multiplier D has weight D.
     """
 
-    weight: np.ndarray
+    __slots__ = ("weight",)
+
+    def __init__(self, weight: np.ndarray):
+        self.weight = weight
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return (self.weight * x).conj().T

@@ -20,22 +20,34 @@ operators are dense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dense_linalg import adjoint, hermitian_eig, hermitian_function
 
 
-@dataclass(frozen=True)
 class ModeCut:
-    """Per-mode truncation count (each mode keeps levels 0 .. ncut-1)."""
+    """Per-mode truncation count (each mode keeps levels 0 .. ncut-1).
 
-    ncut: int
+    Cuts with equal counts are equal and hash alike, so they share the
+    per-process caches keyed by cut.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("ncut",)
+
+    def __init__(self, ncut: int):
+        self.ncut = ncut
         if self.ncut < 2:
             raise ValueError(f"per-mode cut must be >= 2, got {self.ncut}")
+
+    def __eq__(self, other):
+        if not isinstance(other, ModeCut):
+            return NotImplemented
+        return self.ncut == other.ncut
+
+    def __hash__(self) -> int:
+        return hash(self.ncut)
 
     @property
     def dim(self) -> int:
@@ -78,7 +90,6 @@ def _shift(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class BandedOp:
     """A dim x dim operator stored by its nonzero diagonals.
 
@@ -88,8 +99,10 @@ class BandedOp:
     a matrix-vector product sums its terms in ascending column order.
     """
 
-    dim: int
-    diags: dict[int, np.ndarray]
+    __slots__ = ("dim", "diags")
+
+    def __init__(self, dim: int, diags: dict[int, np.ndarray]):
+        self.dim, self.diags = dim, diags
 
     def __matmul__(self, other):
         """op @ v for a length-dim vector v, or the product op @ other."""
@@ -221,8 +234,7 @@ def interior_deviation(actual: BandedOp, expected: BandedOp,
     return float(np.max(np.sqrt(sq), initial=0.0))
 
 
-@dataclass(frozen=True)
-class RotatedLadders:
+class RotatedLadders(NamedTuple):
     """The pair (A+, A-) diagonalizing the two magnetic Hamiltonians."""
 
     a_plus: BandedOp
@@ -290,8 +302,7 @@ def build_A_pm_from_qp(cut: ModeCut) -> RotatedLadders:
     )
 
 
-@dataclass(frozen=True)
-class Hamiltonians:
+class Hamiltonians(NamedTuple):
     """The level Hamiltonians h_up = N- + 1/2 and h_down = N+ + 1/2, with
     the number operators N+ = A+* A+ and N- = A-* A-."""
 

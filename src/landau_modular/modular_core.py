@@ -16,7 +16,7 @@ acting entrywise, and J and S as hs_space.WeightedConjugation, X -> (W . X)*:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,15 +30,14 @@ from .hs_space import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True)
 class GibbsWeights:
-    """Normalized geometric weights alpha_n = C * exp(-n*beta), sum = 1."""
+    """Normalized geometric weights alpha_n = C * exp(-n*beta), sum = 1, and
+    their Gibbs energies E_n = -log(alpha_n) / beta, so alpha = e^(-beta E)."""
 
-    beta: float
-    n: int
-    alpha: np.ndarray
+    __slots__ = ("beta", "n", "alpha", "energies")
 
-    def __post_init__(self):
+    def __init__(self, beta: float, n: int, alpha: np.ndarray):
+        self.beta, self.n, self.alpha = beta, n, alpha
         # each condition is written so that a NaN fails it
         if not 0 < self.beta < math.inf:
             raise ValueError(f"inverse temperature must be positive and finite, got {self.beta}")
@@ -52,11 +51,9 @@ class GibbsWeights:
         ratios = a[1:] / a[:-1]
         if not np.all(np.abs(ratios - math.exp(-self.beta)) <= 1e-12):
             raise ValueError("weights must be geometric with ratio exp(-beta)")
-
-    @property
-    def energies(self) -> np.ndarray:
-        """The Gibbs energies E_n = -log(alpha_n) / beta, so alpha = e^(-beta E)."""
-        return -np.log(self.alpha) / self.beta
+        # the one definition of the energies, which the flows and the KMS
+        # kernel read
+        self.energies = -np.log(self.alpha) / self.beta
 
 
 # ln(DBL_MAX) ~ 709.78: the largest eigenvalue of Delta, alpha_0 / alpha_(n-1)
@@ -99,8 +96,7 @@ def state_eval(w: GibbsWeights, a: np.ndarray) -> complex:
     return complex(np.sum(w.alpha * np.diag(a)))
 
 
-@dataclass(frozen=True)
-class ModularTriple:
+class ModularTriple(NamedTuple):
     """The modular data attached to the Gibbs cyclic vector.
 
     J and S are antilinear, X -> (W . X)* with weight 1 and Delta^(1/2);
@@ -155,23 +151,27 @@ def flow_superop(w: GibbsWeights, t: float) -> np.ndarray:
     return np.multiply.outer(u, u.conj())
 
 
-def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> complex:
-    """F(z) = Tr[rho A exp(iHz) B exp(-iHz)] by the spectral sum.
-
-    Entire in z at finite truncation.  The kernel's largest modulus is
-    e^(|Im z| spread), spread the largest energy difference; raises
-    OverflowError when |Im z| spread exceeds ln(DBL_MAX), the same limit
-    as require_finite_ratios, so every z = t + i beta on an accepted
-    configuration is evaluated.
-
-    The kernel e^(iz (E_k - E_j)) is the outer product of 1/u and u, with
-    u = e^(iz (E - c)) and c the midpoint of the energies: N exponentials,
-    not N^2.  Centring keeps each factor's modulus within
-    e^(|Im z| spread / 2) <= e^355, a normal double with a normal
-    reciprocal, so the product is finite wherever the guard lets z through.
-    """
+def _kms_weighted(w: GibbsWeights, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """alpha_j A_jk B_kj at [j, k], the z-independent factor of the KMS sum."""
     if a.shape != (w.n, w.n) or b.shape != (w.n, w.n):
         raise ValueError("operators must match the truncation dimension")
+    return w.alpha[:, None] * a * b.T
+
+
+def kms_kernel(w: GibbsWeights, z: complex) -> np.ndarray:
+    """The KMS kernel e^(iz (E_k - E_j)) at [j, k].
+
+    Its largest modulus is e^(|Im z| spread), spread the largest energy
+    difference; raises OverflowError when |Im z| spread exceeds
+    ln(DBL_MAX), the same limit as require_finite_ratios, so every
+    z = t + i beta on an accepted configuration is evaluated.
+
+    The kernel is the outer product of 1/u and u, with u = e^(iz (E - c))
+    and c the midpoint of the energies: N exponentials, not N^2.  Centring
+    keeps each factor's modulus within e^(|Im z| spread / 2) <= e^355, a
+    normal double with a normal reciprocal, so the product is finite
+    wherever the guard lets z through.
+    """
     energies = w.energies
     lo, hi = float(energies.min()), float(energies.max())
     spread = hi - lo
@@ -180,16 +180,29 @@ def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> c
             f"imaginary part {z.imag} times spectral spread {spread:.3f} overflows exp"
         )
     u = np.exp(1j * z * (energies - 0.5 * (lo + hi)))
-    kernel = np.multiply.outer(1 / u, u)  # (j, k) -> e^(iz (E_k - E_j))
-    return complex(np.sum(w.alpha[:, None] * a * b.T * kernel))
+    return np.multiply.outer(1 / u, u)
+
+
+def kms_function(w: GibbsWeights, a: np.ndarray, b: np.ndarray, z: complex) -> complex:
+    """F(z) = Tr[rho A exp(iHz) B exp(-iHz)] by the spectral sum of
+    alpha_j A_jk B_kj times kms_kernel.
+
+    Entire in z at finite truncation; raises OverflowError where
+    kms_kernel does.
+    """
+    return complex(np.sum(_kms_weighted(w, a, b) * kms_kernel(w, z)))
 
 
 def kms_boundary_deviation(
     w: GibbsWeights, a: np.ndarray, b: np.ndarray, t_grid: np.ndarray
 ) -> float:
     """max over the grid of |F(t + i*beta) - Tr[rho alpha_t(B) A]|, the
-    trace an entrywise sum since rho is diagonal; NaN if any term is NaN."""
-    return float(np.max([abs(kms_function(w, a, b, complex(t, w.beta))
+    trace an entrywise sum since rho is diagonal; NaN if any term is NaN.
+
+    F is kms_function's sum, whose z-independent factor alpha_j A_jk B_kj
+    is formed once for the whole grid rather than once per time."""
+    weighted = _kms_weighted(w, a, b)
+    return float(np.max([abs(complex(np.sum(weighted * kms_kernel(w, complex(t, w.beta))))
                              - complex(np.sum(w.alpha[:, None] * modular_flow(w, t, b)
                                               * a.T)))
                          for t in np.asarray(t_grid, dtype=float)], initial=0.0))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,30 +53,50 @@ def check_flags(flags: dict) -> None:
         mc.require_finite_ratios(beta, flags["dim"])
 
 
-@dataclass(frozen=True)
+# name -> (default, help) of each config flag: the CLI option --<name> of
+# `verify` and `export`, and the attribute of SuiteConfig, in the order in
+# which a report echoes them
+FLAGS = {
+    "dim": (16, "Gibbs truncation dimension"),
+    "beta": (0.7, "inverse temperature"),
+    "cutoff": (10, "coherent basis cutoff"),
+    "ncut": (64, "single-mode phase-space cut; the landau suite's algebraic "
+             "and Fock checks run at min(ncut, 16)"),
+    "radial": (40, "radial quadrature order"),
+    "angular": (64, "angular quadrature order"),
+    "seed": (42, "seed for random operators"),
+}
+
+
 class SuiteConfig:
-    """Shared configuration for all suites.  Each field is the value of the
-    CLI flag --<field>, whose help text is the field's metadata.  Every
-    check's bound is fixed in its suite; no field scales it."""
+    """Shared configuration for all suites: one value per flag of FLAGS,
+    its default where none is given.  Configurations with equal values
+    are equal.  Every check's bound is fixed in its suite; no flag scales
+    it."""
 
-    dim: int = field(default=16, metadata={"help": "Gibbs truncation dimension"})
-    beta: float = field(default=0.7, metadata={"help": "inverse temperature"})
-    cutoff: int = field(default=10, metadata={"help": "coherent basis cutoff"})
-    ncut: int = field(default=64, metadata={"help": "single-mode phase-space cut; the "
-                      "landau suite's algebraic and Fock checks run at min(ncut, 16)"})
-    radial: int = field(default=40, metadata={"help": "radial quadrature order"})
-    angular: int = field(default=64, metadata={"help": "angular quadrature order"})
-    seed: int = field(default=42, metadata={"help": "seed for random operators"})
+    __slots__ = tuple(FLAGS)
 
-    def __post_init__(self):
-        check_flags(asdict(self))  # before any suite runs
+    def __init__(self, **flags):
+        for name, (default, _) in FLAGS.items():
+            setattr(self, name, flags.pop(name, default))
+        if flags:
+            raise TypeError(f"SuiteConfig got unknown flags {sorted(flags)}")
+        check_flags(self.values())  # before any suite runs
         # the coherent suite's moment matrix needs the rule to cover the
         # cutoff and n! to be a finite double up to it
         quad.require_coverage(quad.build_rule(self.radial, self.angular), self.cutoff)
 
+    def values(self) -> dict:
+        """The flag values by name, in the order of FLAGS."""
+        return {name: getattr(self, name) for name in FLAGS}
 
-@dataclass
-class Check:
+    def __eq__(self, other):
+        if not isinstance(other, SuiteConfig):
+            return NotImplemented
+        return self.values() == other.values()
+
+
+class Check(NamedTuple):
     name: str
     identity: str
     max_error: float
@@ -87,12 +107,14 @@ class Check:
         return self.max_error <= self.bound
 
 
-@dataclass
 class Report:
-    suite: str
-    config: SuiteConfig
-    checks: list = field(default_factory=list)
-    errata: list = field(default_factory=list)
+    """One suite's checks and errata, in the order they were recorded."""
+
+    __slots__ = ("suite", "config", "checks", "errata")
+
+    def __init__(self, suite: str, config: SuiteConfig):
+        self.suite, self.config = suite, config
+        self.checks, self.errata = [], []
 
 
 def _sig6(x: float) -> float:
@@ -105,7 +127,7 @@ def report_to_json(report: Report) -> str:
     """Deterministic UTF-8 JSON serialization of a report."""
     doc = {
         "suite": report.suite,
-        "config": asdict(report.config),
+        "config": report.config.values(),
         "checks": [
             {
                 "name": c.name,
@@ -191,8 +213,8 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
             [err / norms for err, norms, _ in pairs], 1e-12)
     # fails for an inner product without its conjugation, which j_antiunitary
     # passes.  Tr[x* x] rounds by at most N eps relative (nonnegative terms);
-    # ||x||^2 is a pairwise sum, as frob's BLAS dot varies with the thread
-    # count.  Measured 1 to 2 eps at dims 16 to 1024; 1e-12 covers N = 4000
+    # ||x||^2 is a pairwise sum, with no BLAS, so it does not vary with the
+    # thread count.  Measured 1 to 2 eps at dims 16 to 1024; 1e-12 covers N = 4000
     s.check("hs_inner_norm", "<x, x> = ||x||^2 relative to ||x||^2",
             [rel for _, _, rel in pairs], 1e-12)
 

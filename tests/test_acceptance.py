@@ -289,8 +289,7 @@ def test_criterion_13_determinism_at_reach(tmp_path):
     # the reach configurations: the phase-space rotation is a BLAS product at
     # ncut 128, the coherent moment matrix is a BLAS product over the rings at
     # cutoffs 16 and 170, the KMS traces are entrywise sums at dim 256, and
-    # the modular inner products are BLAS products at dim 256, where a BLAS
-    # dot (frob) is split across threads
+    # the modular inner products are BLAS products at dim 256
     runs = (("wigner", "--ncut", "128"),
             ("coherent", "--cutoff", "16", "--radial", "48", "--angular", "96"),
             ("coherent", "--cutoff", "170", "--radial", "86", "--angular", "171"),

@@ -17,7 +17,6 @@ suite's ordered check names, so a check that vanishes or is renamed is
 noticed, and one requires a row for each check of every suite.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -55,7 +54,7 @@ def _triple_with(**change):
     def mutation(build):
         def mutant(w):
             t = build(w)
-            return dataclasses.replace(t, **{k: f(w, t) for k, f in change.items()})
+            return t._replace(**{k: f(w, t) for k, f in change.items()})
         return mutant
     return mutation
 
@@ -125,7 +124,7 @@ def _x_field_on_both(hamiltonians):
         h = hamiltonians(cut)
         ax, _ = lm.mode_ops(cut)
         x = (ax + ax.dag()) * (0.1 / math.sqrt(2.0))
-        return dataclasses.replace(h, h_up=h.h_up + x, h_down=h.h_down + x)
+        return h._replace(h_up=h.h_up + x, h_down=h.h_down + x)
     return mutant
 
 
@@ -279,8 +278,8 @@ ROWS = [
      {"centralizer_pairing_oracle"}),
 
     # the kernel at conj(z): F(t + i beta) is evaluated at t - i beta
-    ("kms", "closed_form_pair", mc, "kms_function",
-     lambda kms_function: lambda w, a, b, z: kms_function(w, a, b, np.conj(z)),
+    ("kms", "closed_form_pair", mc, "kms_kernel",
+     lambda kms_kernel: lambda w, z: kms_kernel(w, np.conj(z)),
      {"closed_form_pair", "boundary_condition"}),
     # the flow run backwards
     ("kms", "real_time_agreement", mc, "modular_flow",

@@ -192,11 +192,11 @@ def test_smallest_cuts_run():
 
 
 def test_nan_inside_a_check_makes_it_fail(monkeypatch):
-    # the KMS function goes NaN at t = 1, the fourth of five points of
-    # closed_form_pair and inside the grid of boundary_condition, whose
-    # deviation is itself a fold in modular_core; neither fold may keep
-    # the finite values around the NaN, and the check without t = 1 keeps
-    # its value
+    # the KMS kernel, and so the KMS function, goes NaN at t = 1, the fourth
+    # of five points of closed_form_pair and inside the grid of
+    # boundary_condition, whose deviation is itself a fold in modular_core;
+    # neither fold may keep the finite values around the NaN, and the check
+    # without t = 1 keeps its value
     import math
 
     from landau_modular import coherent_states as cs
@@ -204,9 +204,9 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
     from landau_modular import suites
 
     clean = {c.name: c for c in run_suite("kms", SuiteConfig())[0].checks}
-    kms = mc.kms_function
-    monkeypatch.setattr(mc, "kms_function", lambda w, a, b, z: (
-        complex("nan") if z.real == 1.0 else kms(w, a, b, z)))
+    kernel = mc.kms_kernel
+    monkeypatch.setattr(mc, "kms_kernel", lambda w, z: (
+        np.full((w.n, w.n), complex("nan")) if z.real == 1.0 else kernel(w, z)))
     report = run_suite("kms", SuiteConfig())[0]
     checks = {c.name: c for c in report.checks}
     for name in ("closed_form_pair", "boundary_condition"):
@@ -458,6 +458,33 @@ def test_landau_and_full_runs_load_no_numpy_polynomial():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == ["False", "False", "True"]
+
+
+def test_verify_runs_and_the_fock_import_load_no_dataclasses():
+    # a fresh process, since pytest loads dataclasses into this one; the
+    # library's records are NamedTuples or __slots__ classes, so none execs
+    # generated code at import.  The first line is the Fock driver's
+    # import, and importing dataclasses at the end is the control
+    code = (
+        "import contextlib, io, sys\n"
+        "import landau_modular.landau_modes\n"
+        "def loaded():\n"
+        "    return 'dataclasses' in sys.modules\n"
+        "print(loaded())\n"
+        "import landau_modular.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert landau_modular.cli.main(['verify', 'modular']) == 0\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert landau_modular.cli.main(['verify', 'all', '--seed', '42']) == 1\n"
+        "print(loaded())\n"
+        "import dataclasses\n"
+        "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["False", "False", "False", "True"]
 
 
 def test_importing_the_library_leaves_the_collector_alone():

@@ -1,13 +1,42 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from landau_modular.dense_linalg import (
     adjoint,
+    frob,
     func_calculus,
     hermitian_eig,
     hermitian_function,
 )
 from landau_modular.rng import SplitMix64
+
+
+def test_frob_is_the_frobenius_norm():
+    a = SplitMix64(3).complex_matrix(7)
+    assert frob(np.array([[3.0, 0.0], [0.0, 4.0]])) == 5.0
+    assert frob(np.array([[3j, 4]])) == 5.0
+    assert frob(np.zeros((2, 2))) == 0.0
+    assert abs(frob(a) - np.linalg.norm(a)) <= 4e-16 * np.linalg.norm(a)
+
+
+def test_frob_bits_do_not_depend_on_the_blas_thread_count():
+    # fresh processes, since the thread count is read when numpy loads; at
+    # dim 256 a BLAS dot (np.linalg.norm) is split across two threads, and
+    # frob, a pairwise np.sum, must not be
+    code = ("from landau_modular.dense_linalg import frob\n"
+            "from landau_modular.rng import SplitMix64\n"
+            "print(frob(SplitMix64(42).complex_matrix(256)).hex())\n")
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        bits.append(proc.stdout)
+    assert bits[0] == bits[1]
 
 
 def test_adjoint_identity_and_unit():

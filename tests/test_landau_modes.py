@@ -225,6 +225,22 @@ def test_ladders_built_once_per_cut():
     assert lm.build_A_pm_from_qp(cut) is not lm.build_A_pm_from_qp(cut)
 
 
+def test_equal_cuts_share_one_ladder_build(monkeypatch):
+    # two separately made ModeCut(16) are one cache key: equal, with equal
+    # hashes, so the second build_A_pm builds nothing; a cut of 17 is not
+    calls = []
+    mode_ops = lm.mode_ops
+    monkeypatch.setattr(lm, "_LADDERS", {})
+    monkeypatch.setattr(lm, "mode_ops", lambda cut: calls.append(cut.ncut) or mode_ops(cut))
+    first, second = lm.ModeCut(16), lm.ModeCut(16)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert lm.ModeCut(17) != first
+    assert lm.build_A_pm(first) is lm.build_A_pm(second)
+    assert calls == [16] and len(lm._LADDERS) == 1
+    lm.build_A_pm(lm.ModeCut(17))
+    assert calls == [16, 17]
+
+
 def test_hamiltonian_relations():
     cut = lm.ModeCut(12)
     mask = lm.interior_mask(cut)
