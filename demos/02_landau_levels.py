@@ -42,7 +42,7 @@ for name, p, q, target in [
 # two independent constructions of the same operators agree
 alt = lm.build_A_pm_from_qp(cut)
 print("\nladder construction vs. quadrature construction:",
-      float(np.max(np.abs((ops.a_plus - alt.a_plus).toarray()))))
+      float(np.max(np.abs((ops.a_plus - alt.a_plus).entries()))))
 
 # the sign variant fails by exactly -1/8
 lit = lm.build_A_pm(cut, literal=True)
@@ -58,7 +58,7 @@ print("\n[H_up, H_down] on interior:     ",
 
 # entrywise complex conjugation exchanges the two Hamiltonians exactly
 print("|| conj(H_up) - H_down ||_max:  ",
-      float(np.max(np.abs((h.h_up.conj() - h.h_down).toarray()))))
+      float(np.max(np.abs((h.h_up.conj() - h.h_down).entries()))))
 
 # the joint vacuum: built in closed form (a two-mode squeezed state with
 # tanh r = 1/3) and cross-checked against the eigensolved kernel of N+ + N-

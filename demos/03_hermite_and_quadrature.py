@@ -30,10 +30,10 @@ print(f"recursion == Rodrigues == explicit sum for n,k <= {deg}:", ok)
 
 # the sign variant of the explicit sum already fails at (1,1), by a constant
 diff = chp.ch_explicit(1, 1, literal=True) - chp.ch_rodrigues(1, 1)
-print("sign-variant explicit sum at (1,1) differs by:", dict(diff.coeffs))
+print("sign-variant explicit sum at (1,1) differs by:", diff.terms)
 
 h23 = chp.ch_recursion(2, 3)
-print("\nH_{2,3}(zbar, z) =", dict(h23.coeffs))
+print("\nH_{2,3}(zbar, z) =", dict(sorted(h23.terms.items())))
 
 print("\neigen-relations (all exact):")
 print("  n_plus  H_{2,3} == 2 H_{2,3}:",
@@ -50,7 +50,7 @@ print("  raising ladder: (a_plus_dag)^2 H_{0,3} == H_{2,3}:",
       == h23)
 
 print("  symmetry H_{n,k}(zbar,z) = conj-index swap of H_{k,n}:",
-      {(j, m): c for (m, j), c in h23.coeffs} == dict(chp.ch_recursion(3, 2).coeffs))
+      {(j, m): c for (m, j), c in h23.terms.items()} == chp.ch_recursion(3, 2).terms)
 
 print("\n-- quadrature on the complex plane --\n")
 rule = quad.build_rule(20, 32)
@@ -66,7 +66,7 @@ for m, k in ((0, 0), (1, 1), (2, 2), (3, 1), (4, 4)):
 
 print("\northonormality of normalised complex Hermite functions:")
 M = 6
-vals = chp.basis_values(rule.nodes, M - 1)  # row n * M + k holds B[n, k]
+vals = chp.basis_values(rule.nodes, M - 1).reshape(M * M, -1)  # row n * M + k: B[n, k]
 gram = (vals * rule.weights) @ vals.conj().T
 dev = float(np.max(np.abs(gram - np.eye(M * M))))
 print(f"  max | <H_a, H_b> - delta_ab | for degrees < {M}: {dev:.3e}")

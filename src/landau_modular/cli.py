@@ -25,8 +25,6 @@ from . import modular_core as mc
 from .hs_space import matrix_unit
 from .suites import FLAGS, SUITE_NAMES, SuiteConfig, check_flags, report_to_json, run_suite
 
-EXPORT_NAMES = ("hermite_coeffs", "quad_rule", "delta_spectrum", "wigner_grid")
-
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     for name, (default, text) in FLAGS.items():
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_export = sub.add_parser("export", help="write a data table")
-    p_export.add_argument("what", choices=EXPORT_NAMES)
+    p_export.add_argument("what", choices=tuple(_EXPORTS))
     _add_config_args(p_export)
     p_export.set_defaults(fn=_cmd_export)
     return parser

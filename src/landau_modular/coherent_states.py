@@ -62,7 +62,7 @@ def eta_breve(zbar: complex, cutoff: int) -> np.ndarray:
 def coeff_eval(v: np.ndarray, w: complex) -> complex:
     """Pointwise value sum c[n, k] B[n, k](wbar, w) of a square coefficient
     array, as one pairwise sum."""
-    return np.sum(v.reshape(-1) * ch.basis_values(w, v.shape[0] - 1))
+    return np.sum(v * ch.basis_values(w, v.shape[0] - 1))
 
 
 def sector_projector(kind: str, cutoff: int) -> np.ndarray:

@@ -1,16 +1,15 @@
 """Bivariate complex Hermite polynomials with exact coefficient arithmetic.
 
 A polynomial in the pair (zbar, z) is stored as one exact map,
-(m, k) -> nonzero int or Fraction multiplying the monomial zbar^m z^k; the
-arithmetic acts on the map directly, and the sorted ((m, k), QC) view is
-built only when asked for.  Every coefficient of h[n, k] is an integer,
-(-1)^j j! C(n, j) C(k, j), and every operator applied to them (shifts,
-derivatives, sums, real scalings) is real, so plain int coefficients come
-out of all three construction routes; a Fraction enters only through a
-non-integer scale factor, which no `verify` or `export` run uses.  All
-identities (recursion, Rodrigues form, explicit double sum, ladder and
-number actions) are checked as exact equalities of coefficient maps;
-floating point enters only at evaluation time.  The recursion and the
+(m, k) -> nonzero int or Fraction multiplying the monomial zbar^m z^k, and
+the arithmetic acts on the map directly.  Every coefficient of h[n, k] is
+an integer, (-1)^j j! C(n, j) C(k, j), and every operator applied to them
+(shifts, derivatives, sums, real scalings) is real, so plain int
+coefficients come out of all three construction routes; a Fraction enters
+only through a non-integer scale factor, which no `verify` or `export` run
+uses.  All identities (recursion, Rodrigues form, explicit double sum,
+ladder and number actions) are checked as exact equalities of coefficient
+maps; floating point enters only at evaluation time.  The recursion and the
 Rodrigues routes each build every entry once per process, into a table of
 their own that no other route reads; the explicit sum reads no table.
 
@@ -42,7 +41,7 @@ def _exact(a):
 
 class QC:
     """A complex number with exact (int or Fraction) real and imaginary
-    parts: the value type of the sorted `BivarPoly.coeffs` view."""
+    parts."""
 
     __slots__ = ("re", "im")
 
@@ -86,11 +85,6 @@ class BivarPoly:
 
     def __init__(self, terms: dict):
         self.terms = terms
-
-    @property
-    def coeffs(self) -> tuple:
-        """Sorted tuple of ((m, k), QC) over the nonzero coefficients."""
-        return tuple((mk, QC(c)) for mk, c in sorted(self.terms.items()))
 
     def __eq__(self, other):
         if isinstance(other, BivarPoly):
@@ -253,8 +247,8 @@ def number_apply(which: str, p: BivarPoly) -> BivarPoly:
 
 def basis_values(z, deg: int) -> np.ndarray:
     """Values of B[n, k] = h[n, k] / sqrt(n! k!) at the points z, of any
-    shape, for 0 <= n, k <= deg: row n * (deg+1) + k of the result has the
-    shape of z.  They come from the coupled recursions of ch_recursion on
+    shape, for 0 <= n, k <= deg: entry [n, k] of the result has the shape
+    of z.  They come from the coupled recursions of ch_recursion on
     value arrays, each step vectorised over k."""
     z = np.asarray(z)
     zb, m = z.conj(), deg + 1
@@ -269,4 +263,4 @@ def basis_values(z, deg: int) -> np.ndarray:
     norms = [[math.sqrt(math.factorial(n) * math.factorial(k)) for k in range(m)]
              for n in range(m)]
     h /= np.array(norms).reshape((m, m) + (1,) * z.ndim)
-    return h.reshape((m * m,) + z.shape)
+    return h

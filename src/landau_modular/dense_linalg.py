@@ -1,10 +1,13 @@
 """Dense complex matrix kernel with Hermitian spectral calculus.
 
-Every operator exponential in the library (time evolution, modular
-operators, Weyl displacements) is routed through an eigendecomposition of
-a Hermitian matrix.  The one exception is computed by series summation:
-the nilpotent displacement factors e^(alpha a*) and e^(-conj(alpha) a) in
-coherent_states, whose series are finite on the truncation.
+The modular flow, Delta^(it) and the KMS function are exponentials of the
+Gibbs energies (modular_core.GibbsWeights.energies), taken entrywise.  The
+Weyl displacement is the one operator exponential routed through an
+eigendecomposition of a Hermitian matrix: hermitian_function for the
+direct route, and one shared eigensystem of the position operator for the
+rotated block.  The nilpotent displacement factors e^(alpha a*) and
+e^(-conj(alpha) a) in coherent_states are summed as series, which are
+finite on the truncation.
 """
 
 from __future__ import annotations
@@ -52,14 +55,16 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(a)
 
 
-def func_calculus(eig: tuple[np.ndarray, np.ndarray],
-                  f: Callable[[float], complex]) -> np.ndarray:
+def hermitian_function(a: np.ndarray, f: Callable[[float], complex]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    eig is hermitian_eig's result.  Returns U diag(f(lambda)) U*.  Raises
-    ValueError naming the offending eigenvalue if f produces a non-finite
-    value.
+    Returns U diag(f(lambda)) U*, from hermitian_eig(a).  Raises ValueError
+    naming the offending eigenvalue if f produces a non-finite value.  a is
+    dropped once its eigensystem is formed, so a caller that passes its only
+    reference frees it before the product is formed.
     """
+    eig = hermitian_eig(a)
+    del a
     vals = np.array([f(lam) for lam in eig.eigenvalues], dtype=complex)
     bad = ~np.isfinite(vals)
     if bad.any():
@@ -67,14 +72,3 @@ def func_calculus(eig: tuple[np.ndarray, np.ndarray],
         raise ValueError(f"scalar function is not finite at eigenvalue {lam}")
     u = eig.eigenvectors
     return (u * vals) @ u.conj().T
-
-
-def hermitian_function(a: np.ndarray, f: Callable[[float], complex]) -> np.ndarray:
-    """func_calculus(hermitian_eig(a), f).
-
-    a is dropped once its eigensystem is formed, so a caller that passes
-    its only reference frees it before the product is formed.
-    """
-    eig = hermitian_eig(a)
-    del a
-    return func_calculus(eig, f)

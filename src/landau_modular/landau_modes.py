@@ -185,9 +185,6 @@ class BandedOp:
             out[pos[self.dim + rows], pos[self.dim + rows + k]] = d[rows]
         return out
 
-    def toarray(self) -> np.ndarray:
-        return self.block(np.arange(self.dim))
-
     def entries(self) -> np.ndarray:
         """The stored entries inside the matrix, diagonal after diagonal."""
         return np.concatenate([np.zeros(0)] + [d[max(-k, 0):self.dim - max(k, 0)]
@@ -445,8 +442,8 @@ def displacement_block(ncut: int, x: float, y: float, n: int) -> np.ndarray:
     the truncation: N is diagonal and e^(i theta N) a e^(-i theta N) =
     e^(-i theta) a entry by entry for the truncated ladder.  Only the
     n x n block is formed, as one matrix product over the first n rows of
-    V, the product func_calculus forms for the direct route.  The reports
-    built on it are byte-identical at one and two BLAS threads
+    V, the product hermitian_function forms for the direct route.  The
+    reports built on it are byte-identical at one and two BLAS threads
     (tests/test_acceptance.py::test_criterion_13_determinism_at_reach).
     """
     _finite_point(x, y)
@@ -496,6 +493,6 @@ def wigner_closed_form(n: int, l: int, x: float | np.ndarray, y: float | np.ndar
     z = (x - 1j * y) / math.sqrt(2.0)
     deg = max(n, l)
     a, b = (n, l) if literal else (l, n)
-    val = ch.basis_values(z, deg)[a * (deg + 1) + b]
+    val = ch.basis_values(z, deg)[a, b]
     phase = 1.0 if literal else 1j ** (n + l)
     return phase * np.exp(-np.abs(z) ** 2 / 2.0) * val / math.sqrt(2.0 * math.pi)

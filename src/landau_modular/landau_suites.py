@@ -22,7 +22,7 @@ from . import modular_core as mc
 from .dense_linalg import frob
 from .hs_space import matrix_unit, transpose_permutation
 from .rng import SplitMix64
-from .suites import Report, SuiteConfig, _Suite
+from .suites import Report, SuiteConfig
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ from .suites import Report, SuiteConfig, _Suite
 def _suite_landau(cfg: SuiteConfig) -> Report:
     from . import landau_modes as lm
 
-    s = _Suite("landau", cfg)
+    s = Report("landau", cfg)
     # the algebraic identities are exact on the interior at any modest cut;
     # a fixed small cut keeps the two-mode matrices at desk scale
     cut = lm.ModeCut(min(cfg.ncut, 16))
@@ -109,7 +109,7 @@ def _suite_landau(cfg: SuiteConfig) -> Report:
             "real-line orthonormality of the Hermite functions",
             [abs(0.25 * float(np.sum(table[m] * table[n])) - (1.0 if m == n else 0.0))
              for m in range(9) for n in range(9)], 1e-10)
-    return s.report
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def _suite_landau(cfg: SuiteConfig) -> Report:
 def _suite_hermite(cfg: SuiteConfig) -> Report:
     from . import complex_hermite as chp
 
-    s = _Suite("hermite", cfg)
+    s = Report("hermite", cfg)
 
     ok = all(chp.ch_recursion(n, k) == chp.ch_rodrigues(n, k) == chp.ch_explicit(n, k)
              for n in range(13) for k in range(13))
@@ -175,7 +175,7 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
         "n_minus -> k.",
         "number_eigenvalues")
 
-    return s.report
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def _suite_hermite(cfg: SuiteConfig) -> Report:
 def _suite_quadrature(cfg: SuiteConfig) -> Report:
     from . import complex_hermite as chp
 
-    s = _Suite("quadrature", cfg)
+    s = Report("quadrature", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)
 
     # z^k held for 0 <= k <= 12, zbar^m formed once per m: 14 node-sized arrays
@@ -201,7 +201,8 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
 
     # B[n, k](rho e^(i theta)) = e^(i(k - n) theta) B[n, k](rho): a ring x angle sum
     n, k = np.divmod(np.arange(13 * 13), 13)
-    gram = quad.ring_angle_sum(rule, chp.basis_values(rule.radii, 12), k - n)
+    values = chp.basis_values(rule.radii, 12).reshape(13 * 13, -1)
+    gram = quad.ring_angle_sum(rule, values, k - n)
     s.check("basis_orthonormality",
             "<B[n, k], B[m, l]> = delta delta under dnu, indices <= 12",
             np.abs(gram - np.eye(13 * 13)), 1e-10)
@@ -216,7 +217,7 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
     s.check("order_convergence",
             "errors on the exponential kernel decrease with the orders",
             0.0 if errs[0] > errs[1] > errs[2] else 1.0, 0.5)
-    return s.report
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,7 @@ def _suite_quadrature(cfg: SuiteConfig) -> Report:
 def _suite_coherent(cfg: SuiteConfig) -> Report:
     from . import coherent_states as cs
 
-    s = _Suite("coherent", cfg)
+    s = Report("coherent", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)
     m = cfg.cutoff
     g = cs.moment_matrix(rule, m)  # every sector object below is read from it
@@ -322,7 +323,7 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
     s.check("displacement_vacuum_column",
             "vacuum column of the displacement is e^(-|a|^2/2) a^n/sqrt(n!)",
             np.abs(u[:, 0] - expect), 1e-10)
-    return s.report
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +333,7 @@ def _suite_coherent(cfg: SuiteConfig) -> Report:
 def _suite_wigner(cfg: SuiteConfig) -> Report:
     from . import landau_modes as lm
 
-    s = _Suite("wigner", cfg)
+    s = Report("wigner", cfg)
     grid = np.linspace(-2.0, 2.0, 5)
     labels = [(n, l) for n in range(4) for l in range(4)]
     # the 16 matrix units share one displacement block per grid point
@@ -392,4 +393,4 @@ def _suite_wigner(cfg: SuiteConfig) -> Report:
             "e^(i theta N) e^(-i r Q) e^(-i theta N) from one eigensolve of Q "
             "equals exp(-i(xQ + yP)) at (x, y) = r(cos theta, sin theta)",
             [e for i in range(len(points) // 2) for e in pair_errors(i)], 1e-12)
-    return s.report
+    return s

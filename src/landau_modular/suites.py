@@ -19,7 +19,7 @@ import numpy as np
 # paper's Hilbert-Schmidt half, modular and kms.  The five suites of its
 # Landau-level half live in landau_suites, which _SUITES imports on the
 # first run of one of them: a `verify modular` or `verify kms` process, or
-# one that only imports the CLI, then never compiles their ~360 lines.
+# one that only imports the CLI, then never compiles their ~400 lines.
 # Those suites import the layers only they use (landau_modes,
 # complex_hermite, coherent_states) inside themselves, for the same reason
 from . import __version__
@@ -70,9 +70,8 @@ FLAGS = {
 
 class SuiteConfig:
     """Shared configuration for all suites: one value per flag of FLAGS,
-    its default where none is given.  Configurations with equal values
-    are equal.  Every check's bound is fixed in its suite; no flag scales
-    it."""
+    its default where none is given.  Every check's bound is fixed in its
+    suite; no flag scales it."""
 
     __slots__ = tuple(FLAGS)
 
@@ -89,11 +88,6 @@ class SuiteConfig:
     def values(self) -> dict:
         """The flag values by name, in the order of FLAGS."""
         return {name: getattr(self, name) for name in FLAGS}
-
-    def __eq__(self, other):
-        if not isinstance(other, SuiteConfig):
-            return NotImplemented
-        return self.values() == other.values()
 
 
 class Check(NamedTuple):
@@ -115,6 +109,29 @@ class Report:
     def __init__(self, suite: str, config: SuiteConfig):
         self.suite, self.config = suite, config
         self.checks, self.errata = [], []
+
+    def check(self, name: str, identity: str, errors: float | list | np.ndarray,
+              bound: float) -> None:
+        """Record the largest of errors (one nonnegative error, or a sequence
+        or array of per-sample errors) against the fixed bound.
+
+        The errors are folded by np.max, which returns NaN when any error is
+        NaN; the builtin max keeps its first operand whenever the comparison
+        with NaN is false, so a check whose arithmetic went NaN would report
+        an earlier value and pass.  A NaN max_error fails its bound.
+        """
+        self.checks.append(
+            Check(name=name, identity=identity,
+                  max_error=float(np.max(errors, initial=0.0)),
+                  bound=float(bound)))
+
+    def erratum(self, name: str, statement: str, check: str) -> None:
+        """Record a misprint of the paper; its witness is the named check,
+        which must already be in the report."""
+        if check not in [c.name for c in self.checks]:
+            raise LookupError(f"erratum {name} names no recorded check {check!r}")
+        self.errata.append(
+            {"name": name, "statement": statement, "witness": check})
 
 
 def _sig6(x: float) -> float:
@@ -145,40 +162,12 @@ def report_to_json(report: Report) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-class _Suite:
-    def __init__(self, name: str, cfg: SuiteConfig):
-        self.report = Report(suite=name, config=cfg)
-
-    def check(self, name: str, identity: str, errors: float | list | np.ndarray,
-              bound: float) -> None:
-        """Record the largest of errors (one nonnegative error, or a sequence
-        or array of per-sample errors) against the fixed bound.
-
-        The errors are folded by np.max, which returns NaN when any error is
-        NaN; the builtin max keeps its first operand whenever the comparison
-        with NaN is false, so a check whose arithmetic went NaN would report
-        an earlier value and pass.  A NaN max_error fails its bound.
-        """
-        self.report.checks.append(
-            Check(name=name, identity=identity,
-                  max_error=float(np.max(errors, initial=0.0)),
-                  bound=float(bound)))
-
-    def erratum(self, name: str, statement: str, check: str) -> None:
-        """Record a misprint of the paper; its witness is the named check,
-        which must already be in the report."""
-        if check not in [c.name for c in self.report.checks]:
-            raise LookupError(f"erratum {name} names no recorded check {check!r}")
-        self.report.errata.append(
-            {"name": name, "statement": statement, "witness": check})
-
-
 # ---------------------------------------------------------------------------
 # modular
 # ---------------------------------------------------------------------------
 
 def _suite_modular(cfg: SuiteConfig) -> Report:
-    s = _Suite("modular", cfg)
+    s = Report("modular", cfg)
     w = mc.build_weights(cfg.beta, cfg.dim)
     triple = mc.build_modular_triple(w)
     phi = mc.cyclic_vector(w)
@@ -302,7 +291,7 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
     s.check("centralizer_pairing_oracle",
             "phi([B v I, A v I]) = 0 for all A iff B commutes with rho",
             0.0 if ok else 1.0, 0.5)
-    return s.report
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +299,7 @@ def _suite_modular(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _suite_kms(cfg: SuiteConfig) -> Report:
-    s = _Suite("kms", cfg)
+    s = Report("kms", cfg)
     w = mc.build_weights(cfg.beta, cfg.dim)
     rng = SplitMix64(cfg.seed)
 
@@ -339,7 +328,7 @@ def _suite_kms(cfg: SuiteConfig) -> Report:
             [mc.kms_boundary_deviation(w, a, b, t_grid)
              for _ in range(20) for a in [rng.complex_matrix(cfg.dim)]
              for b in [rng.complex_matrix(cfg.dim)]], 1e-10)
-    return s.report
+    return s
 
 
 def _landau_side(name: str):

@@ -112,8 +112,8 @@ def test_criterion_06_hermite_identity_suite():
         for k in range(9):
             h = chp.ch_recursion(n, k)
             # symmetry
-            assert {(j, m): c for (m, j), c in h.coeffs} == \
-                dict(chp.ch_recursion(k, n).coeffs)
+            assert {(j, m): c for (m, j), c in h.terms.items()} == \
+                chp.ch_recursion(k, n).terms
             # contiguous
             assert h.scale(k - n) == (chp.mul_zbar(chp.ch_recursion(n, k + 1))
                                       - chp.mul_z(chp.ch_recursion(n + 1, k)))

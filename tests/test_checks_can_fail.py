@@ -163,12 +163,12 @@ def _angular_mean_off(angular_means):
 
 
 def _basis_norm_off(basis_values):
-    # row n * (deg+1) + k rescaled from 1 / sqrt(n! k!) to 1 / sqrt(n! k! + 1)
+    # entry [n, k] rescaled from 1 / sqrt(n! k!) to 1 / sqrt(n! k! + 1)
     def mutant(z, deg):
-        f = np.array([float(math.factorial(n) * math.factorial(k))
-                      for n in range(deg + 1) for k in range(deg + 1)])
+        f = np.array([[float(math.factorial(n) * math.factorial(k))
+                       for k in range(deg + 1)] for n in range(deg + 1)])
         scale = np.sqrt(f / (f + 1))
-        return basis_values(z, deg) * scale.reshape((-1,) + (1,) * np.ndim(z))
+        return basis_values(z, deg) * scale.reshape(f.shape + (1,) * np.ndim(z))
     return mutant
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from landau_modular.cli import _config_from_args, build_parser, main
-from landau_modular.suites import SuiteConfig, report_to_json, run_suite
+from landau_modular.suites import Report, SuiteConfig, report_to_json, run_suite
 
 
 def test_verify_modular_passes(tmp_path, capsys):
@@ -44,6 +44,17 @@ def test_every_erratum_names_a_check_of_its_report():
         names = [c.name for c in report.checks]
         for e in report.errata:
             assert e["witness"] in names, (report.suite, e["name"])
+
+
+def test_an_erratum_must_name_a_recorded_check():
+    report = Report("hermite", SuiteConfig())
+    report.check("recorded", "0 = 0", 0.0, 0.0)
+    with pytest.raises(LookupError, match="'unrecorded'"):
+        report.erratum("misprint", "a printed form", "unrecorded")
+    assert report.errata == []
+    report.erratum("misprint", "a printed form", "recorded")
+    assert report.errata == [{"name": "misprint", "statement": "a printed form",
+                              "witness": "recorded"}]
 
 
 def test_exact_checks_report_zero_error():
@@ -88,7 +99,7 @@ def test_no_flag_scales_a_bound(tmp_path, capsys):
         assert not out.exists()
     # the flags are the configuration's fields, with its defaults
     args = build_parser().parse_args(["verify", "all"])
-    assert _config_from_args(args) == SuiteConfig()
+    assert _config_from_args(args).values() == SuiteConfig().values()
 
 
 def test_config_error_exit_code(capsys):

@@ -57,27 +57,33 @@ def _dense_modes(ncut: int) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(a, eye), np.kron(eye, a)
 
 
+def _dense(op: lm.BandedOp) -> np.ndarray:
+    """The full matrix of a banded operator, as its principal block on every
+    index."""
+    return op.block(np.arange(op.dim))
+
+
 @pytest.mark.parametrize("ncut", (5, 6))
 def test_banded_ops_match_dense_kron_references(ncut):
     cut = lm.ModeCut(ncut)
     ax, ay = lm.mode_ops(cut)
     dx, dy = _dense_modes(ncut)
-    assert np.array_equal(ax.toarray(), dx)
-    assert np.array_equal(ay.toarray(), dy)
+    assert np.array_equal(_dense(ax), dx)
+    assert np.array_equal(_dense(ay), dy)
     op = 0.75 * (ax - 1j * ay) - 0.25 * (ax.dag() - 1j * ay.dag())
     dense = 0.75 * (dx - 1j * dy) - 0.25 * (dx.conj().T - 1j * dy.conj().T)
-    assert np.allclose(op.toarray(), dense, rtol=0, atol=1e-15)
-    assert np.array_equal(op.dag().toarray(), op.toarray().conj().T)
-    assert np.array_equal(op.conj().toarray(), op.toarray().conj())
-    assert np.array_equal((-op / 2).toarray(), -op.toarray() / 2)
+    assert np.allclose(_dense(op), dense, rtol=0, atol=1e-15)
+    assert np.array_equal(_dense(op.dag()), _dense(op).conj().T)
+    assert np.array_equal(_dense(op.conj()), _dense(op).conj())
+    assert np.array_equal(_dense(-op / 2), -_dense(op) / 2)
     idx = np.array([0, 3, ncut, ncut + 1, cut.dim - 1])
-    assert np.array_equal(op.block(idx), op.toarray()[np.ix_(idx, idx)])
+    assert np.array_equal(op.block(idx), _dense(op)[np.ix_(idx, idx)])
     v = SplitMix64(ncut).complex_matrix(ncut).reshape(-1)
     assert np.allclose(op @ v, dense @ v, rtol=0, atol=1e-13)
     for left, right in ((op, op.dag()), (op.dag(), op), (ay, ay.dag()), (ax @ ay, op)):
-        assert np.allclose((left @ right).toarray(), left.toarray() @ right.toarray(),
+        assert np.allclose(_dense(left @ right), _dense(left) @ _dense(right),
                            rtol=0, atol=1e-13)
-    assert lm.build_A_pm(cut).a_plus.toarray() == pytest.approx(dense, abs=1e-15)
+    assert _dense(lm.build_A_pm(cut).a_plus) == pytest.approx(dense, abs=1e-15)
 
 
 @pytest.mark.parametrize("ncut", (3, 5))
@@ -90,9 +96,9 @@ def test_banded_matvec_matches_dense_for_each_offset(ncut):
     for offsets in ((0,), (1,), (-1,), (ncut,), (-ncut,), (-ncut, -1, 0, 1, ncut)):
         op = lm.BandedOp(dim, {k: rng.complex_matrix(ncut).reshape(-1)
                                for k in offsets})
-        assert np.allclose(op @ v, op.toarray() @ v, rtol=0, atol=1e-14)
+        assert np.allclose(op @ v, _dense(op) @ v, rtol=0, atol=1e-14)
         real = lm.BandedOp(dim, {k: d.real for k, d in op.diags.items()})
-        assert np.allclose(real @ v.real, real.toarray() @ v.real, rtol=0, atol=1e-14)
+        assert np.allclose(real @ v.real, _dense(real) @ v.real, rtol=0, atol=1e-14)
         assert (real @ v.real).dtype == float
 
 
@@ -104,12 +110,12 @@ def test_banded_rows_at_the_cut_edge_do_not_wrap():
     cut = lm.ModeCut(ncut)
     ax, ay = lm.mode_ops(cut)
     nx, ny = np.divmod(np.arange(cut.dim), ncut)
-    assert not ay.toarray()[ny == ncut - 1].any()
-    assert not ax.toarray()[nx == ncut - 1].any()
-    n_y = (ay.dag() @ ay).toarray()
+    assert not _dense(ay)[ny == ncut - 1].any()
+    assert not _dense(ax)[nx == ncut - 1].any()
+    n_y = _dense(ay.dag() @ ay)
     assert np.allclose(n_y, np.diag(ny), rtol=0, atol=1e-15)
     # a_y a_y* = N_y + 1 except on the top row of each block, where it is 0
-    top = (ay @ ay.dag()).toarray()
+    top = _dense(ay @ ay.dag())
     assert np.allclose(top, np.diag(np.where(ny < ncut - 1, ny + 1.0, 0.0)),
                        rtol=0, atol=1e-15)
     assert not top[ny == ncut - 1].any()
@@ -214,8 +220,8 @@ def test_two_constructions_agree():
     cut = lm.ModeCut(10)
     a = lm.build_A_pm(cut)
     b = lm.build_A_pm_from_qp(cut)
-    assert np.max(np.abs((a.a_plus - b.a_plus).toarray())) < 1e-12
-    assert np.max(np.abs((a.a_minus - b.a_minus).toarray())) < 1e-12
+    assert np.max(np.abs(_dense(a.a_plus - b.a_plus))) < 1e-12
+    assert np.max(np.abs(_dense(a.a_minus - b.a_minus))) < 1e-12
 
 
 def test_ladders_built_once_per_cut():
@@ -253,7 +259,7 @@ def test_interior_spectrum_is_half_integers():
     cut = lm.ModeCut(12)
     mask = lm.interior_mask(cut)
     h = lm.hamiltonians(cut)
-    sub = h.h_up.toarray()[np.ix_(mask, mask)]
+    sub = _dense(h.h_up)[np.ix_(mask, mask)]
     vals = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
     # the operator is a compressed N + 1/2 with N positive semidefinite, so
     # the spectrum sits above 1/2; the bottom eigenvalue approaches 1/2 as
@@ -263,14 +269,14 @@ def test_interior_spectrum_is_half_integers():
     cut = lm.ModeCut(20)
     mask = lm.interior_mask(cut)
     h = lm.hamiltonians(cut)
-    sub = h.h_up.toarray()[np.ix_(mask, mask)]
+    sub = _dense(h.h_up)[np.ix_(mask, mask)]
     vals = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
     assert abs(vals[0] - 0.5) < 1e-6
 
 
 def test_conjugation_intertwines_exactly():
     h = lm.hamiltonians(lm.ModeCut(10))
-    assert np.max(np.abs((h.h_up.conj() - h.h_down).toarray())) == 0.0
+    assert np.max(np.abs(_dense(h.h_up.conj() - h.h_down))) == 0.0
 
 
 def test_fock_label_validation():
