@@ -66,7 +66,7 @@ for m, k in ((0, 0), (1, 1), (2, 2), (3, 1), (4, 4)):
 
 print("\northonormality of normalised complex Hermite functions:")
 M = 6
-vals = chp.basis_values(rule.nodes, M - 1).reshape(M * M, -1)  # row n * M + k: B[n, k]
+vals = quad.basis_values(rule.nodes, M - 1).reshape(M * M, -1)  # row n * M + k: B[n, k]
 gram = (vals * rule.weights) @ vals.conj().T
 dev = float(np.max(np.abs(gram - np.eye(M * M))))
 print(f"  max | <H_a, H_b> - delta_ab | for degrees < {M}: {dev:.3e}")

@@ -16,8 +16,12 @@ for the monomial conj(z)^m z^k:
 
 and on covered monomials the integral is exactly delta_{mk} m!.
 
-ring_angle_sum, a sum over the rings times a mean over the angles, gives
-both the quadrature suite's basis Gram and the coherent moment matrix.
+The orthonormal basis of L^2 of this measure is B[n, k] = h[n, k] /
+sqrt(n! k!), the normalized complex Hermite polynomials; basis_values
+evaluates it in floating point by the polynomials' coupled recursions,
+reading none of complex_hermite's exact tables.  ring_angle_sum, a sum
+over the rings times a mean over the angles, gives both the quadrature
+suite's basis Gram and the coherent moment matrix.
 """
 
 from __future__ import annotations
@@ -199,3 +203,24 @@ def gauss_moment(m: int, k: int) -> float:
     """Closed form of the covered integrals: delta_{mk} * m!."""
     return float(math.factorial(m)) if m == k else 0.0
 
+
+def basis_values(z, deg: int) -> np.ndarray:
+    """Values of B[n, k] = h[n, k] / sqrt(n! k!) at the points z, of any
+    shape, for 0 <= n, k <= deg: entry [n, k] of the result has the shape
+    of z, and its bits do not depend on deg.  They come from the coupled
+    recursions h[0, k+1] = z h[0, k] and h[n+1, k] = zbar h[n, k] -
+    k h[n, k-1] on value arrays, each step vectorised over k."""
+    z = np.asarray(z)
+    zb, m = z.conj(), deg + 1
+    ks = np.arange(1, m).reshape((-1,) + (1,) * z.ndim)
+    h = np.empty((m, m) + z.shape, dtype=complex)
+    h[0, 0] = 1.0
+    for k in range(1, m):
+        h[0, k] = z * h[0, k - 1]
+    for n in range(1, m):
+        h[n, 0] = zb * h[n - 1, 0]
+        h[n, 1:] = zb * h[n - 1, 1:] - ks * h[n - 1, :-1]
+    fact = [math.factorial(n) for n in range(m)]  # n! k! is the same exact int
+    norms = [[math.sqrt(fact[n] * fact[k]) for k in range(m)] for n in range(m)]
+    h /= np.array(norms).reshape((m, m) + (1,) * z.ndim)
+    return h

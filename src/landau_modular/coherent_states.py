@@ -26,10 +26,9 @@ import math
 
 import numpy as np
 
-from . import complex_hermite as ch
 from . import modular_core as mc
-from .cgauss_quad import (ComplexGaussRule, integrate_values, require_coverage,
-                          ring_angle_sum)
+from .cgauss_quad import (ComplexGaussRule, basis_values, integrate_values,
+                          require_coverage, ring_angle_sum)
 from .landau_modes import displacement, ladder
 
 # importable from this module because perfbench/test_perfbench.py pins it here
@@ -62,7 +61,7 @@ def eta_breve(zbar: complex, cutoff: int) -> np.ndarray:
 def coeff_eval(v: np.ndarray, w: complex) -> complex:
     """Pointwise value sum c[n, k] B[n, k](wbar, w) of a square coefficient
     array, as one pairwise sum."""
-    return np.sum(v * ch.basis_values(w, v.shape[0] - 1))
+    return np.sum(v * basis_values(w, v.shape[0] - 1))
 
 
 def sector_projector(kind: str, cutoff: int) -> np.ndarray:

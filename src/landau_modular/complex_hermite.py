@@ -9,9 +9,13 @@ coefficients come out of all three construction routes; a Fraction enters
 only through a non-integer scale factor, which no `verify` or `export` run
 uses.  All identities (recursion, Rodrigues form, explicit double sum,
 ladder and number actions) are checked as exact equalities of coefficient
-maps; floating point enters only at evaluation time.  The recursion and the
+maps; this module computes no floating-point value.  The recursion and the
 Rodrigues routes each build every entry once per process, into a table of
-their own that no other route reads; the explicit sum reads no table.
+their own that no other route reads; the explicit sum reads no table.  The
+float values of the orthonormal basis B[n, k] = h[n, k]/sqrt(n! k!) come
+from cgauss_quad.basis_values, which reads none of these tables, so only
+the hermite suite, `export hermite_coeffs`, tests and demos load this
+module.
 
 Conventions:
     h[n, k]     degree-(n, k) polynomial; h[0, 0] = 1, h[1, 1] = zbar z - 1
@@ -22,10 +26,6 @@ Conventions:
 """
 
 from __future__ import annotations
-
-import math
-
-import numpy as np
 
 
 def _exact(a):
@@ -239,28 +239,3 @@ def number_apply(which: str, p: BivarPoly) -> BivarPoly:
     if which == "n_minus":
         return mul_z(d_z(p)) - cross
     raise ValueError(f"unknown number operator {which!r}; expected n_plus or n_minus")
-
-
-# ---------------------------------------------------------------------------
-# The orthonormalized basis.
-# ---------------------------------------------------------------------------
-
-def basis_values(z, deg: int) -> np.ndarray:
-    """Values of B[n, k] = h[n, k] / sqrt(n! k!) at the points z, of any
-    shape, for 0 <= n, k <= deg: entry [n, k] of the result has the shape
-    of z.  They come from the coupled recursions of ch_recursion on
-    value arrays, each step vectorised over k."""
-    z = np.asarray(z)
-    zb, m = z.conj(), deg + 1
-    ks = np.arange(1, m).reshape((-1,) + (1,) * z.ndim)
-    h = np.empty((m, m) + z.shape, dtype=complex)
-    h[0, 0] = 1.0
-    for k in range(1, m):
-        h[0, k] = z * h[0, k - 1]
-    for n in range(1, m):
-        h[n, 0] = zb * h[n - 1, 0]
-        h[n, 1:] = zb * h[n - 1, 1:] - ks * h[n - 1, :-1]
-    norms = [[math.sqrt(math.factorial(n) * math.factorial(k)) for k in range(m)]
-             for n in range(m)]
-    h /= np.array(norms).reshape((m, m) + (1,) * z.ndim)
-    return h

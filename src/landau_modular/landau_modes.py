@@ -410,11 +410,19 @@ def displacement(ncut: int, x: float, y: float) -> np.ndarray:
 
 
 def _generator(ncut: int, x: float, y: float) -> np.ndarray:
-    """xQ + yP on the ncut-dimensional space."""
-    a = ladder(ncut)
-    ad = adjoint(a)
-    s2 = math.sqrt(2.0)
-    return x * ((a + ad) / s2) + y * ((a - ad) / (1j * s2))
+    """xQ + yP on the ncut-dimensional space, Q = (a + a*)/sqrt2 and
+    P = (a - a*)/(i sqrt2), written into its two off-diagonals.  Rows 0, 1
+    and 2 of `a` and `ad` hold the entries of a and a* above, below and off
+    the band, each put through the arithmetic of the dense sum, so every
+    entry has its bits (signed zeros included) without its ncut^2 temporaries.
+    """
+    a = np.zeros((3, ncut - 1), dtype=complex)
+    a[0] = np.sqrt(np.arange(1.0, ncut))  # a[m-1, m] = sqrt(m)
+    ad, s2 = a[[1, 0, 2]].conj(), math.sqrt(2.0)
+    above, below, off = x * ((a + ad) / s2) + y * ((a - ad) / (1j * s2))
+    gen = np.full((ncut, ncut), off[0])
+    gen.flat[1::ncut + 1], gen.flat[ncut::ncut + 1] = above, below
+    return gen
 
 
 _POSITION: dict = {}  # ncut -> hermitian_eig of Q = (a + a*)/sqrt2
@@ -476,23 +484,26 @@ def wigner_sample(x_op: np.ndarray, x: float, y: float,
     return complex(samples) if x_op.ndim == 2 else samples
 
 
-def wigner_closed_form(n: int, l: int, x: float | np.ndarray, y: float | np.ndarray,
-                       literal: bool = False) -> complex | np.ndarray:
-    """Closed form for the phase-space sample of the matrix unit |n><l|, at
-    one point (x, y) or at the points of two arrays of one shape.
+def wigner_closed_form(labels: list[tuple[int, int]], x: float | np.ndarray,
+                       y: float | np.ndarray, literal: bool = False) -> np.ndarray:
+    """Closed forms for the phase-space samples of the matrix units |n><l|,
+    (n, l) in labels, at one point (x, y) or at the points of two arrays of
+    one shape: entry i of the result, of the shape of x, is labels[i]'s.
 
     The literal form e^(-|z|^2/2) B[n,l](zbar, z) / sqrt(2 pi) with
     z = (x - iy)/sqrt2 misses a phase and an index swap; the corrected
     identity, which wigner_sample satisfies to machine precision, is
 
         i^(n+l) e^(-|z|^2/2) B[l,n](zbar, z) / sqrt(2 pi).
-    """
-    # imported here, so that the Landau and Fock paths never load it
-    from . import complex_hermite as ch
 
-    z = (x - 1j * y) / math.sqrt(2.0)
-    deg = max(n, l)
-    a, b = (n, l) if literal else (l, n)
-    val = ch.basis_values(z, deg)[a, b]
-    phase = 1.0 if literal else 1j ** (n + l)
+    All labels read one basis table, of the largest index.
+    """
+    # imported here, so that a library-level Fock build never loads cgauss_quad
+    from .cgauss_quad import basis_values
+
+    z = np.asarray((x - 1j * y) / math.sqrt(2.0))
+    table = basis_values(z, max(max(n, l) for n, l in labels))
+    val = np.array([table[n, l] if literal else table[l, n] for n, l in labels])
+    phase = 1.0 if literal else np.array(
+        [1j ** (n + l) for n, l in labels]).reshape((-1,) + (1,) * z.ndim)
     return phase * np.exp(-np.abs(z) ** 2 / 2.0) * val / math.sqrt(2.0 * math.pi)

@@ -16,12 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 # This module holds the report machinery and the two suites of the
-# paper's Hilbert-Schmidt half, modular and kms.  The five suites of its
-# Landau-level half live in landau_suites, which _SUITES imports on the
-# first run of one of them: a `verify modular` or `verify kms` process, or
-# one that only imports the CLI, then never compiles their ~400 lines.
-# Those suites import the layers only they use (landau_modes,
-# complex_hermite, coherent_states) inside themselves, for the same reason
+# paper's Hilbert-Schmidt half, modular and kms.  Each of the five suites
+# of its Landau-level half has a module of its own, <name>_suite, which
+# _SUITES imports on the first run of that suite, together with the layers
+# only it uses (landau_modes, complex_hermite, coherent_states): a process
+# that runs one suite, or only imports the CLI, compiles no other suite
 from . import __version__
 from . import cgauss_quad as quad
 from . import modular_core as mc
@@ -332,10 +331,11 @@ def _suite_kms(cfg: SuiteConfig) -> Report:
 
 
 def _landau_side(name: str):
-    """The suite of that name in landau_suites, imported on its first run."""
+    """The run of the module <name>_suite, imported on its first call."""
     def suite(cfg: SuiteConfig) -> Report:
-        from . import landau_suites
-        return getattr(landau_suites, f"_suite_{name}")(cfg)
+        # __import__ takes the path of an import statement, which
+        # `python -X importtime` reports; importlib.import_module does not
+        return __import__(f"{__package__}.{name}_suite", fromlist=["run"]).run(cfg)
     return suite
 
 

@@ -237,13 +237,13 @@ def test_criterion_11_wigner_cross_check():
             for x in grid.tolist():
                 for y in grid.tolist():
                     got = lm.wigner_sample(x_op, x, y, 64)
-                    corrected = lm.wigner_closed_form(n, l, x, y)
+                    corrected = lm.wigner_closed_form([(n, l)], x, y)[0]
                     reference = (_displacement_element(l, n, x, y)
                                  / math.sqrt(2.0 * math.pi))
                     assert abs(got - corrected) <= 1e-6
                     assert abs(corrected - reference) <= 1e-6
                     if n == l == 1:
-                        stated = lm.wigner_closed_form(n, l, x, y, literal=True)
+                        stated = lm.wigner_closed_form([(n, l)], x, y, literal=True)[0]
                         assert abs(got + stated) <= 1e-6
 
 

@@ -6,7 +6,6 @@ import pytest
 from scipy.special import roots_laguerre
 
 from landau_modular import cgauss_quad as quad
-from landau_modular import complex_hermite as chp
 
 
 def test_rule_invariants():
@@ -55,8 +54,8 @@ def test_quadrature_suite_builds_no_basis_by_nodes_array():
 def test_quadrature_suite_evaluates_the_basis_on_the_radii(monkeypatch):
     from landau_modular import suites
     points = []
-    basis_values = chp.basis_values
-    monkeypatch.setattr(chp, "basis_values",
+    basis_values = quad.basis_values
+    monkeypatch.setattr(quad, "basis_values",
                         lambda z, deg: points.append(z.shape[0]) or basis_values(z, deg))
     cfg = suites.SuiteConfig()
     suites.run_suite("quadrature", cfg)
@@ -68,7 +67,7 @@ def _node_sum_gram(rule, deg, block=1024):
     route that neither factors the rule nor reads its rings."""
     gram = np.zeros(((deg + 1) ** 2,) * 2, dtype=complex)
     for b in range(0, rule.nodes.shape[0], block):
-        vals = chp.basis_values(rule.nodes[b:b + block], deg).reshape(gram.shape[0], -1)
+        vals = quad.basis_values(rule.nodes[b:b + block], deg).reshape(gram.shape[0], -1)
         gram += (vals * rule.weights[b:b + block]) @ vals.conj().T
     return gram
 
@@ -216,9 +215,17 @@ def test_moment_sweep_at_default_orders():
             assert abs(got - quad.gauss_moment(m, k)) / scale < 1e-12
 
 
+def test_basis_values_computes_each_factorial_once(monkeypatch):
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
+    quad.basis_values(np.array([0.3 + 0.1j, -1.2j]), 12)
+    assert sorted(calls) == list(range(13))  # not 2 * 13^2 calls
+
+
 def test_hermite_basis_norm_via_quadrature():
     rule = quad.build_rule(8, 9)
-    got = quad.integrate_values(rule, np.abs(chp.basis_values(rule.nodes, 3)[2, 3]) ** 2)
+    got = quad.integrate_values(rule, np.abs(quad.basis_values(rule.nodes, 3)[2, 3]) ** 2)
     assert abs(got - 1.0) < 1e-12
 
 

@@ -24,9 +24,9 @@ import pytest
 
 from landau_modular import cgauss_quad as quad
 from landau_modular import coherent_states as cs
+from landau_modular import coherent_suite
 from landau_modular import complex_hermite as ch
 from landau_modular import landau_modes as lm
-from landau_modular import landau_suites
 from landau_modular import modular_core as mc
 from landau_modular import suites
 from landau_modular.hs_space import WeightedConjugation
@@ -229,8 +229,8 @@ def _number_ops_swapped(number_apply):
 
 
 def _corrected_form_negated(wigner_closed_form):
-    def mutant(n, l, x, y, literal=False):
-        v = wigner_closed_form(n, l, x, y, literal)
+    def mutant(labels, x, y, literal=False):
+        v = wigner_closed_form(labels, x, y, literal)
         return v if literal else -v
     return mutant
 
@@ -359,14 +359,14 @@ ROWS = [
     ("coherent", "moment_factorization", quad, "_angular_means", _angular_mean_off,
      {"moment_factorization"}),
     # the transpose forgotten: the identity permutation
-    ("coherent", "conjugated_projectors", landau_suites, "transpose_permutation",
+    ("coherent", "conjugated_projectors", coherent_suite, "transpose_permutation",
      lambda transpose_permutation: lambda n: np.arange(n * n),
      {"conjugated_projectors"}),
     # J with weight -1 on E_01
     ("coherent", "bicoherent_conjugation", mc, "conjugation_J", _j_sign_on_one_entry,
      {"bicoherent_conjugation"}),
     # B[n, k] divided by sqrt(n! k! + 1)
-    ("coherent", "reproducing_kernel", ch, "basis_values", _basis_norm_off,
+    ("coherent", "reproducing_kernel", cs, "basis_values", _basis_norm_off,
      {"reproducing_kernel"}),
     # the raising matrix in place of the lowering one
     ("coherent", "coherent_eigenvalue", cs, "ladder",

@@ -401,7 +401,7 @@ def test_modular_and_kms_runs_load_only_their_layers():
         "import contextlib, io, sys\n"
         "import landau_modular.cli\n"
         "lazy = ('complex_hermite', 'landau_modes', 'coherent_states', "
-        "'landau_suites')\n"
+        "'landau_suite')\n"
         "def loaded():\n"
         "    return [m for m in lazy if 'landau_modular.' + m in sys.modules]\n"
         "print(loaded())\n"
@@ -417,7 +417,29 @@ def test_modular_and_kms_runs_load_only_their_layers():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [
-        "[]", "[]", "['landau_modes', 'landau_suites']"]
+        "[]", "[]", "['landau_modes', 'landau_suite']"]
+
+
+LANDAU_SIDE = ("landau", "hermite", "quadrature", "coherent", "wigner")
+
+
+@pytest.mark.parametrize("suite", LANDAU_SIDE)
+def test_landau_side_run_loads_only_its_own_suite_module(suite):
+    # a fresh process per suite, since the tests import every module into
+    # this one; only the hermite suite reads the exact Hermite tables
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import landau_modular.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    landau_modular.cli.main(['verify', {suite!r}])\n"
+        "print(json.dumps(sorted(m.split('.')[-1] for m in sys.modules "
+        "if m.startswith('landau_modular.') and (m.endswith('_suite') "
+        "or m.endswith('.complex_hermite')))))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    want = [f"{suite}_suite"] + (["complex_hermite"] if suite == "hermite" else [])
+    assert json.loads(proc.stdout) == sorted(want)
 
 
 def test_phase_space_and_hermite_runs_load_no_rational_modules():
@@ -512,7 +534,7 @@ def test_importing_the_library_leaves_the_collector_alone():
         "print(gc.get_freeze_count(), gc.isenabled())\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["11 True True", "0 True"]
+    assert proc.stdout.splitlines() == ["15 True True", "0 True"]
 
 
 def test_importing_the_entry_runs_nothing_and_main_freezes():

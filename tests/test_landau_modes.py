@@ -358,7 +358,7 @@ def test_wigner_matches_corrected_closed_form():
             x_op = matrix_unit(3, n, l)
             for x, y in ((0.3, -0.7), (1.1, 0.4)):
                 got = lm.wigner_sample(x_op, x, y, 48)
-                assert abs(got - lm.wigner_closed_form(n, l, x, y)) < 1e-9
+                assert abs(got - lm.wigner_closed_form([(n, l)], x, y)[0]) < 1e-9
 
 
 def test_wigner_sample_of_a_stack_matches_single_samples():
@@ -400,6 +400,48 @@ def test_wigner_suite_forms_one_block_per_grid_point(monkeypatch):
     assert len(full) == 8 and set(full) == corners
     assert len(direct) == 4
     assert {p for x, y in direct for p in ((x, y), (-x, -y))} == corners
+
+
+def _dense_generator(ncut, x, y):
+    # xQ + yP as the dense sum of ladder matrices, the reference for the
+    # generator written on its band
+    a = lm.ladder(ncut)
+    ad = a.conj().T
+    return x * ((a + ad) / math.sqrt(2.0)) + y * ((a - ad) / (1j * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("ncut", (8, 64, 128, 257))
+def test_banded_generator_has_the_bits_of_the_dense_sum(ncut):
+    # the origin, both axes on both sides, every quadrant (in the third,
+    # the entries off the band are -0.0 in the dense sum)
+    points = ((0.0, 0.0), (1.5, 0.0), (-1.5, 0.0), (0.0, 0.7), (0.0, -0.7),
+              (1.3, 0.4), (-0.3, 2.2), (-2.0, -2.0), (0.6, -1.7))
+    for x, y in points:
+        got, want = lm._generator(ncut, x, y), _dense_generator(ncut, x, y)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (x, y)
+
+
+def _closed_form_per_label(n, l, x, y, literal):
+    # each label from a basis table of its own degree max(n, l)
+    from landau_modular.cgauss_quad import basis_values
+    z = (x - 1j * y) / math.sqrt(2.0)
+    a, b = (n, l) if literal else (l, n)
+    val = basis_values(z, max(n, l))[a, b]
+    phase = 1.0 if literal else 1j ** (n + l)
+    return phase * np.exp(-np.abs(z) ** 2 / 2.0) * val / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("literal", (True, False))
+def test_closed_forms_from_one_table_have_the_bits_of_per_label_tables(literal):
+    # the wigner suite's 16 labels at its 25 grid points
+    grid = np.linspace(-2.0, 2.0, 5)
+    xs, ys = np.repeat(grid, 5), np.tile(grid, 5)
+    labels = [(n, l) for n in range(4) for l in range(4)]
+    got = lm.wigner_closed_form(labels, xs, ys, literal=literal)
+    want = np.array([_closed_form_per_label(n, l, xs, ys, literal) for n, l in labels])
+    assert got.dtype == want.dtype and got.shape == want.shape == (16, 25)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("ncut", (16, 64))
