@@ -2,9 +2,6 @@
 from one moment matrix, the modular conjugation of the coefficient
 arrays, the reproducing kernel, the modular spectrum of the function
 space and the displacement operator.
-
-suites._SUITES imports this module on the first run of the suite, so no
-other run compiles it.
 """
 
 from __future__ import annotations

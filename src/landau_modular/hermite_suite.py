@@ -2,9 +2,6 @@
 polynomials h[n, k], three independent constructions, the ladder and
 number actions and the printed explicit sum, as equalities of exact
 coefficient maps.
-
-suites._SUITES imports this module on the first run of the suite, so no
-other `verify` run compiles it or loads complex_hermite.
 """
 
 from __future__ import annotations

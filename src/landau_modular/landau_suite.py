@@ -1,9 +1,6 @@
 """The landau suite: the rotated ladders A+- and the two Hamiltonians on
 a truncated two-mode oscillator, the joint Fock states built from the
 squeezed vacuum, and the real-line Hermite functions.
-
-suites._SUITES imports this module on the first run of the suite, so no
-other run compiles it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,6 @@
 """The quadrature suite: the planar Gaussian rule's certified moments, the
 orthonormality of the basis B[n, k] under it, and the convergence of its
 orders on an exponential kernel.
-
-suites._SUITES imports this module on the first run of the suite, so no
-other run compiles it.
 """
 
 from __future__ import annotations

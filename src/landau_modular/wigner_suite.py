@@ -1,9 +1,6 @@
 """The wigner suite: the phase-space samples of the matrix units against
 their printed and corrected closed forms, and the rotated displacement
 block against the direct eigensolve.
-
-suites._SUITES imports this module on the first run of the suite, so no
-other run compiles it.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from landau_modular import coherent_suite
 from landau_modular import complex_hermite as ch
 from landau_modular import landau_modes as lm
 from landau_modular import modular_core as mc
+from landau_modular import modular_suite
 from landau_modular import suites
 from landau_modular.hs_space import WeightedConjugation
 
@@ -250,7 +251,7 @@ ROWS = [
      {"j_antiunitary", "j_antiunitary_relative"}),
     # the inner product without its conjugation: Tr[x^T y].  J maps it to its
     # conjugate too, so only the norm sees it
-    ("modular", "hs_inner_norm", suites, "hs_inner",
+    ("modular", "hs_inner_norm", modular_suite, "hs_inner",
      lambda hs_inner: lambda x, y: complex(np.trace(x.T @ y)), {"hs_inner_norm"}),
     ("modular", "state_flow_invariant", mc, "modular_flow", _flow_without_conj,
      {"state_flow_invariant", "flow_preserves_left_algebra"}),
@@ -261,12 +262,12 @@ ROWS = [
     # bigH with its sign flipped
     ("modular", "generator_eigenvalues", mc, "build_modular_triple",
      _triple_with(big_h=lambda w, t: -t.big_h), {"generator_eigenvalues"}),
-    ("modular", "commutant_of_left_algebra", suites, "in_span",
+    ("modular", "commutant_of_left_algebra", modular_suite, "in_span",
      _in_span_dropping_last, {"commutant_of_left_algebra"}),
     # the restricted solve against the first right generator only: the
     # members of the left commutant I v M_3 that commute with I v E_00 are
     # I v (C + M_2), five dimensions
-    ("modular", "joint_commutant_scalar", suites, "commutant_dim_within",
+    ("modular", "joint_commutant_scalar", modular_suite, "commutant_dim_within",
      lambda within: lambda basis, generators: within(basis, generators[:1]),
      {"joint_commutant_scalar"}),
     # a tolerance of 10: every sampled B counts as a member

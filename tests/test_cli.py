@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pkgutil
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from landau_modular.cli import _config_from_args, build_parser, main
-from landau_modular.suites import Report, SuiteConfig, report_to_json, run_suite
+from landau_modular.suites import SUITE_NAMES, Report, SuiteConfig, report_to_json, run_suite
 
 
 def test_verify_modular_passes(tmp_path, capsys):
@@ -65,10 +66,10 @@ def test_exact_checks_report_zero_error():
 
 def test_failed_pass_fail_checks_fail_their_fixed_bound(monkeypatch):
     # a failed predicate reports 1.0 against the fixed bound 0.5
-    from landau_modular import suites
+    from landau_modular import modular_suite
 
     cfg = SuiteConfig()
-    monkeypatch.setattr(suites, "commutant_basis", lambda gens: (0, []))
+    monkeypatch.setattr(modular_suite, "commutant_basis", lambda gens: (0, []))
     checks = {c.name: c for c in run_suite("modular", cfg)[0].checks}
     for name in ("commutant_of_left_algebra", "joint_commutant_scalar"):
         assert checks[name].max_error == 1.0
@@ -178,6 +179,12 @@ def test_largest_finite_gibbs_ratio_is_accepted():
     (("coherent", "--cutoff", "12", "--radial", "6"),
      "quadrature certificate does not cover monomial degree 12: need radial "
      "order (--radial) >= 7 and angular order (--angular) > 12"),
+    # beta cutoff = 850: the coherent suite's Gibbs ratios overflow, though
+    # beta (dim - 1) = 75 does not; `all` is rejected before its first suite
+    *[((suite, "--beta", "5", "--cutoff", "170", "--radial", "86", "--angular", "171"),
+       "beta (--beta) times cutoff (--cutoff) is 850, above ln(DBL_MAX) = "
+       "709.783: the coherent suite's Gibbs weight ratio e^(beta cutoff) "
+       "overflows a double") for suite in ("coherent", "all")],
 ])
 def test_unsupported_coherent_configuration_is_a_config_error(args, message, capsys):
     # the configuration is checked as a whole, before any suite runs
@@ -190,6 +197,10 @@ def test_unsupported_coherent_configuration_is_a_config_error(args, message, cap
 def test_coherent_cutoff_limits_are_checked_on_the_configuration():
     # 170! is the largest finite factorial; only the configuration is built
     assert SuiteConfig(cutoff=170, radial=86, angular=171).cutoff == 170
+    # beta cutoff = 708.9 is below ln(DBL_MAX), 710.6 above it
+    assert SuiteConfig(beta=4.17, cutoff=170, radial=86, angular=171).beta == 4.17
+    with pytest.raises(ValueError, match="times cutoff"):
+        SuiteConfig(beta=4.18, cutoff=170, radial=86, angular=171)
     with pytest.raises(ValueError, match="at most 170"):
         SuiteConfig(cutoff=171, radial=86, angular=172)
     with pytest.raises(ValueError, match="does not cover monomial degree 100"):
@@ -212,7 +223,7 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
 
     from landau_modular import coherent_states as cs
     from landau_modular import modular_core as mc
-    from landau_modular import suites
+    from landau_modular import modular_suite
 
     clean = {c.name: c for c in run_suite("kms", SuiteConfig())[0].checks}
     kernel = mc.kms_kernel
@@ -235,13 +246,13 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
     # the first sample and pass
     clean = {c.name: c for c in run_suite("modular", SuiteConfig())[0].checks}
     calls = []
-    inner = suites.hs_inner
+    inner = modular_suite.hs_inner
 
     def nan_on_fifth(x, y):
         calls.append(None)
         return complex("nan") if len(calls) == 5 else inner(x, y)
 
-    monkeypatch.setattr(suites, "hs_inner", nan_on_fifth)
+    monkeypatch.setattr(modular_suite, "hs_inner", nan_on_fifth)
     checks = {c.name: c for c in run_suite("modular", SuiteConfig())[0].checks}
     assert math.isnan(checks["j_antiunitary"].max_error)
     assert not checks["j_antiunitary"].passed
@@ -394,52 +405,52 @@ def test_cli_and_landau_library_load_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_modular_and_kms_runs_load_only_their_layers():
-    # a fresh process, since the tests import every layer into this one;
-    # the landau suite is the control that the probe sees a lazy import
-    code = (
-        "import contextlib, io, sys\n"
-        "import landau_modular.cli\n"
-        "lazy = ('complex_hermite', 'landau_modes', 'coherent_states', "
-        "'landau_suite')\n"
-        "def loaded():\n"
-        "    return [m for m in lazy if 'landau_modular.' + m in sys.modules]\n"
-        "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert landau_modular.cli.main(['verify', 'modular']) == 0\n"
-        "    assert landau_modular.cli.main(['verify', 'kms']) == 0\n"
-        "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    landau_modular.cli.main(['verify', 'landau'])\n"
-        "print(loaded())\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == [
-        "[]", "[]", "['landau_modes', 'landau_suite']"]
+# the *_suite modules and lazy layers that `verify <suite>` loads
+SUITE_LOADS = {
+    "modular": ["modular_suite"],
+    "kms": ["kms_suite"],
+    "landau": ["landau_modes", "landau_suite"],
+    "hermite": ["complex_hermite", "hermite_suite"],
+    "quadrature": ["quadrature_suite"],
+    "coherent": ["coherent_states", "coherent_suite", "landau_modes"],
+    "wigner": ["landau_modes", "wigner_suite"],
+}
 
 
-LANDAU_SIDE = ("landau", "hermite", "quadrature", "coherent", "wigner")
-
-
-@pytest.mark.parametrize("suite", LANDAU_SIDE)
-def test_landau_side_run_loads_only_its_own_suite_module(suite):
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_each_run_loads_only_its_own_suite_module_and_layers(suite):
     # a fresh process per suite, since the tests import every module into
-    # this one; only the hermite suite reads the exact Hermite tables
+    # this one; importing the CLI loads no suite, no lazy layer and not rng,
+    # and only the hermite suite reads the exact Hermite tables
     code = (
         "import contextlib, io, json, sys\n"
+        "def loaded(*also):\n"
+        "    names = [m.split('.')[-1] for m in sys.modules "
+        "if m.startswith('landau_modular.')]\n"
+        "    lazy = ('complex_hermite', 'landau_modes', 'coherent_states') + also\n"
+        "    return sorted(m for m in names if m.endswith('_suite') or m in lazy)\n"
         "import landau_modular.cli\n"
+        "print(json.dumps(loaded('rng')))\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    landau_modular.cli.main(['verify', {suite!r}])\n"
-        "print(json.dumps(sorted(m.split('.')[-1] for m in sys.modules "
-        "if m.startswith('landau_modular.') and (m.endswith('_suite') "
-        "or m.endswith('.complex_hermite')))))\n")
+        f"    code = landau_modular.cli.main(['verify', {suite!r}])\n"
+        "print(code)\n"
+        "print(json.dumps(loaded()))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    want = [f"{suite}_suite"] + (["complex_hermite"] if suite == "hermite" else [])
-    assert json.loads(proc.stdout) == sorted(want)
+    want_code = 1 if suite in ("landau", "wigner") else 0
+    assert proc.stdout.splitlines() == [
+        "[]", str(want_code), json.dumps(SUITE_LOADS[suite])]
+
+
+def test_suite_modules_are_exactly_the_suite_names():
+    # a suite module without a dispatch entry, or a name without a module,
+    # fails here
+    import landau_modular
+
+    modules = sorted(m.name for m in pkgutil.iter_modules(landau_modular.__path__)
+                     if m.name.endswith("_suite"))
+    assert modules == sorted(f"{name}_suite" for name in SUITE_NAMES)
 
 
 def test_phase_space_and_hermite_runs_load_no_rational_modules():
@@ -534,7 +545,7 @@ def test_importing_the_library_leaves_the_collector_alone():
         "print(gc.get_freeze_count(), gc.isenabled())\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["15 True True", "0 True"]
+    assert proc.stdout.splitlines() == ["17 True True", "0 True"]
 
 
 def test_importing_the_entry_runs_nothing_and_main_freezes():
@@ -577,7 +588,8 @@ def test_no_collection_runs_while_main_imports_the_cli():
         "    if phase == 'start' and not imported():\n"
         "        during_import.append(info['generation'])\n"
         "def on_call(frame, event, arg):\n"
-        "    if event == 'call' and frame.f_code.co_name == '_suite_kms':\n"
+        "    if (event == 'call' and frame.f_code.co_name == 'run'\n"
+        "            and frame.f_globals['__name__'] == 'landau_modular.kms_suite'):\n"
         "        suite_sees.append(gc.isenabled())\n"
         "print(imported())\n"
         "gc.callbacks.append(on_gc)\n"
