@@ -1,16 +1,20 @@
 """Gibbs weights, the cyclic vector, and the modular triple (S, J, Delta).
 
-The state is the Gibbs state of a truncated harmonic ladder: weights
-alpha_n proportional to exp(-n * beta), renormalized to sum to one so
-every modular identity is exact at finite truncation.  In the matrix-unit
-basis everything is diagonal or a transpose, so every superoperator here is
-held in N^2 numbers: a diagonal one as the N x N array of its eigenvalues,
-acting entrywise, and J and S as hs_space.WeightedConjugation, X -> (W . X)*:
+The state is the Gibbs state of a truncated harmonic oscillator, defined by
+its spectrum E_n = n; the weights alpha_n = exp(-beta E_n) / Z follow from
+it, renormalized to sum to one so every modular identity is exact at
+finite truncation.  In the matrix-unit basis everything is diagonal or a
+transpose, so every superoperator here is held in N^2 numbers: a diagonal
+one as the N x N array of its eigenvalues, acting entrywise, and J and S
+as hs_space.WeightedConjugation, X -> (W . X)*:
 
     Delta E_ij     = (alpha_i / alpha_j) E_ij          delta[i, j]
     S E_ij         = sqrt(alpha_i / alpha_j) E_ji      (antilinear, W = sqrt(delta))
     J E_ij         = E_ji                              (antilinear, W = 1)
-    bigH on E_ij   = -(1/beta) log(alpha_i / alpha_j)  big_h[i, j]
+    bigH on E_ij   = -(1/beta) log Delta_ij            big_h[i, j]
+
+bigH is read from the weights, not from the energies, so comparing it
+with E_i - E_j compares two routes.
 """
 
 from __future__ import annotations
@@ -30,30 +34,16 @@ from .hs_space import (  # noqa: F401
 )
 
 
-class GibbsWeights:
-    """Normalized geometric weights alpha_n = C * exp(-n*beta), sum = 1, and
-    their Gibbs energies E_n = -log(alpha_n) / beta, so alpha = e^(-beta E)."""
+class GibbsWeights(NamedTuple):
+    """The Gibbs state of the truncated oscillator: its spectrum E_n = n
+    (units of hbar omega, zero point dropped), the one definition of the
+    energies that the flows and the KMS kernel read, and the weights
+    alpha = e^(-beta E) / Z derived from it.  Built by build_weights."""
 
-    __slots__ = ("beta", "n", "alpha", "energies")
-
-    def __init__(self, beta: float, n: int, alpha: np.ndarray):
-        self.beta, self.n, self.alpha = beta, n, alpha
-        # each condition is written so that a NaN fails it
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"inverse temperature must be positive and finite, got {self.beta}")
-        if self.n < 2:
-            raise ValueError(f"need at least two levels, got {self.n}")
-        a = self.alpha
-        if a.shape != (self.n,) or not np.all(a > 0):
-            raise ValueError("weights must be positive with one entry per level")
-        if not abs(a.sum() - 1.0) <= 1e-14 * self.n:
-            raise ValueError("weights must sum to one")
-        ratios = a[1:] / a[:-1]
-        if not np.all(np.abs(ratios - math.exp(-self.beta)) <= 1e-12):
-            raise ValueError("weights must be geometric with ratio exp(-beta)")
-        # the one definition of the energies, which the flows and the KMS
-        # kernel read
-        self.energies = -np.log(self.alpha) / self.beta
+    beta: float
+    n: int
+    energies: np.ndarray
+    alpha: np.ndarray
 
 
 # ln(DBL_MAX) ~ 709.78: the largest eigenvalue of Delta, alpha_0 / alpha_(n-1)
@@ -73,15 +63,19 @@ def require_finite_ratios(beta: float, n: int) -> None:
 
 
 def build_weights(beta: float, n: int) -> GibbsWeights:
-    """Geometric Gibbs weights on n levels, renormalized to sum exactly 1."""
+    """The Gibbs state on n levels at inverse temperature beta: the
+    spectrum E_n = n and its weights e^(-beta E), renormalized to sum to
+    one.  The one constructor of GibbsWeights and the one place its input
+    is checked; each condition is written so that a NaN fails it."""
     if not 0 < beta < math.inf:
         raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
     if n < 2:
         raise ValueError(f"need at least two levels, got {n}")
     require_finite_ratios(beta, n)
-    alpha = np.exp(-beta * np.arange(n))
+    energies = np.arange(float(n))
+    alpha = np.exp(-beta * energies)
     alpha /= alpha.sum()
-    return GibbsWeights(beta=beta, n=n, alpha=alpha)
+    return GibbsWeights(beta=beta, n=n, energies=energies, alpha=alpha)
 
 
 def cyclic_vector(w: GibbsWeights) -> np.ndarray:

@@ -89,11 +89,25 @@ def run(cfg: SuiteConfig) -> Report:
             "sigma_t(A v I) = sigma_t(A) v I",
             [flow_action_error() for _ in range(3)], 1e-12)
 
-    # bigH E_ij = [H, E_ij] = (E_i - E_j) E_ij, with the Gibbs energies that
-    # the flow and the KMS function read
+    # bigH E_ij = [H, E_ij] = (E_i - E_j) E_ij: bigH = -log(Delta) / beta from
+    # the weights, against the exact spectrum E_n = n that the flow and the
+    # KMS function read.  Its error is about eps / beta (3.1e-12 at beta 1e-4)
+    gen_err = np.abs(triple.big_h - np.subtract.outer(w.energies, w.energies))
     s.check("generator_eigenvalues",
             "bigH eigenvalue on E_ij = E_i - E_j, the Gibbs energy difference",
-            np.abs(triple.big_h - np.subtract.outer(w.energies, w.energies)), 1e-12)
+            gen_err, 1e-12)
+    # the same error against c eps (1 + max|log Delta|) / beta (u = eps / 2).
+    # alpha_i / alpha_j is off by at most (beta (i + j) + 7) u relative: the
+    # exponents beta i and beta j round, and the two exps (2 u each), the two
+    # divisions by Z and the quotient add 7 u.  log and / beta carry that as
+    # (i + j + 7 / beta) u and add u |i - j| each: at most
+    # u (4 (N - 1) + 7 / beta) <= 3.5 eps (1 + max|log Delta|) / beta, with
+    # max|log Delta| = beta (N - 1).  So c = 4; measured at most 1.85 for
+    # beta from 1e-9 to 4 and dims 16 to 1024
+    log_spread = float(np.max(np.abs(np.log(triple.delta))))
+    s.check("generator_eigenvalues_conditioned",
+            "bigH eigenvalue on E_ij = E_i - E_j, relative to (1 + max|log Delta|) / beta",
+            gen_err * (w.beta / (1 + log_spread)), 4 * np.finfo(float).eps)
 
     # real matrix units, so the commutant is found by a real factorization
     n3 = 3

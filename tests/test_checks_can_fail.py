@@ -187,7 +187,15 @@ def _gibbs_weight_off(build_weights):
         w = build_weights(beta, n)
         alpha = w.alpha.copy()
         alpha[-1] *= 1.0 + 1e-12
-        return mc.GibbsWeights(beta=beta, n=n, alpha=alpha)
+        return w._replace(alpha=alpha)
+    return mutant
+
+
+def _energy_spacing_off(build_weights):
+    # the level spacing 1 + 1e-9 in place of 1, the weights unchanged
+    def mutant(beta, n):
+        w = build_weights(beta, n)
+        return w._replace(energies=w.energies * (1.0 + 1e-9))
     return mutant
 
 
@@ -261,7 +269,11 @@ ROWS = [
      {"flow_preserves_left_algebra"}),
     # bigH with its sign flipped
     ("modular", "generator_eigenvalues", mc, "build_modular_triple",
-     _triple_with(big_h=lambda w, t: -t.big_h), {"generator_eigenvalues"}),
+     _triple_with(big_h=lambda w, t: -t.big_h),
+     {"generator_eigenvalues", "generator_eigenvalues_conditioned"}),
+    # measured: 1.5e-8 against 1e-12, and 9.1e-10 against 4 eps
+    ("modular", "generator_eigenvalues_conditioned", mc, "build_weights",
+     _energy_spacing_off, {"generator_eigenvalues", "generator_eigenvalues_conditioned"}),
     ("modular", "commutant_of_left_algebra", modular_suite, "in_span",
      _in_span_dropping_last, {"commutant_of_left_algebra"}),
     # the restricted solve against the first right generator only: the
@@ -429,6 +441,7 @@ CHECK_NAMES = {
         "cyclic_fixed_by_j", "s_conjugates_orbit", "j_antiunitary",
         "j_antiunitary_relative", "hs_inner_norm", "state_flow_invariant",
         "flow_preserves_left_algebra", "generator_eigenvalues",
+        "generator_eigenvalues_conditioned",
         "commutant_of_left_algebra", "joint_commutant_scalar",
         "centralizer_predicate", "centralizer_pairing_oracle"],
     "kms": ["closed_form_pair", "real_time_agreement", "boundary_condition"],

@@ -207,6 +207,27 @@ def test_coherent_cutoff_limits_are_checked_on_the_configuration():
         SuiteConfig(cutoff=100)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("suite, beta, failing", [
+    ("kms", "1e-4", set()), ("kms", "1e-9", set()), ("kms", "1e-310", set()),
+    ("modular", "1e-4", {"generator_eigenvalues"}),
+    ("modular", "1e-9", {"generator_eigenvalues"}),
+    # rho is I / N to double precision: the weights carry no energy, and no
+    # off-diagonal B fails to commute with them
+    ("modular", "1e-310", {"generator_eigenvalues", "centralizer_predicate"}),
+])
+def test_small_beta_reds_are_only_the_conditioned_ones(suite, beta, failing, tmp_path):
+    # the flows and the KMS kernel read the spectrum E_n = n, not energies
+    # read back from rounded weights, so the kms suite stays green as beta
+    # falls; only the generator, -log(Delta) / beta from the weights, is
+    # conditioned by 1 / beta against its fixed 1e-12
+    out = tmp_path / "report.json"
+    assert main(["verify", suite, "--beta", beta, "--out", str(out)]) == (1 if failing else 0)
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["name"] for c in checks if not c["pass"]} == failing
+    assert not any(np.isnan(c["max_error"]) for c in checks)
+
+
 def test_smallest_cuts_run():
     cfg = SuiteConfig(cutoff=2, ncut=8)
     for name in ("coherent", "landau", "wigner"):

@@ -409,7 +409,7 @@ def test_modular_spectral_relative_companion(monkeypatch):
         w = build(beta, n)
         alpha = w.alpha.copy()
         alpha[5] *= 1.0 + 1e-13
-        return mc.GibbsWeights(beta=beta, n=n, alpha=alpha)
+        return w._replace(alpha=alpha)
 
     monkeypatch.setattr(mc, "build_weights", perturbed)
     assert cs.modular_spectral_relative_check(0.7, 10) > 5e-14
