@@ -1,7 +1,8 @@
 """Command-line harness: `verify <suite>` runs a verification suite and
 writes a deterministic JSON report; `export <what>` writes plot-ready
 tables.  Exit status: 0 all checks passed, 1 at least one check failed,
-2 usage or configuration error, or an output file that cannot be written.
+2 usage or configuration error, a run whose arrays cannot be allocated,
+or an output file that cannot be written.
 
 An export streams its CSV rows to `--out` or stdout as it computes them,
 so no table is held in memory: `export hermite_coeffs` peaks at about
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -58,6 +58,14 @@ def check_flags(flags: dict) -> None:
             f"beta (--beta) times cutoff (--cutoff) is {beta * flags['cutoff']:.6g}, "
             f"above ln(DBL_MAX) = {mc.LOG_DBL_MAX:.6g}: the coherent suite's Gibbs "
             "weight ratio e^(beta cutoff) overflows a double")
+    # the modular suite's centralizer checks hold Gibbs weights on 8 levels
+    # whatever --dim is, whose largest ratio is e^(7 beta); only a whole
+    # configuration runs suites, so an export that reads beta is not held to it
+    if flags.keys() >= FLAGS.keys() and 7 * beta > mc.LOG_DBL_MAX:
+        raise ValueError(
+            f"beta (--beta) is {beta:.6g}, above ln(DBL_MAX) / 7 = "
+            f"{mc.LOG_DBL_MAX / 7:.6g}: the modular suite's 8-level Gibbs weight "
+            "ratio e^(7 beta) overflows a double")
 
 
 # name -> (default, help) of each config flag: the CLI option --<name> of

@@ -207,6 +207,44 @@ def test_coherent_cutoff_limits_are_checked_on_the_configuration():
         SuiteConfig(cutoff=100)
 
 
+@pytest.mark.parametrize("suite", ["modular", "all", "kms", "coherent"])
+def test_overflowing_centralizer_weights_are_a_config_error(suite, monkeypatch, capsys):
+    # the modular suite's centralizer checks build 8 levels whatever --dim
+    # is: beta 7 = 1400 > ln(DBL_MAX), though beta (dim - 1) = 200 and
+    # beta cutoff = 400 are not; every suite is rejected before it runs
+    from landau_modular import suites
+
+    ran = []
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: ran.append(name))
+    assert main(["verify", suite, "--dim", "2", "--beta", "200", "--cutoff", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, ran) == ("", [])
+    assert captured.err.splitlines() == [
+        "configuration error: beta (--beta) is 200, above ln(DBL_MAX) / 7 = "
+        "101.398: the modular suite's 8-level Gibbs weight ratio e^(7 beta) "
+        "overflows a double"]
+    # 7 beta = 709.73 is below ln(DBL_MAX); only the configuration is built
+    assert SuiteConfig(dim=2, beta=101.39, cutoff=2).beta == 101.39
+
+
+def test_an_unallocatable_run_is_a_config_error(monkeypatch, capsys):
+    # exit 1 means a check failed; a run too large to allocate is neither
+    from landau_modular import suites
+
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000, 1000000) and data type complex128")
+
+    monkeypatch.setitem(suites._SUITES, "wigner", too_large)
+    assert main(["verify", "wigner"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "configuration error: Unable to allocate 7.28 TiB for an array with "
+        "shape (1000000, 1000000) and data type complex128"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("suite, beta, failing", [
     ("kms", "1e-4", set()), ("kms", "1e-9", set()), ("kms", "1e-310", set()),
