@@ -51,21 +51,6 @@ def check_flags(flags: dict) -> None:
                              f"got {flags[name]}")
     if "dim" in flags:
         mc.require_finite_ratios(beta, flags["dim"])
-    # the coherent suite's modular spectrum holds Gibbs weights on cutoff + 1
-    # levels, whose largest ratio is e^(beta cutoff)
-    if "cutoff" in flags and beta * flags["cutoff"] > mc.LOG_DBL_MAX:
-        raise ValueError(
-            f"beta (--beta) times cutoff (--cutoff) is {beta * flags['cutoff']:.6g}, "
-            f"above ln(DBL_MAX) = {mc.LOG_DBL_MAX:.6g}: the coherent suite's Gibbs "
-            "weight ratio e^(beta cutoff) overflows a double")
-    # the modular suite's centralizer checks hold Gibbs weights on 8 levels
-    # whatever --dim is, whose largest ratio is e^(7 beta); only a whole
-    # configuration runs suites, so an export that reads beta is not held to it
-    if flags.keys() >= FLAGS.keys() and 7 * beta > mc.LOG_DBL_MAX:
-        raise ValueError(
-            f"beta (--beta) is {beta:.6g}, above ln(DBL_MAX) / 7 = "
-            f"{mc.LOG_DBL_MAX / 7:.6g}: the modular suite's 8-level Gibbs weight "
-            "ratio e^(7 beta) overflows a double")
 
 
 # name -> (default, help) of each config flag: the CLI option --<name> of
@@ -96,6 +81,21 @@ class SuiteConfig:
         if flags:
             raise TypeError(f"SuiteConfig got unknown flags {sorted(flags)}")
         check_flags(self.values())  # before any suite runs
+        # the coherent suite's modular spectrum holds Gibbs weights on cutoff + 1
+        # levels, whose largest ratio is e^(beta cutoff)
+        if self.beta * self.cutoff > mc.LOG_DBL_MAX:
+            raise ValueError(
+                f"beta (--beta) times cutoff (--cutoff) is {self.beta * self.cutoff:.6g}, "
+                f"above ln(DBL_MAX) = {mc.LOG_DBL_MAX:.6g}: the coherent suite's Gibbs "
+                "weight ratio e^(beta cutoff) overflows a double")
+        # the modular suite's centralizer checks hold Gibbs weights on 8 levels
+        # whatever --dim is, whose largest ratio is e^(7 beta); an export that
+        # reads beta runs no suite, so it is not held to it
+        if 7 * self.beta > mc.LOG_DBL_MAX:
+            raise ValueError(
+                f"beta (--beta) is {self.beta:.6g}, above ln(DBL_MAX) / 7 = "
+                f"{mc.LOG_DBL_MAX / 7:.6g}: the modular suite's 8-level Gibbs weight "
+                "ratio e^(7 beta) overflows a double")
         # the coherent suite's moment matrix needs the rule to cover the
         # cutoff and n! to be a finite double up to it
         quad.require_coverage(quad.build_rule(self.radial, self.angular), self.cutoff)

@@ -267,22 +267,25 @@ def test_criterion_12_modular_coherent_consistency():
     assert np.max(np.abs(mc.conjugation_J(m + 1)(phi) - phi)) <= 1e-13
 
 
-def test_criterion_13_determinism(tmp_path):
+def _reports_on_two_and_one_threads(tmp_path, *args):
     # Both thread counts are set here, so an environment that pins BLAS to
     # one thread (as CI does) still compares two threads with one.
     outputs = []
-    for tag, threads in (("a", "2"), ("b", "1")):
-        env = dict(os.environ)
-        env["OMP_NUM_THREADS"] = threads
-        env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / f"report_{tag}.json"
+    for threads in ("2", "1"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"{'_'.join(args)}_{threads}.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "landau_modular", "verify", "all",
+            [sys.executable, "-m", "landau_modular", "verify", *args,
              "--seed", "42", "--out", str(out)],
             env=env, capture_output=True, text=True)
         assert proc.returncode in (0, 1)
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_criterion_13_determinism(tmp_path):
+    two, one = _reports_on_two_and_one_threads(tmp_path, "all")
+    assert two == one
 
 
 def test_criterion_13_determinism_at_reach(tmp_path):
@@ -295,16 +298,5 @@ def test_criterion_13_determinism_at_reach(tmp_path):
             ("coherent", "--cutoff", "170", "--radial", "86", "--angular", "171"),
             ("kms", "--dim", "256"), ("modular", "--dim", "256"))
     for args in runs:
-        outputs = []
-        for tag, threads in (("a", "2"), ("b", "1")):
-            env = dict(os.environ)
-            env["OMP_NUM_THREADS"] = threads
-            env["OPENBLAS_NUM_THREADS"] = threads
-            out = tmp_path / f"{args[0]}{args[2]}_{tag}.json"
-            proc = subprocess.run(
-                [sys.executable, "-m", "landau_modular", "verify", *args,
-                 "--seed", "42", "--out", str(out)],
-                env=env, capture_output=True, text=True)
-            assert proc.returncode in (0, 1)
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1], args
+        two, one = _reports_on_two_and_one_threads(tmp_path, *args)
+        assert two == one, args

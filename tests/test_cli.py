@@ -318,19 +318,6 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
     assert checks["s_conjugates_orbit"] == clean["s_conjugates_orbit"]
 
 
-def test_kms_traces_read_the_modular_flow(monkeypatch):
-    # both real-time checks form their traces on modular_core's flow: a flow
-    # run backwards turns them red, and the complex kernel alone stays green
-    from landau_modular import modular_core as mc
-
-    flow = mc.modular_flow
-    monkeypatch.setattr(mc, "modular_flow", lambda w, t, a: flow(w, -t, a))
-    checks = {c.name: c for c in run_suite("kms", SuiteConfig())[0].checks}
-    for name in ("real_time_agreement", "boundary_condition"):
-        assert not checks[name].passed
-    assert checks["closed_form_pair"].passed
-
-
 def test_coherent_modular_spectral_reads_the_shared_flow(monkeypatch):
     # the coherent layer's Delta^(it) is modular_core's flow_superop: with
     # the opposite time sign the raising generator turns the wrong way
@@ -441,195 +428,135 @@ def test_export_checks_only_the_flags_it_reads(tmp_path):
         assert out.read_text().count("\n") > 1
 
 
-def test_cli_and_landau_library_load_no_scipy():
-    # runs the commands and the library calls, not only the imports, so a
-    # deferred import inside a function is caught too; the last two lines
-    # are the path of a library-level Fock-state build
-    code = (
-        "import contextlib, io, sys\n"
-        "from landau_modular.cli import main\n"
-        "from landau_modular import landau_modes as lm\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert main(['verify', 'all', '--seed', '42']) == 1\n"
-        "    assert main(['verify', 'modular', '--dim', '32']) == 0\n"
-        "    assert main(['export', 'quad_rule']) == 0\n"
-        "    assert main(['export', 'delta_spectrum']) == 0\n"
-        "lm.hamiltonians(lm.ModeCut(24))\n"
-        "lm.fock_psi(lm.ModeCut(24), 2, 1)\n"
-        "print(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.')))\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+# Fresh processes, since the tests import every module into this one.  A probe
+# runs one row of PROBES: a step is one line of code, or a `verify` or `export`
+# argv run through the `main` an earlier step imported, its output discarded.
+# After each step it prints the exit code (null for a line of code), the
+# modules of WATCHED now loaded, whether the collector holds frozen objects
+# and whether it is enabled
+PROBE = """\
+import contextlib, gc, io, json, sys
+watched, steps = json.loads(sys.argv[1])
+scope = {}
+for step in steps:
+    code = None
+    if step.split()[0] in ('verify', 'export'):
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            code = scope['main'](step.split())
+    else:
+        exec(step, scope)
+    now = [m.removeprefix('landau_modular.') for m in watched if m in sys.modules]
+    print(json.dumps([code, now, gc.get_freeze_count() > 0, gc.isenabled()]))
+"""
 
+# no row but the control loads a module of NEVER, and only an export loads csv
+NEVER = ("scipy", "fractions", "decimal", "numpy.polynomial", "dataclasses")
+LIBRARY = ("cli", "rng", "landau_modes", "complex_hermite", "coherent_states",
+           *(f"{name}_suite" for name in SUITE_NAMES))
+WATCHED = (*NEVER, "csv", "numpy", *(f"landau_modular.{m}" for m in LIBRARY))
 
-# the *_suite modules and lazy layers that `verify <suite>` loads
-SUITE_LOADS = {
-    "modular": ["modular_suite"],
-    "kms": ["kms_suite"],
-    "landau": ["landau_modes", "landau_suite"],
-    "hermite": ["complex_hermite", "hermite_suite"],
-    "quadrature": ["quadrature_suite"],
-    "coherent": ["coherent_states", "coherent_suite", "landau_modes"],
-    "wigner": ["landau_modes", "wigner_suite"],
+# one fresh process per row, a list of steps: (step, its exit code or None
+# for a line of code, the WATCHED modules it loads, whether the collector
+# holds frozen objects after it)
+CLI = ("from landau_modular.cli import main", None, "numpy cli", False)
+PROBES = {
+    # each suite alone: importing the CLI loads no suite, no lazy layer and
+    # not rng, and only the hermite suite reads the exact Hermite tables
+    "modular": [CLI, ("verify modular", 0, "rng modular_suite", False)],
+    "kms": [CLI, ("verify kms", 0, "rng kms_suite", False)],
+    "landau": [CLI, ("verify landau", 1, "landau_modes landau_suite", False)],
+    "hermite": [CLI, ("verify hermite", 0, "complex_hermite hermite_suite", False)],
+    "quadrature": [CLI, ("verify quadrature", 0, "quadrature_suite", False)],
+    "coherent": [CLI, ("verify coherent", 0,
+                       "rng landau_modes coherent_states coherent_suite", False)],
+    "wigner": [CLI, ("verify wigner", 1, "landau_modes wigner_suite", False)],
+    "all": [CLI, ("verify all", 1, "rng landau_modes complex_hermite coherent_states "
+                  + " ".join(f"{name}_suite" for name in SUITE_NAMES), False)],
+    "exports": [CLI, ("export hermite_coeffs", 0, "csv complex_hermite", False),
+                ("export quad_rule", 0, "", False),
+                ("export delta_spectrum", 0, "", False),
+                ("export wigner_grid", 0, "landau_modes", False)],
+    # the Fock driver's path, which imports the library without the CLI
+    "fock": [("from landau_modular import landau_modes as lm", None,
+              "numpy landau_modes", False),
+             ("lm.hamiltonians(lm.ModeCut(24))", None, "", False),
+             ("lm.fock_psi(lm.ModeCut(24), 2, 1)", None, "", False)],
+    # tests and tools import the library in-process, so no module but the
+    # entry may freeze or switch off the collector
+    "library": [
+        ("import importlib, pkgutil, landau_modular", None, "", False),
+        ("names = sorted(m.name for m in pkgutil.iter_modules(landau_modular.__path__)"
+         " if m.name != '__main__')", None, "", False),
+        ("assert (len(names), 'cli' in names, 'suites' in names) == (17, True, True)",
+         None, "", False),
+        ("for name in names: importlib.import_module('landau_modular.' + name)", None,
+         "numpy " + " ".join(LIBRARY), False)],
+    # the probe sees each module of NEVER once it is loaded: fractions (and
+    # the decimal it imports) on a non-int exact scalar, numpy.polynomial
+    # from a Gauss-Hermite rule
+    "control": [
+        ("from landau_modular import complex_hermite as chp", None,
+         "complex_hermite", False),
+        ("chp.poly_const(1).scale(0.5)", None, "fractions decimal", False),
+        ("import numpy as np", None, "numpy", False),
+        ("np.polynomial.hermite.hermgauss(2)", None, "numpy.polynomial", False),
+        ("import dataclasses", None, "dataclasses", False),
+        ("import scipy", None, "scipy", False)],
 }
 
 
-@pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_each_run_loads_only_its_own_suite_module_and_layers(suite):
-    # a fresh process per suite, since the tests import every module into
-    # this one; importing the CLI loads no suite, no lazy layer and not rng,
-    # and only the hermite suite reads the exact Hermite tables
-    code = (
-        "import contextlib, io, json, sys\n"
-        "def loaded(*also):\n"
-        "    names = [m.split('.')[-1] for m in sys.modules "
-        "if m.startswith('landau_modular.')]\n"
-        "    lazy = ('complex_hermite', 'landau_modes', 'coherent_states') + also\n"
-        "    return sorted(m for m in names if m.endswith('_suite') or m in lazy)\n"
-        "import landau_modular.cli\n"
-        "print(json.dumps(loaded('rng')))\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    code = landau_modular.cli.main(['verify', {suite!r}])\n"
-        "print(code)\n"
-        "print(json.dumps(loaded()))\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    want_code = 1 if suite in ("landau", "wigner") else 0
-    assert proc.stdout.splitlines() == [
-        "[]", str(want_code), json.dumps(SUITE_LOADS[suite])]
+def _run_probe(steps):
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", PROBE,
+                           json.dumps([WATCHED, [step for step, *_ in steps]])],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got, loaded = [], set()
+    for line in proc.stdout.splitlines():
+        code, now, frozen, enabled = json.loads(line)
+        got.append((code, sorted(set(now) - loaded), frozen, enabled))
+        loaded = set(now)
+    assert got == [(code, sorted(loads.split()), frozen, True)
+                   for _, code, loads, frozen in steps]
+
+
+@pytest.mark.parametrize("row", PROBES)
+def test_each_run_loads_only_its_own_suite_module_and_layers(row):
+    _run_probe(PROBES[row])
+
+
+ENTRY = ("from landau_modular.__main__ import main", None, "", False)
+
+
+def test_importing_the_entry_loads_neither_the_cli_nor_numpy():
+    # no WATCHED module, so neither the CLI nor numpy
+    _run_probe([ENTRY])
+
+
+def test_importing_the_entry_runs_nothing_and_main_freezes():
+    # importing the entry runs nothing; its main freezes the import-time
+    # heap and leaves the collector enabled
+    _run_probe([ENTRY, ("verify kms", 0, "numpy cli rng kms_suite", True)])
 
 
 def test_suite_modules_are_exactly_the_suite_names():
-    # a suite module without a dispatch entry, or a name without a module,
-    # fails here
+    # a suite module without a dispatch entry or a probe row, or a name
+    # without a module, fails here
     import landau_modular
 
     modules = sorted(m.name for m in pkgutil.iter_modules(landau_modular.__path__)
                      if m.name.endswith("_suite"))
     assert modules == sorted(f"{name}_suite" for name in SUITE_NAMES)
+    assert list(PROBES)[:len(SUITE_NAMES)] == list(SUITE_NAMES)
 
 
-def test_phase_space_and_hermite_runs_load_no_rational_modules():
-    # a fresh process, since tests here build Fractions; `fractions` (and the
-    # `decimal` it imports) is loaded only on a non-int exact scalar, which
-    # the last line supplies as the control
-    code = (
-        "import contextlib, io, sys\n"
-        "import landau_modular.cli\n"
-        "def loaded():\n"
-        "    return [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert landau_modular.cli.main(['verify', 'wigner']) == 1\n"
-        "    assert landau_modular.cli.main(['verify', 'coherent']) == 0\n"
-        "    assert landau_modular.cli.main(['verify', 'hermite']) == 0\n"
-        "print(loaded())\n"
-        "from landau_modular import complex_hermite as chp\n"
-        "chp.poly_const(1).scale(0.5)\n"
-        "print(loaded())\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "['fractions', 'decimal']"]
-
-
-def test_landau_and_full_runs_load_no_numpy_polynomial():
-    # a fresh process, since tests here take Gauss-Hermite rules as their
-    # reference; the landau suite integrates on a trapezoidal grid, and
-    # the last lines, which build one such rule, are the control
-    code = (
-        "import contextlib, io, sys\n"
-        "import landau_modular.cli\n"
-        "def quiet():\n"
-        "    out = contextlib.ExitStack()\n"
-        "    out.enter_context(contextlib.redirect_stdout(io.StringIO()))\n"
-        "    out.enter_context(contextlib.redirect_stderr(io.StringIO()))\n"
-        "    return out\n"
-        "def loaded():\n"
-        "    return 'numpy.polynomial' in sys.modules\n"
-        "with quiet():\n"
-        "    assert landau_modular.cli.main(['verify', 'landau']) == 1\n"
-        "print(loaded())\n"
-        "with quiet():\n"
-        "    assert landau_modular.cli.main(['verify', 'all']) == 1\n"
-        "print(loaded())\n"
-        "import numpy as np\n"
-        "np.polynomial.hermite.hermgauss(2)\n"
-        "print(loaded())\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["False", "False", "True"]
-
-
-def test_verify_runs_and_the_fock_import_load_no_dataclasses():
-    # a fresh process, since pytest loads dataclasses into this one; the
-    # library's records are NamedTuples or __slots__ classes, so none execs
-    # generated code at import.  The first line is the Fock driver's
-    # import, and importing dataclasses at the end is the control
-    code = (
-        "import contextlib, io, sys\n"
-        "import landau_modular.landau_modes\n"
-        "def loaded():\n"
-        "    return 'dataclasses' in sys.modules\n"
-        "print(loaded())\n"
-        "import landau_modular.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert landau_modular.cli.main(['verify', 'modular']) == 0\n"
-        "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert landau_modular.cli.main(['verify', 'all', '--seed', '42']) == 1\n"
-        "print(loaded())\n"
-        "import dataclasses\n"
-        "print(loaded())\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["False", "False", "False", "True"]
-
-
-def test_importing_the_library_leaves_the_collector_alone():
-    # tests and tools import the library in-process, so no module but the
-    # process entry may freeze or switch off the garbage collector
-    code = (
-        "import gc, importlib, pkgutil\n"
-        "import landau_modular\n"
-        "names = sorted(m.name for m in pkgutil.iter_modules("
-        "landau_modular.__path__) if m.name != '__main__')\n"
-        "for name in names:\n"
-        "    importlib.import_module('landau_modular.' + name)\n"
-        "print(len(names), 'cli' in names, 'suites' in names)\n"
-        "print(gc.get_freeze_count(), gc.isenabled())\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["17 True True", "0 True"]
-
-
-def test_importing_the_entry_runs_nothing_and_main_freezes():
-    code = (
-        "import contextlib, gc, io\n"
-        "import landau_modular.__main__ as entry\n"
-        "print(gc.get_freeze_count(), gc.isenabled())\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert entry.main(['verify', 'kms']) == 0\n"
-        "print(gc.get_freeze_count() > 0, gc.isenabled())\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["0 True", "True True"]
-    assert proc.stderr == ""
-
-
-def test_importing_the_entry_loads_neither_the_cli_nor_numpy():
-    code = (
-        "import sys\n"
-        "import landau_modular.__main__\n"
-        "print([m for m in ('landau_modular.cli', 'numpy') if m in sys.modules])\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+def test_no_probe_but_the_control_loads_a_never_module():
+    # each step's loaded set is exact and NEVER and csv are WATCHED, so the
+    # policy is a property of the table itself
+    loads = {row: {m for _, _, step, _ in steps for m in step.split()}
+             for row, steps in PROBES.items()}
+    assert all(not loads[row] & set(NEVER) for row in PROBES if row != "control")
+    assert [row for row in PROBES if "csv" in loads[row]] == ["exports"]
 
 
 def test_no_collection_runs_while_main_imports_the_cli():

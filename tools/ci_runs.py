@@ -61,8 +61,12 @@ ROWS = [
     ("verify coherent --cutoff 16 --radial 48 --angular 96", ONE, 1, SPECTRAL),
     ("verify coherent --cutoff 64 --radial 48 --angular 96", ONE, 1, SPECTRAL),
     ("verify coherent --cutoff 170 --radial 86 --angular 171", BOTH, 1, SPECTRAL),
-    # the smallest accepted cut, where the banded rows sit closest to its edge
+    # the smallest accepted cut, where the banded rows sit closest to its edge;
+    # the corrected phase-space form misses its bound up to cut 14
     ("verify landau --ncut 8", ONE, 1, LANDAU),
+    ("verify wigner --ncut 8", ONE, 1, f"{WIGNER} wigner/closed_form_corrected"),
+    ("verify wigner --ncut 14", ONE, 1, f"{WIGNER} wigner/closed_form_corrected"),
+    ("verify wigner --ncut 15", ONE, 1, WIGNER),
     # argparse's own exits, which run after main's deferred import of cli
     ("--version", ONE, 0, None),
     ("", ONE, 2, None),
