@@ -33,6 +33,25 @@ import numpy as np
 # From R = 195 on, the smallest Laguerre weight reaches the last subnormal
 # double (4.9e-324 at 195) and then underflows to 0.
 MAX_RADIAL_ORDER = 194
+# The largest n for which n! is a finite double; the coherent moment matrix
+# divides by sqrt(n!) up to n = cutoff.
+MAX_CUTOFF = 170
+
+
+def check_flags(flags: dict) -> None:
+    """Reject the first of the given --angular, --radial and --cutoff values
+    that is outside its limit, in that order, naming its flag; a flag that is
+    not given is not checked.  Each limit holds whatever the other flags are."""
+    if flags.get("angular", 2) < 2:
+        raise ValueError(f"angular order (--angular) must be at least 2, "
+                         f"got {flags['angular']}")
+    if not 1 <= flags.get("radial", 1) <= MAX_RADIAL_ORDER:
+        raise ValueError(f"radial order (--radial) must be in "
+                         f"[1, {MAX_RADIAL_ORDER}], got {flags['radial']}")
+    if flags.get("cutoff", 0) > MAX_CUTOFF:
+        raise ValueError(
+            f"cutoff (--cutoff) must be at most {MAX_CUTOFF}, the largest n "
+            f"for which n! is a finite double, got {flags['cutoff']}")
 
 
 class ComplexGaussRule:
@@ -89,9 +108,7 @@ def _laguerre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights (summing to 1) of the n-point rule for
     int_0^inf e^-s g(s) ds, 1 <= n <= MAX_RADIAL_ORDER (Golub-Welsch)."""
-    if not 1 <= n <= MAX_RADIAL_ORDER:
-        raise ValueError(f"radial order (--radial) must be in "
-                         f"[1, {MAX_RADIAL_ORDER}], got {n}")
+    check_flags({"radial": n})
     k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0)
                            + np.diag(k, 1) + np.diag(k, -1))
@@ -119,9 +136,7 @@ def build_rule(radial: int, angular: int) -> ComplexGaussRule:
     """
     rule = _RULES.get((radial, angular))
     if rule is None:
-        if angular < 2:
-            raise ValueError(f"angular order (--angular) must be at least 2, "
-                             f"got {angular}")
+        check_flags({"radial": radial, "angular": angular})  # before the Laguerre solve
         s, ws = gauss_laguerre(radial)
         if not np.all(ws / angular > 0):
             # the smallest Laguerre weight is subnormal at large radial orders
@@ -151,19 +166,11 @@ def covers_degree(rule: ComplexGaussRule, deg: int) -> bool:
     return deg <= 2 * rule.radial_order - 1 and (deg == 0 or deg < rule.angular_order)
 
 
-# The largest n for which n! is a finite double; the coherent moment matrix
-# divides by sqrt(n!) up to n = cutoff.
-MAX_CUTOFF = 170
-
-
 def require_coverage(rule: ComplexGaussRule, cutoff: int) -> None:
     """Reject a cutoff whose coherent moment matrix the rule cannot give
     exactly: one above MAX_CUTOFF, or one outside the rule's exactness
     certificate."""
-    if cutoff > MAX_CUTOFF:
-        raise ValueError(
-            f"cutoff (--cutoff) must be at most {MAX_CUTOFF}, the largest n "
-            f"for which n! is a finite double, got {cutoff}")
+    check_flags({"cutoff": cutoff})
     if not covers_degree(rule, cutoff):
         raise ValueError(
             f"quadrature certificate does not cover monomial degree {cutoff}: "

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from . import cgauss_quad as quad
-from . import modular_core as mc
 from .hs_space import matrix_unit
 from .suites import FLAGS, SUITE_NAMES, SuiteConfig, check_flags, report_to_json, run_suite
 
@@ -103,8 +102,10 @@ def _export_quad_rule(args):
 
 
 def _export_delta_spectrum(args):
+    from . import modular_core as mc
+
     check_flags({"beta": args.beta, "dim": args.dim})
-    w = mc.build_weights(args.beta, args.dim)
+    w = mc.build_weights(args.beta, args.dim)  # rejects beta (dim - 1) > ln(DBL_MAX)
     return ("i", "j", "eigenvalue"), (
         (i, j, f"{w.alpha[i] / w.alpha[j]:.17g}")
         for i in range(args.dim) for j in range(args.dim))

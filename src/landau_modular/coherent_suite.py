@@ -18,6 +18,19 @@ from .rng import SplitMix64
 from .suites import Report, SuiteConfig
 
 
+def require(cfg: SuiteConfig) -> None:
+    """Reject a configuration whose modular spectrum or moment matrix
+    cannot be held: the Gibbs weights on --cutoff + 1 levels, whose largest
+    ratio is e^(beta cutoff), must stay finite doubles, and the rule must
+    cover the cutoff (its degrees and n! up to it)."""
+    if cfg.beta * cfg.cutoff > mc.LOG_DBL_MAX:
+        raise ValueError(
+            f"beta (--beta) times cutoff (--cutoff) is {cfg.beta * cfg.cutoff:.6g}, "
+            f"above ln(DBL_MAX) = {mc.LOG_DBL_MAX:.6g}: the coherent suite's Gibbs "
+            "weight ratio e^(beta cutoff) overflows a double")
+    quad.require_coverage(quad.build_rule(cfg.radial, cfg.angular), cfg.cutoff)
+
+
 def run(cfg: SuiteConfig) -> Report:
     s = Report("coherent", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)

@@ -13,6 +13,12 @@ from .rng import SplitMix64
 from .suites import Report, SuiteConfig
 
 
+def require(cfg: SuiteConfig) -> None:
+    """Reject --dim levels whose Gibbs weight ratio e^(beta (dim - 1))
+    overflows a double."""
+    mc.require_finite_ratios(cfg.beta, cfg.dim)
+
+
 def run(cfg: SuiteConfig) -> Report:
     s = Report("kms", cfg)
     w = mc.build_weights(cfg.beta, cfg.dim)

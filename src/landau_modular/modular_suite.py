@@ -16,6 +16,18 @@ from .rng import SplitMix64
 from .suites import Report, SuiteConfig
 
 
+def require(cfg: SuiteConfig) -> None:
+    """Reject a configuration whose Gibbs weight ratios overflow a double:
+    e^(beta (dim - 1)) on --dim levels, and e^(7 beta) on the 8 levels that
+    the centralizer checks hold whatever --dim is."""
+    mc.require_finite_ratios(cfg.beta, cfg.dim)
+    if 7 * cfg.beta > mc.LOG_DBL_MAX:
+        raise ValueError(
+            f"beta (--beta) is {cfg.beta:.6g}, above ln(DBL_MAX) / 7 = "
+            f"{mc.LOG_DBL_MAX / 7:.6g}: the modular suite's 8-level Gibbs weight "
+            "ratio e^(7 beta) overflows a double")
+
+
 def run(cfg: SuiteConfig) -> Report:
     s = Report("modular", cfg)
     w = mc.build_weights(cfg.beta, cfg.dim)

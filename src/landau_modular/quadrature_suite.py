@@ -13,6 +13,12 @@ from . import cgauss_quad as quad
 from .suites import Report, SuiteConfig
 
 
+def require(cfg: SuiteConfig) -> None:
+    """Build the --radial x --angular rule, which rejects a pair whose
+    smallest weight underflows to 0; run reads it from the cache."""
+    quad.build_rule(cfg.radial, cfg.angular)
+
+
 def run(cfg: SuiteConfig) -> Report:
     s = Report("quadrature", cfg)
     rule = quad.build_rule(cfg.radial, cfg.angular)

@@ -6,13 +6,17 @@ bound it is held to.  Reports are byte-reproducible for a fixed seed:
 errors are rounded to six significant digits and no wall-clock data is
 embedded in the serialized form.
 
-This module is the report layer alone: the flags and their limits, the
-configuration, the check and report records, the JSON writer and the
-dispatch.  Each suite <name> of SUITE_NAMES is the function run of its own
-module <name>_suite, which _SUITES imports on the first run of that suite,
-together with the layers only that suite uses (landau_modes,
-complex_hermite, coherent_states): a process that runs one suite, or only
-imports the CLI, compiles no other suite.
+This module is the report layer alone: the flags and their per-flag
+limits, the configuration, the check and report records, the JSON writer
+and the dispatch.  Each suite <name> of SUITE_NAMES is the function run of
+its own module <name>_suite, imported on the first run of that suite,
+together with the layers that the suites read and this module does not
+(modular_core, landau_modes, complex_hermite, coherent_states): a process
+that runs one suite, or only imports the CLI, compiles no other suite.  A
+suite module whose run needs more of the configuration than each flag's
+own limit, such as a Gibbs weight ratio that must stay a finite double,
+states it in its require(cfg), which run_suite applies before the first
+suite runs.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from . import cgauss_quad as quad
-from . import modular_core as mc
 
 # importable from this module because perfbench/test_perfbench.py pins them here
 from .hs_space import commutant_basis, sandwich_superop  # noqa: F401
@@ -43,14 +46,13 @@ def check_flags(flags: dict) -> None:
         raise ValueError(f"beta (--beta) must be positive, got {beta}")
     # cutoff and ncut are the smallest cuts every suite runs at: the coherent
     # partial-isometry witness moves e_(2,0) to e_(0,2), and the landau Fock
-    # states reach n + l = 6, which needs cut n + l + 2; build_rule checks
-    # radial and angular
+    # states reach n + l = 6, which needs cut n + l + 2
     for name, least in (("dim", 2), ("cutoff", 2), ("ncut", 8), ("seed", 0)):
         if flags.get(name, least) < least:
             raise ValueError(f"{name} (--{name}) must be at least {least}, "
                              f"got {flags[name]}")
-    if "dim" in flags:
-        mc.require_finite_ratios(beta, flags["dim"])
+    # the orders of a rule, and the largest cutoff whose n! is a double
+    quad.check_flags(flags)
 
 
 # name -> (default, help) of each config flag: the CLI option --<name> of
@@ -80,25 +82,9 @@ class SuiteConfig:
             setattr(self, name, flags.pop(name, default))
         if flags:
             raise TypeError(f"SuiteConfig got unknown flags {sorted(flags)}")
-        check_flags(self.values())  # before any suite runs
-        # the coherent suite's modular spectrum holds Gibbs weights on cutoff + 1
-        # levels, whose largest ratio is e^(beta cutoff)
-        if self.beta * self.cutoff > mc.LOG_DBL_MAX:
-            raise ValueError(
-                f"beta (--beta) times cutoff (--cutoff) is {self.beta * self.cutoff:.6g}, "
-                f"above ln(DBL_MAX) = {mc.LOG_DBL_MAX:.6g}: the coherent suite's Gibbs "
-                "weight ratio e^(beta cutoff) overflows a double")
-        # the modular suite's centralizer checks hold Gibbs weights on 8 levels
-        # whatever --dim is, whose largest ratio is e^(7 beta); an export that
-        # reads beta runs no suite, so it is not held to it
-        if 7 * self.beta > mc.LOG_DBL_MAX:
-            raise ValueError(
-                f"beta (--beta) is {self.beta:.6g}, above ln(DBL_MAX) / 7 = "
-                f"{mc.LOG_DBL_MAX / 7:.6g}: the modular suite's 8-level Gibbs weight "
-                "ratio e^(7 beta) overflows a double")
-        # the coherent suite's moment matrix needs the rule to cover the
-        # cutoff and n! to be a finite double up to it
-        quad.require_coverage(quad.build_rule(self.radial, self.angular), self.cutoff)
+        # the rules that read several flags belong to the suites that need
+        # them (their require), so that a run applies only its own
+        check_flags(self.values())
 
     def values(self) -> dict:
         """The flag values by name, in the order of FLAGS."""
@@ -178,18 +164,27 @@ def report_to_json(report: Report) -> str:
 
 
 SUITE_NAMES = ("modular", "kms", "landau", "hermite", "quadrature", "coherent", "wigner")
-# __import__ takes the path of an import statement, which `python -X
-# importtime` reports; importlib.import_module does not
-_SUITES = {name: lambda cfg, module=f"{__package__}.{name}_suite":
-           __import__(module, fromlist=["run"]).run(cfg)
-           for name in SUITE_NAMES}
+
+
+def _module(name: str):
+    """The module <name>_suite, imported on its first use.  __import__ takes
+    the path of an import statement, which `python -X importtime` reports;
+    importlib.import_module does not."""
+    return __import__(f"{__package__}.{name}_suite", fromlist=["run"])
+
+
+_SUITES = {name: lambda cfg, name=name: _module(name).run(cfg) for name in SUITE_NAMES}
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> list[Report]:
-    """Run one named suite, or all of them in fixed order."""
-    if name == "all":
-        return [_SUITES[n](cfg) for n in SUITE_NAMES]
-    if name not in _SUITES:
+    """Run one named suite, or all of them in fixed order, after the
+    require(cfg) of each, where its module has one: a configuration that one
+    of them rejects runs no suite."""
+    if name != "all" and name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join(SUITE_NAMES)} or 'all'")
-    return [_SUITES[name](cfg)]
+    names = SUITE_NAMES if name == "all" else (name,)
+    for module in map(_module, names):
+        if hasattr(module, "require"):
+            module.require(cfg)
+    return [_SUITES[n](cfg) for n in names]

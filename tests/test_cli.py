@@ -154,10 +154,14 @@ def test_overflowing_modular_data_is_a_config_error(args, capsys):
 
 
 def test_largest_finite_gibbs_ratio_is_accepted():
-    # beta (dim - 1) = 707 at dim 1011; only the configuration is built
+    # beta (dim - 1) = 707 at dim 1011 and 710.5 at dim 1016; only the
+    # configuration is built, and the rule is the modular suite's
+    from landau_modular import modular_suite
+
     assert SuiteConfig(dim=1011).dim == 1011
+    modular_suite.require(SuiteConfig(dim=1011))
     with pytest.raises(ValueError, match="overflows a double"):
-        SuiteConfig(dim=1016)
+        modular_suite.require(SuiteConfig(dim=1016))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -187,7 +191,8 @@ def test_largest_finite_gibbs_ratio_is_accepted():
        "overflows a double") for suite in ("coherent", "all")],
 ])
 def test_unsupported_coherent_configuration_is_a_config_error(args, message, capsys):
-    # the configuration is checked as a whole, before any suite runs
+    # a flag's own limit, or a rule of a suite that the run runs (of every
+    # suite, for `all`), rejects the configuration before any suite runs
     assert main(["verify", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -195,37 +200,53 @@ def test_unsupported_coherent_configuration_is_a_config_error(args, message, cap
 
 
 def test_coherent_cutoff_limits_are_checked_on_the_configuration():
-    # 170! is the largest finite factorial; only the configuration is built
-    assert SuiteConfig(cutoff=170, radial=86, angular=171).cutoff == 170
+    # 170! is the largest finite factorial, a limit of --cutoff alone; the
+    # rules on beta cutoff and on the rule's coverage are the coherent
+    # suite's.  Only the configuration and the rule are built
+    from landau_modular import coherent_suite
+
+    cfg = SuiteConfig(cutoff=170, radial=86, angular=171)
+    assert cfg.cutoff == 170
+    coherent_suite.require(cfg)
     # beta cutoff = 708.9 is below ln(DBL_MAX), 710.6 above it
-    assert SuiteConfig(beta=4.17, cutoff=170, radial=86, angular=171).beta == 4.17
+    cfg = SuiteConfig(beta=4.17, cutoff=170, radial=86, angular=171)
+    assert cfg.beta == 4.17
+    coherent_suite.require(cfg)
     with pytest.raises(ValueError, match="times cutoff"):
-        SuiteConfig(beta=4.18, cutoff=170, radial=86, angular=171)
+        coherent_suite.require(SuiteConfig(beta=4.18, cutoff=170, radial=86, angular=171))
     with pytest.raises(ValueError, match="at most 170"):
         SuiteConfig(cutoff=171, radial=86, angular=172)
     with pytest.raises(ValueError, match="does not cover monomial degree 100"):
-        SuiteConfig(cutoff=100)
+        coherent_suite.require(SuiteConfig(cutoff=100))
 
 
 @pytest.mark.parametrize("suite", ["modular", "all", "kms", "coherent"])
 def test_overflowing_centralizer_weights_are_a_config_error(suite, monkeypatch, capsys):
     # the modular suite's centralizer checks build 8 levels whatever --dim
     # is: beta 7 = 1400 > ln(DBL_MAX), though beta (dim - 1) = 200 and
-    # beta cutoff = 400 are not; every suite is rejected before it runs
-    from landau_modular import suites
+    # beta cutoff = 400 are not.  The rule is the modular suite's, so
+    # `modular` and `all` are rejected before any suite runs, and `kms` and
+    # `coherent` run their own suite alone
+    from landau_modular import modular_suite, suites
 
     ran = []
     for name in SUITE_NAMES:
-        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: ran.append(name))
-    assert main(["verify", suite, "--dim", "2", "--beta", "200", "--cutoff", "2"]) == 2
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name,
+                            run=suites._SUITES[name]: ran.append(name) or run(cfg))
+    code = main(["verify", suite, "--dim", "2", "--beta", "200", "--cutoff", "2"])
     captured = capsys.readouterr()
-    assert (captured.out, ran) == ("", [])
-    assert captured.err.splitlines() == [
-        "configuration error: beta (--beta) is 200, above ln(DBL_MAX) / 7 = "
-        "101.398: the modular suite's 8-level Gibbs weight ratio e^(7 beta) "
-        "overflows a double"]
+    if suite in ("modular", "all"):
+        assert code == 2
+        assert (captured.out, ran) == ("", [])
+        assert captured.err.splitlines() == [
+            "configuration error: beta (--beta) is 200, above ln(DBL_MAX) / 7 = "
+            "101.398: the modular suite's 8-level Gibbs weight ratio e^(7 beta) "
+            "overflows a double"]
+    else:
+        assert (code, ran, json.loads(captured.out)["suite"]) == (0, [suite], suite)
     # 7 beta = 709.73 is below ln(DBL_MAX); only the configuration is built
     assert SuiteConfig(dim=2, beta=101.39, cutoff=2).beta == 101.39
+    modular_suite.require(SuiteConfig(dim=2, beta=101.39, cutoff=2))
 
 
 def test_an_unallocatable_run_is_a_config_error(monkeypatch, capsys):
@@ -264,6 +285,23 @@ def test_small_beta_reds_are_only_the_conditioned_ones(suite, beta, failing, tmp
     checks = json.loads(out.read_text())["checks"]
     assert {c["name"] for c in checks if not c["pass"]} == failing
     assert not any(np.isnan(c["max_error"]) for c in checks)
+
+
+def test_only_the_quadrature_and_coherent_suites_build_a_rule(monkeypatch, capsys):
+    # the --radial x --angular rule is built by the require of each suite
+    # that reads it, and the quadrature suite's order_convergence builds
+    # three fixed rules of its own; no other run builds one
+    from landau_modular import cgauss_quad as quad
+
+    built = {}
+    for suite in SUITE_NAMES:
+        monkeypatch.setattr(quad, "_RULES", {})
+        assert main(["verify", suite]) in (0, 1)
+        built[suite] = sorted(quad._RULES)
+    capsys.readouterr()
+    assert built == {"modular": [], "kms": [], "landau": [], "hermite": [],
+                     "quadrature": [(4, 8), (8, 16), (16, 32), (40, 64)],
+                     "coherent": [(40, 64)], "wigner": []}
 
 
 def test_smallest_cuts_run():
@@ -338,11 +376,13 @@ def test_export_quad_rule_rejects_unsupported_order(capsys):
 
 
 def test_underflowing_quadrature_weights_are_a_config_error(tmp_path, capsys):
+    # the rule is the quadrature suite's and the coherent suite's; the
+    # modular suite reads none, and runs at these orders
     message = ("configuration error: radial order (--radial) 194 with angular "
                "order (--angular) 76 makes the smallest quadrature weight "
                "underflow to 0; lower either order")
     orders = ["--radial", "194", "--angular", "76"]
-    assert main(["verify", "modular", *orders]) == 2
+    assert main(["verify", "quadrature", *orders]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
     out = tmp_path / "rule.csv"
@@ -452,8 +492,8 @@ for step in steps:
 
 # no row but the control loads a module of NEVER, and only an export loads csv
 NEVER = ("scipy", "fractions", "decimal", "numpy.polynomial", "dataclasses")
-LIBRARY = ("cli", "rng", "landau_modes", "complex_hermite", "coherent_states",
-           *(f"{name}_suite" for name in SUITE_NAMES))
+LIBRARY = ("cli", "rng", "modular_core", "landau_modes", "complex_hermite",
+           "coherent_states", *(f"{name}_suite" for name in SUITE_NAMES))
 WATCHED = (*NEVER, "csv", "numpy", *(f"landau_modular.{m}" for m in LIBRARY))
 
 # one fresh process per row, a list of steps: (step, its exit code or None
@@ -462,20 +502,22 @@ WATCHED = (*NEVER, "csv", "numpy", *(f"landau_modular.{m}" for m in LIBRARY))
 CLI = ("from landau_modular.cli import main", None, "numpy cli", False)
 PROBES = {
     # each suite alone: importing the CLI loads no suite, no lazy layer and
-    # not rng, and only the hermite suite reads the exact Hermite tables
-    "modular": [CLI, ("verify modular", 0, "rng modular_suite", False)],
-    "kms": [CLI, ("verify kms", 0, "rng kms_suite", False)],
+    # not rng, only the suites that read the Gibbs state load modular_core,
+    # and only the hermite suite reads the exact Hermite tables
+    "modular": [CLI, ("verify modular", 0, "rng modular_core modular_suite", False)],
+    "kms": [CLI, ("verify kms", 0, "rng modular_core kms_suite", False)],
     "landau": [CLI, ("verify landau", 1, "landau_modes landau_suite", False)],
     "hermite": [CLI, ("verify hermite", 0, "complex_hermite hermite_suite", False)],
     "quadrature": [CLI, ("verify quadrature", 0, "quadrature_suite", False)],
-    "coherent": [CLI, ("verify coherent", 0,
-                       "rng landau_modes coherent_states coherent_suite", False)],
+    "coherent": [CLI, ("verify coherent", 0, "rng modular_core landau_modes "
+                       "coherent_states coherent_suite", False)],
     "wigner": [CLI, ("verify wigner", 1, "landau_modes wigner_suite", False)],
-    "all": [CLI, ("verify all", 1, "rng landau_modes complex_hermite coherent_states "
+    "all": [CLI, ("verify all", 1, "rng modular_core landau_modes complex_hermite "
+                  "coherent_states "
                   + " ".join(f"{name}_suite" for name in SUITE_NAMES), False)],
     "exports": [CLI, ("export hermite_coeffs", 0, "csv complex_hermite", False),
                 ("export quad_rule", 0, "", False),
-                ("export delta_spectrum", 0, "", False),
+                ("export delta_spectrum", 0, "modular_core", False),
                 ("export wigner_grid", 0, "landau_modes", False)],
     # the Fock driver's path, which imports the library without the CLI
     "fock": [("from landau_modular import landau_modes as lm", None,
@@ -536,7 +578,7 @@ def test_importing_the_entry_loads_neither_the_cli_nor_numpy():
 def test_importing_the_entry_runs_nothing_and_main_freezes():
     # importing the entry runs nothing; its main freezes the import-time
     # heap and leaves the collector enabled
-    _run_probe([ENTRY, ("verify kms", 0, "numpy cli rng kms_suite", True)])
+    _run_probe([ENTRY, ("verify kms", 0, "numpy cli rng modular_core kms_suite", True)])
 
 
 def test_suite_modules_are_exactly_the_suite_names():

@@ -23,13 +23,15 @@ LANDAU = "landau/fock_eigenvalues landau/fock_orthonormality"
 WIGNER = "wigner/closed_form_literal"
 DEFAULT_REDS = f"{LANDAU} {WIGNER}"
 J, SPECTRAL = "modular/j_antiunitary", "coherent/modular_spectral"
+ORTHONORMALITY = "quadrature/basis_orthonormality"
 ONE, BOTH = (1,), (1, 2)  # BLAS threads; BOTH must write the same bytes (criterion 13)
 EXPORTS = ("hermite_coeffs", "quad_rule", "delta_spectrum", "wigner_grid")
 # a row that starts with this runs the console script's target, __main__.main
 MAIN = "main()"
 MAIN_CODE = "import sys; from landau_modular.__main__ import main; sys.exit(main())"
 
-# (arguments, BLAS threads, exit code, failing checks; None for no report)
+# (arguments, BLAS threads, exit code, failing checks; None for no report,
+# and an exit 2 must write nothing)
 ROWS = [
     # each suite alone, in the order of SUITE_NAMES: tier-1 imports every
     # layer into one process, so only these runs show a lazily imported name missing
@@ -67,6 +69,30 @@ ROWS = [
     ("verify wigner --ncut 8", ONE, 1, f"{WIGNER} wigner/closed_form_corrected"),
     ("verify wigner --ncut 14", ONE, 1, f"{WIGNER} wigner/closed_form_corrected"),
     ("verify wigner --ncut 15", ONE, 1, WIGNER),
+    # the quadrature edge: basis_orthonormality reads indices <= 12, so it
+    # needs a rule exact to degree 24, radial >= 13 and angular >= 25;
+    # moment_exactness checks only the moments the rule covers (59 of 169 at
+    # --angular 3, 20 at --radial 2 --angular 3)
+    ("verify quadrature --radial 12", ONE, 1, ORTHONORMALITY),
+    ("verify quadrature --radial 13", ONE, 0, ""),
+    ("verify quadrature --angular 24", ONE, 1, ORTHONORMALITY),
+    ("verify quadrature --angular 25", ONE, 0, ""),
+    ("verify quadrature --angular 3", ONE, 1, ORTHONORMALITY),
+    ("verify quadrature --radial 2 --angular 3", ONE, 1, ORTHONORMALITY),
+    # a run applies the whole-configuration rules of its own suites only:
+    # 7 beta and beta cutoff (modular, coherent) do not hold kms, nor the
+    # rule's underflow and coverage (quadrature, coherent) the modular,
+    # landau and wigner suites, nor beta (dim - 1) (modular, kms) the wigner
+    # suite.  `all` applies every suite's, before its first suite runs
+    ("verify kms --dim 3 --beta 354", ONE, 0, ""),
+    ("verify kms --dim 2 --beta 200 --cutoff 2", ONE, 0, ""),
+    ("verify coherent --dim 2 --beta 200 --cutoff 2", ONE, 0, ""),
+    ("verify modular --radial 194 --angular 80", ONE, 0, ""),
+    ("verify wigner --dim 1016", ONE, 1, WIGNER),
+    ("verify landau --cutoff 100", ONE, 1, LANDAU),
+    ("verify all --dim 2 --beta 200 --cutoff 2", ONE, 2, None),
+    ("verify modular --dim 2 --beta 200 --cutoff 2", ONE, 2, None),
+    ("verify all --cutoff 100", ONE, 2, None),
     # argparse's own exits, which run after main's deferred import of cli
     ("--version", ONE, 0, None),
     ("", ONE, 2, None),
@@ -129,6 +155,8 @@ def main() -> int:
                 got, output, stderr = run(args, n, Path(scratch, "out"))
                 if got != code:
                     failures.append(f"{row} exited {got}, expected {code}\n{stderr[-2000:]}")
+                elif code == 2 and output:
+                    failures.append(f"{row} exited 2 but wrote {len(output)} bytes")
                 elif failing is not None and set(reds(output)) != set(failing.split()):
                     failures.append(f"{row} fails {sorted(reds(output))}, not {failing!r}")
                 elif out.setdefault(args, output) != output:
