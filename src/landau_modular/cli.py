@@ -83,9 +83,7 @@ def _export_hermite_coeffs(args):
     deg = args.cutoff
     if deg < 0:
         raise ValueError(f"cutoff (--cutoff) must be at least 0, got {deg}")
-    if deg > quad.MAX_CUTOFF:
-        raise ValueError(f"cutoff (--cutoff) must be at most {quad.MAX_CUTOFF}, "
-                         f"got {deg}")
+    quad.check_flags({"cutoff": deg})
     # each polynomial is built afresh and dropped after its rows, so the
     # export keeps no table of the (cutoff + 1)^2 polynomials
     return ("n", "k", "m", "j", "re", "im"), (

@@ -34,6 +34,9 @@ from . import cgauss_quad as quad
 from .hs_space import commutant_basis, sandwich_superop  # noqa: F401
 
 
+MAX_SEED = (1 << 64) - 1
+
+
 def check_flags(flags: dict) -> None:
     """Reject the first of the given flag values that is outside its limit,
     naming its --<flag>; a flag that is not given is not checked."""
@@ -51,6 +54,11 @@ def check_flags(flags: dict) -> None:
         if flags.get(name, least) < least:
             raise ValueError(f"{name} (--{name}) must be at least {least}, "
                              f"got {flags[name]}")
+    # SplitMix64 keeps a seed's low 64 bits, so a larger seed would repeat
+    # the stream of a smaller one
+    if flags.get("seed", 0) > MAX_SEED:
+        raise ValueError(f"seed (--seed) must be at most 2^64 - 1 = {MAX_SEED}, "
+                         f"got {flags['seed']}")
     # the orders of a rule, and the largest cutoff whose n! is a double
     quad.check_flags(flags)
 

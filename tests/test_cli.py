@@ -3,12 +3,14 @@ import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from landau_modular.cli import _config_from_args, build_parser, main
-from landau_modular.suites import SUITE_NAMES, Report, SuiteConfig, report_to_json, run_suite
+from landau_modular.suites import (FLAGS, SUITE_NAMES, Report, SuiteConfig, report_to_json,
+                                   run_suite)
 
 
 def test_verify_modular_passes(tmp_path, capsys):
@@ -103,55 +105,132 @@ def test_no_flag_scales_a_bound(tmp_path, capsys):
     assert _config_from_args(args).values() == SuiteConfig().values()
 
 
-def test_config_error_exit_code(capsys):
-    assert main(["verify", "modular", "--beta", "-1"]) == 2
+GIBBS = ("beta (--beta) times dim (--dim) - 1 is 710.5, above ln(DBL_MAX) = 709.783: "
+         "the Gibbs weight ratio e^(beta (dim - 1)) overflows a double")
+CUTOFF_171 = ("cutoff (--cutoff) must be at most 170, the largest n for which n! is "
+              "a finite double, got 171")
+UNDERFLOW = ("radial order (--radial) 194 with angular order (--angular) 76 makes "
+             "the smallest quadrature weight underflow to 0; lower either order")
+LEAST = {"--cutoff": 2, "--ncut": 8, "--dim": 2, "--seed": 0}
 
-
-@pytest.mark.parametrize("args", [
-    ("kms", "--beta", "nan"), ("kms", "--beta", "inf"), ("all", "--beta", "nan"),
-])
-def test_non_finite_beta_or_tol_is_a_config_error(args, capsys):
+# Every configuration that `verify` or `export` rejects, one row each: its
+# argv and the one message it prints.  A flag's own limit, or the require of
+# a suite that the run runs (of every suite, for `all`), rejects it before
+# any suite runs; an export checks the flags it reads before it opens --out
+REJECTED = [
+    ("verify modular --beta -1", "beta (--beta) must be positive, got -1.0"),
+    ("export delta_spectrum --beta 0", "beta (--beta) must be positive, got 0.0"),
     # a NaN passes every order comparison and an infinite beta makes the
     # weights NaN
-    assert main(["verify", *args]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"configuration error: beta (--beta) must be finite, got {float(args[2])}"]
-
-
-@pytest.mark.parametrize("args", [
-    ("coherent", "--cutoff", "0"), ("coherent", "--cutoff", "1"),
-    ("all", "--cutoff", "1"), ("landau", "--ncut", "2"), ("landau", "--ncut", "3"),
-    ("landau", "--ncut", "4"), ("landau", "--ncut", "7"), ("wigner", "--ncut", "3"),
-    ("all", "--ncut", "7"), ("modular", "--ncut", "-1"), ("modular", "--dim", "1"),
-    ("kms", "--seed", "-1"),
-])
-def test_too_small_cut_is_a_config_error(args, capsys):
-    assert main(["verify", *args]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    # rejected before any suite runs: no check line, and the flag and its
-    # limit are named
-    least = {"--cutoff": 2, "--ncut": 8, "--dim": 2, "--seed": 0}[args[1]]
-    assert captured.err.splitlines() == [
-        f"configuration error: {args[1][2:]} ({args[1]}) must be at least "
-        f"{least}, got {args[2]}"]
-
-
-@pytest.mark.parametrize("args", [
-    ("verify", "modular"), ("verify", "all"), ("export", "delta_spectrum"),
-])
-def test_overflowing_modular_data_is_a_config_error(args, capsys):
+    *[(f"{run} --beta {beta}", f"beta (--beta) must be finite, got {beta}")
+      for run, beta in (("verify kms", "nan"), ("verify kms", "inf"),
+                        ("verify all", "nan"), ("export delta_spectrum", "nan"))],
+    *[(argv, f"{flag[2:]} ({flag}) must be at least {LEAST[flag]}, got {value}")
+      for argv in ("verify coherent --cutoff 0", "verify coherent --cutoff 1",
+                   "verify all --cutoff 1", "verify landau --ncut 2",
+                   "verify landau --ncut 3", "verify landau --ncut 4",
+                   "verify landau --ncut 7", "verify wigner --ncut 3",
+                   "verify all --ncut 7", "verify modular --ncut -1",
+                   "verify modular --dim 1", "verify kms --seed -1",
+                   # at --ncut 2 the grid sampled -0.166 at (-2, -2), where
+                   # the vacuum Gaussian is 0.054
+                   "export wigner_grid --ncut 2", "export delta_spectrum --dim 1")
+      for flag, value in [argv.split()[-2:]]],
+    # SplitMix64 keeps a seed's low 64 bits: 2^64 + 42 repeated seed 42
+    (f"verify kms --seed {2**64}",
+     f"seed (--seed) must be at most 2^64 - 1 = {2**64 - 1}, got {2**64}"),
+    # range(-2) is empty, so the export would write only the header
+    ("export hermite_coeffs --cutoff -3", "cutoff (--cutoff) must be at least 0, got -3"),
+    ("export hermite_coeffs --cutoff 171", CUTOFF_171),
+    ("verify coherent --cutoff 171 --radial 86 --angular 172", CUTOFF_171),
+    ("verify modular --radial 500", "radial order (--radial) must be in [1, 194], got 500"),
+    ("verify modular --radial 0", "radial order (--radial) must be in [1, 194], got 0"),
+    ("export quad_rule --radial 1000 --angular 2",
+     "radial order (--radial) must be in [1, 194], got 1000"),
+    ("verify modular --angular 1", "angular order (--angular) must be at least 2, got 1"),
+    # both orders out of range: the angular one is named first
+    ("verify kms --radial 0 --angular 0",
+     "angular order (--angular) must be at least 2, got 0"),
     # beta (dim - 1) = 710.5 > ln(DBL_MAX): alpha_0 / alpha_(dim - 1) is inf
-    assert main([*args, "--dim", "1016", "--beta", "0.7"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "configuration error: beta (--beta) times dim (--dim) - 1 is 710.5, "
-        "above ln(DBL_MAX) = 709.783: the Gibbs weight ratio "
-        "e^(beta (dim - 1)) overflows a double"]
+    *[(f"{run} --dim 1016 --beta 0.7", GIBBS) for run in (
+        "verify modular", "verify kms", "verify all", "export delta_spectrum")],
+    # the modular suite's centralizer checks build 8 levels whatever --dim
+    # is: 7 beta = 1400 > ln(DBL_MAX), though beta (dim - 1) = 200 is not
+    *[(f"verify {suite} --dim 2 --beta 200 --cutoff 2",
+       "beta (--beta) is 200, above ln(DBL_MAX) / 7 = 101.398: the modular suite's "
+       "8-level Gibbs weight ratio e^(7 beta) overflows a double")
+      for suite in ("modular", "all")],
+    # the rule is built by the quadrature and coherent suites and quad_rule
+    ("verify quadrature --radial 194 --angular 76", UNDERFLOW),
+    ("export quad_rule --radial 194 --angular 76", UNDERFLOW),
+    ("verify all --cutoff 100", "quadrature certificate does not cover monomial "
+     "degree 100: need radial order (--radial) >= 51 and angular order (--angular) > 100"),
+    ("verify coherent --cutoff 12 --radial 6", "quadrature certificate does not "
+     "cover monomial degree 12: need radial order (--radial) >= 7 and angular order "
+     "(--angular) > 12"),
+    # beta cutoff = 850: the coherent suite's Gibbs ratios overflow, though
+    # beta (dim - 1) = 75 does not
+    *[(f"verify {suite} --beta 5 --cutoff 170 --radial 86 --angular 171",
+       "beta (--beta) times cutoff (--cutoff) is 850, above ln(DBL_MAX) = 709.783: "
+       "the coherent suite's Gibbs weight ratio e^(beta cutoff) overflows a double")
+      for suite in ("coherent", "all")],
+]
 
+
+def _record_runs(monkeypatch) -> list:
+    """The names of the suites that run from now on, in order; each still runs."""
+    from landau_modular import suites
+
+    ran = []
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name,
+                            run=suites._SUITES[name]: ran.append(name) or run(cfg))
+    return ran
+
+
+@pytest.mark.parametrize("argv, message", REJECTED, ids=[argv for argv, _ in REJECTED])
+def test_rejected_run(argv, message, tmp_path, monkeypatch, capsys):
+    # --out names a missing file, then a file that holds "kept"; after each
+    # run tmp_path holds exactly what it held before
+    ran = _record_runs(monkeypatch)
+    out = tmp_path / "out"
+    for kept in (None, b"kept\n"):
+        if kept:
+            out.write_bytes(kept)
+        code = main([*argv.split(), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err.splitlines(), ran) == (
+            2, "", [f"configuration error: {message}"], [])
+        assert [p.read_bytes() for p in tmp_path.iterdir()] == ([kept] if kept else [])
+
+
+def test_every_flag_and_every_suite_require_has_a_rejected_row():
+    from landau_modular import suites
+
+    assert [f for f in FLAGS if not any(f"(--{f})" in m for _, m in REJECTED)] == []
+    alone = {argv.split()[1] for argv, _ in REJECTED if argv.startswith("verify ")}
+    assert [name for name in SUITE_NAMES if hasattr(suites._module(name), "require")
+            and name not in alone] == []
+
+
+def test_largest_seed_is_accepted():
+    assert SuiteConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("suite", ["kms", "coherent"])
+def test_the_centralizer_weight_limit_binds_only_the_modular_suite(suite, monkeypatch,
+                                                                     capsys):
+    # the REJECTED rows at --dim 2 --beta 200 --cutoff 2 reject `modular` and
+    # `all`; beta cutoff = 400 is finite, so `kms` and `coherent` run their
+    # own suite alone
+    from landau_modular import modular_suite
+
+    ran = _record_runs(monkeypatch)
+    code = main(["verify", suite, "--dim", "2", "--beta", "200", "--cutoff", "2"])
+    assert (code, ran, json.loads(capsys.readouterr().out)["suite"]) == (0, [suite], suite)
+    # 7 beta = 709.73 is below ln(DBL_MAX); only the configuration is built
+    assert SuiteConfig(dim=2, beta=101.39, cutoff=2).beta == 101.39
+    modular_suite.require(SuiteConfig(dim=2, beta=101.39, cutoff=2))
 
 def test_largest_finite_gibbs_ratio_is_accepted():
     # beta (dim - 1) = 707 at dim 1011 and 710.5 at dim 1016; only the
@@ -162,41 +241,6 @@ def test_largest_finite_gibbs_ratio_is_accepted():
     modular_suite.require(SuiteConfig(dim=1011))
     with pytest.raises(ValueError, match="overflows a double"):
         modular_suite.require(SuiteConfig(dim=1016))
-
-
-@pytest.mark.parametrize("args, message", [
-    (("all", "--cutoff", "100"),
-     "quadrature certificate does not cover monomial degree 100: need radial "
-     "order (--radial) >= 51 and angular order (--angular) > 100"),
-    (("coherent", "--cutoff", "171", "--radial", "86", "--angular", "172"),
-     "cutoff (--cutoff) must be at most 170, the largest n for which n! is "
-     "a finite double, got 171"),
-    (("modular", "--radial", "500"),
-     "radial order (--radial) must be in [1, 194], got 500"),
-    (("modular", "--radial", "0"),
-     "radial order (--radial) must be in [1, 194], got 0"),
-    (("modular", "--angular", "1"),
-     "angular order (--angular) must be at least 2, got 1"),
-    # both orders out of range: the angular one is named first
-    (("kms", "--radial", "0", "--angular", "0"),
-     "angular order (--angular) must be at least 2, got 0"),
-    (("coherent", "--cutoff", "12", "--radial", "6"),
-     "quadrature certificate does not cover monomial degree 12: need radial "
-     "order (--radial) >= 7 and angular order (--angular) > 12"),
-    # beta cutoff = 850: the coherent suite's Gibbs ratios overflow, though
-    # beta (dim - 1) = 75 does not; `all` is rejected before its first suite
-    *[((suite, "--beta", "5", "--cutoff", "170", "--radial", "86", "--angular", "171"),
-       "beta (--beta) times cutoff (--cutoff) is 850, above ln(DBL_MAX) = "
-       "709.783: the coherent suite's Gibbs weight ratio e^(beta cutoff) "
-       "overflows a double") for suite in ("coherent", "all")],
-])
-def test_unsupported_coherent_configuration_is_a_config_error(args, message, capsys):
-    # a flag's own limit, or a rule of a suite that the run runs (of every
-    # suite, for `all`), rejects the configuration before any suite runs
-    assert main(["verify", *args]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"configuration error: {message}"]
 
 
 def test_coherent_cutoff_limits_are_checked_on_the_configuration():
@@ -218,35 +262,6 @@ def test_coherent_cutoff_limits_are_checked_on_the_configuration():
         SuiteConfig(cutoff=171, radial=86, angular=172)
     with pytest.raises(ValueError, match="does not cover monomial degree 100"):
         coherent_suite.require(SuiteConfig(cutoff=100))
-
-
-@pytest.mark.parametrize("suite", ["modular", "all", "kms", "coherent"])
-def test_overflowing_centralizer_weights_are_a_config_error(suite, monkeypatch, capsys):
-    # the modular suite's centralizer checks build 8 levels whatever --dim
-    # is: beta 7 = 1400 > ln(DBL_MAX), though beta (dim - 1) = 200 and
-    # beta cutoff = 400 are not.  The rule is the modular suite's, so
-    # `modular` and `all` are rejected before any suite runs, and `kms` and
-    # `coherent` run their own suite alone
-    from landau_modular import modular_suite, suites
-
-    ran = []
-    for name in SUITE_NAMES:
-        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name,
-                            run=suites._SUITES[name]: ran.append(name) or run(cfg))
-    code = main(["verify", suite, "--dim", "2", "--beta", "200", "--cutoff", "2"])
-    captured = capsys.readouterr()
-    if suite in ("modular", "all"):
-        assert code == 2
-        assert (captured.out, ran) == ("", [])
-        assert captured.err.splitlines() == [
-            "configuration error: beta (--beta) is 200, above ln(DBL_MAX) / 7 = "
-            "101.398: the modular suite's 8-level Gibbs weight ratio e^(7 beta) "
-            "overflows a double"]
-    else:
-        assert (code, ran, json.loads(captured.out)["suite"]) == (0, [suite], suite)
-    # 7 beta = 709.73 is below ln(DBL_MAX); only the configuration is built
-    assert SuiteConfig(dim=2, beta=101.39, cutoff=2).beta == 101.39
-    modular_suite.require(SuiteConfig(dim=2, beta=101.39, cutoff=2))
 
 
 def test_an_unallocatable_run_is_a_config_error(monkeypatch, capsys):
@@ -367,46 +382,6 @@ def test_coherent_modular_spectral_reads_the_shared_flow(monkeypatch):
     assert not checks["modular_spectral"].passed
 
 
-def test_export_quad_rule_rejects_unsupported_order(capsys):
-    assert main(["export", "quad_rule", "--radial", "1000",
-                 "--angular", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "configuration error" in captured.err
-
-
-def test_underflowing_quadrature_weights_are_a_config_error(tmp_path, capsys):
-    # the rule is the quadrature suite's and the coherent suite's; the
-    # modular suite reads none, and runs at these orders
-    message = ("configuration error: radial order (--radial) 194 with angular "
-               "order (--angular) 76 makes the smallest quadrature weight "
-               "underflow to 0; lower either order")
-    orders = ["--radial", "194", "--angular", "76"]
-    assert main(["verify", "quadrature", *orders]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.splitlines() == [message]
-    out = tmp_path / "rule.csv"
-    assert main(["export", "quad_rule", *orders, "--out", str(out)]) == 2
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.splitlines() == [message]
-    # one angular order less still builds
-    assert main(["export", "quad_rule", "--radial", "194", "--angular", "75",
-                 "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 1 + 194 * 75
-
-
-def test_rejected_export_writes_no_file(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    args = ["export", "delta_spectrum", "--dim", "1016", "--out", str(out)]
-    assert main(args) == 2
-    assert not out.exists()
-    out.write_bytes(b"kept\n")
-    assert main(args) == 2
-    assert out.read_bytes() == b"kept\n"
-    assert capsys.readouterr().out == ""
-
-
 @pytest.mark.parametrize("args", [
     ["verify", "kms"],
     ["export", "quad_rule"],
@@ -422,37 +397,6 @@ def test_unwritable_out_is_an_error_not_a_failed_check(args, tmp_path):
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("cannot write output:") and str(out) in last
     assert not out.parent.exists()
-
-
-def test_negative_hermite_cutoff_is_a_config_error(tmp_path, capsys):
-    # range(-2) is empty, so the export would write only the header
-    out = tmp_path / "coeffs.csv"
-    assert main(["export", "hermite_coeffs", "--cutoff", "-3", "--out", str(out)]) == 2
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "configuration error: cutoff (--cutoff) must be at least 0, got -3"]
-
-
-@pytest.mark.parametrize("args, message", [
-    (("wigner_grid", "--ncut", "2"), "ncut (--ncut) must be at least 8, got 2"),
-    (("delta_spectrum", "--dim", "1"), "dim (--dim) must be at least 2, got 1"),
-    (("delta_spectrum", "--beta", "nan"), "beta (--beta) must be finite, got nan"),
-    (("delta_spectrum", "--beta", "0"), "beta (--beta) must be positive, got 0.0"),
-    (("hermite_coeffs", "--cutoff", "171"),
-     "cutoff (--cutoff) must be at most 170, got 171"),
-])
-def test_export_applies_the_limits_of_the_flags_it_reads(args, message, tmp_path,
-                                                          capsys):
-    # at --ncut 2 the grid sampled -0.166 at (-2, -2), where the vacuum
-    # Gaussian is 0.054
-    out = tmp_path / "table.csv"
-    assert main(["export", *args, "--out", str(out)]) == 2
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"configuration error: {message}"]
 
 
 def test_export_checks_only_the_flags_it_reads(tmp_path):
@@ -709,12 +653,14 @@ def test_export_delta_spectrum(tmp_path):
 
 
 def test_export_quad_rule(tmp_path):
+    # at --radial 194 one angular order below the REJECTED row's 76 builds
     out = tmp_path / "rule.csv"
-    assert main(["export", "quad_rule", "--radial", "3", "--angular", "4",
-                 "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "index,re,im,weight"
-    assert len(lines) == 1 + 12
+    for radial, angular in (3, 4), (194, 75):
+        assert main(["export", "quad_rule", "--radial", str(radial),
+                     "--angular", str(angular), "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "index,re,im,weight"
+        assert len(lines) == 1 + radial * angular
 
 
 def test_export_wigner_grid(tmp_path):
@@ -728,3 +674,19 @@ def test_export_wigner_grid(tmp_path):
         x, y, re, im = (float(v) for v in row.split(","))
         expect = math.exp(-(x * x + y * y) / 4.0) / math.sqrt(2.0 * math.pi)
         assert abs(complex(re, im) - expect) < 1e-6
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every `landau-modular ...` line of README's sh blocks, from a scratch
+    # directory: an example that names a removed or misspelled option exits 2
+    readme = Path(__file__).parents[1] / "README.md"
+    examples, inside = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line in ("```sh", "```"):
+            inside = line == "```sh"
+        elif inside and line.startswith("landau-modular "):
+            examples.append(line.split()[1:])
+    assert examples
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv) in (0, 1), argv
