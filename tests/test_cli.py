@@ -111,6 +111,8 @@ CUTOFF_171 = ("cutoff (--cutoff) must be at most 170, the largest n for which n!
               "a finite double, got 171")
 UNDERFLOW = ("radial order (--radial) 194 with angular order (--angular) 76 makes "
              "the smallest quadrature weight underflow to 0; lower either order")
+CENTRALIZER = ("beta (--beta) is 200, above ln(DBL_MAX) / 7 = 101.398: the modular "
+               "suite's 8-level Gibbs weight ratio e^(7 beta) overflows a double")
 LEAST = {"--cutoff": 2, "--ncut": 8, "--dim": 2, "--seed": 0}
 
 # Every configuration that `verify` or `export` rejects, one row each: its
@@ -156,9 +158,7 @@ REJECTED = [
         "verify modular", "verify kms", "verify all", "export delta_spectrum")],
     # the modular suite's centralizer checks build 8 levels whatever --dim
     # is: 7 beta = 1400 > ln(DBL_MAX), though beta (dim - 1) = 200 is not
-    *[(f"verify {suite} --dim 2 --beta 200 --cutoff 2",
-       "beta (--beta) is 200, above ln(DBL_MAX) / 7 = 101.398: the modular suite's "
-       "8-level Gibbs weight ratio e^(7 beta) overflows a double")
+    *[(f"verify {suite} --dim 2 --beta 200 --cutoff 2", CENTRALIZER)
       for suite in ("modular", "all")],
     # the rule is built by the quadrature and coherent suites and quad_rule
     ("verify quadrature --radial 194 --angular 76", UNDERFLOW),
@@ -217,20 +217,39 @@ def test_largest_seed_is_accepted():
     assert SuiteConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
-@pytest.mark.parametrize("suite", ["kms", "coherent"])
-def test_the_centralizer_weight_limit_binds_only_the_modular_suite(suite, monkeypatch,
-                                                                     capsys):
-    # the REJECTED rows at --dim 2 --beta 200 --cutoff 2 reject `modular` and
-    # `all`; beta cutoff = 400 is finite, so `kms` and `coherent` run their
-    # own suite alone
+@pytest.mark.parametrize("suite", ["modular", "all", "kms", "coherent"])
+def test_overflowing_centralizer_weights_are_a_config_error(suite, monkeypatch, capsys):
+    # the rule is the modular suite's, so `modular` and `all` are rejected
+    # before any suite runs (their REJECTED rows add --out); beta cutoff = 400
+    # is finite, so `kms` and `coherent` run their own suite alone
     from landau_modular import modular_suite
 
     ran = _record_runs(monkeypatch)
     code = main(["verify", suite, "--dim", "2", "--beta", "200", "--cutoff", "2"])
-    assert (code, ran, json.loads(capsys.readouterr().out)["suite"]) == (0, [suite], suite)
+    captured = capsys.readouterr()
+    if suite in ("modular", "all"):
+        assert (code, captured.out, captured.err.splitlines(), ran) == (
+            2, "", [f"configuration error: {CENTRALIZER}"], [])
+    else:
+        assert (code, ran, json.loads(captured.out)["suite"]) == (0, [suite], suite)
     # 7 beta = 709.73 is below ln(DBL_MAX); only the configuration is built
     assert SuiteConfig(dim=2, beta=101.39, cutoff=2).beta == 101.39
     modular_suite.require(SuiteConfig(dim=2, beta=101.39, cutoff=2))
+
+
+def test_underflowing_quadrature_weights_are_a_config_error(monkeypatch, capsys):
+    # the rule is built by the quadrature suite (its REJECTED row) and by the
+    # coherent suite, which is rejected before it runs; the modular suite
+    # reads no rule and runs alone at these orders
+    ran = _record_runs(monkeypatch)
+    orders = ["--radial", "194", "--angular", "76"]
+    assert main(["verify", "coherent", *orders]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines(), ran) == (
+        "", [f"configuration error: {UNDERFLOW}"], [])
+    assert main(["verify", "modular", *orders]) == 0
+    assert (json.loads(capsys.readouterr().out)["suite"], ran) == ("modular", ["modular"])
+
 
 def test_largest_finite_gibbs_ratio_is_accepted():
     # beta (dim - 1) = 707 at dim 1011 and 710.5 at dim 1016; only the
@@ -382,15 +401,38 @@ def test_coherent_modular_spectral_reads_the_shared_flow(monkeypatch):
     assert not checks["modular_spectral"].passed
 
 
+def _run_entry(*argv):
+    return subprocess.run([sys.executable, "-m", "landau_modular", *argv],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_config_error_exit_code():
+    # test_rejected_run calls main; the entry's process exits with its code
+    proc = _run_entry("verify", "modular", "--beta", "-1")
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (
+        2, "", ["configuration error: beta (--beta) must be positive, got -1.0"])
+
+
+def test_rejected_export_writes_no_file(tmp_path):
+    # in the entry's process too, a rejected export creates no --out and
+    # leaves an existing one as it was
+    out = tmp_path / "x.csv"
+    for kept in (None, b"kept\n"):
+        if kept:
+            out.write_bytes(kept)
+        proc = _run_entry("export", "delta_spectrum", "--dim", "1016", "--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (
+            2, "", [f"configuration error: {GIBBS}"])
+        assert [p.read_bytes() for p in tmp_path.iterdir()] == ([kept] if kept else [])
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "kms"],
     ["export", "quad_rule"],
 ])
 def test_unwritable_out_is_an_error_not_a_failed_check(args, tmp_path):
     out = tmp_path / "missing" / "r.out"
-    proc = subprocess.run([sys.executable, "-m", "landau_modular", *args,
-                           "--out", str(out)], capture_output=True, text=True,
-                          timeout=120)
+    proc = _run_entry(*args, "--out", str(out))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
