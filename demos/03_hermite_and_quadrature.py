@@ -4,7 +4,7 @@ Gaussian quadrature rule on the complex plane that integrates them.
 The polynomial module works over Gaussian rationals, so every identity
 below is checked with *zero* numerical error: three independent
 constructions (recursion, Rodrigues formula, explicit double sum),
-ladder and number operators, symmetry, and the contiguous relation.
+the raising and number operators, symmetry, and the contiguous relation.
 
 The quadrature rule (Gauss-Laguerre radially x uniform angularly,
 against the normalised Gaussian weight) then reproduces the mixed
@@ -45,9 +45,7 @@ print("  (n_minus + 1/2) H_{2,3} == 7/2 H_{2,3}:",
       chp.number_apply("n_minus", h23) + h23.scale(half) == h23.scale(Fraction(7, 2)))
 
 print("  raising ladder: (a_plus_dag)^2 H_{0,3} == H_{2,3}:",
-      chp.ladder_apply("a_plus_dag", chp.ladder_apply("a_plus_dag",
-                                                      chp.ch_recursion(0, 3)))
-      == h23)
+      chp.a_plus_dag(chp.a_plus_dag(chp.ch_recursion(0, 3))) == h23)
 
 print("  symmetry H_{n,k}(zbar,z) = conj-index swap of H_{k,n}:",
       {(j, m): c for (m, j), c in h23.terms.items()} == chp.ch_recursion(3, 2).terms)

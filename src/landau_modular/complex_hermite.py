@@ -8,7 +8,7 @@ an integer, (-1)^j j! C(n, j) C(k, j), and every operator applied to them
 coefficients come out of all three construction routes; a Fraction enters
 only through a non-integer scale factor, which no `verify` or `export` run
 uses.  All identities (recursion, Rodrigues form, explicit double sum,
-ladder and number actions) are checked as exact equalities of coefficient
+raising and number actions) are checked as exact equalities of coefficient
 maps; this module computes no floating-point value.  The recursion and the
 Rodrigues routes each build every entry once per process, into a table of
 their own that no other route reads; the explicit sum reads no table.  The
@@ -19,8 +19,7 @@ module.
 
 Conventions:
     h[n, k]     degree-(n, k) polynomial; h[0, 0] = 1, h[1, 1] = zbar z - 1
-    a_minus     d/dz              a_minus_dag   z - d/dzbar
-    a_plus      d/dzbar           a_plus_dag    zbar - d/dz
+    a_plus_dag  zbar - d/dz                     (raises n: h[n, k] -> h[n+1, k])
     n_plus      -d2/dz dzbar + zbar d/dzbar     (eigenvalue n on h[n, k])
     n_minus     -d2/dz dzbar + z d/dz           (eigenvalue k on h[n, k])
 """
@@ -212,23 +211,13 @@ def ch_explicit(n: int, k: int, literal: bool = False) -> BivarPoly:
 
 
 # ---------------------------------------------------------------------------
-# Ladder and number operators as exact polynomial maps.
+# The raising and number operators as exact polynomial maps.
 # ---------------------------------------------------------------------------
 
-LADDERS = ("a_minus", "a_plus", "a_minus_dag", "a_plus_dag")
 
-
-def ladder_apply(which: str, p: BivarPoly) -> BivarPoly:
-    """Exact ladder action on a polynomial; see the module docstring table."""
-    if which == "a_minus":
-        return d_z(p)
-    if which == "a_plus":
-        return d_zbar(p)
-    if which == "a_minus_dag":
-        return mul_z(p) - d_zbar(p)
-    if which == "a_plus_dag":
-        return mul_zbar(p) - d_z(p)
-    raise ValueError(f"unknown ladder {which!r}; expected one of {LADDERS}")
+def a_plus_dag(p: BivarPoly) -> BivarPoly:
+    """Exact raising action zbar p - dp/dz; see the module docstring table."""
+    return mul_zbar(p) - d_z(p)
 
 
 def number_apply(which: str, p: BivarPoly) -> BivarPoly:

@@ -48,7 +48,7 @@ def run(cfg: SuiteConfig) -> Report:
             0.0 if ok else 1.0, 0.0)
 
     # one raising step at a time, which by induction is the stated identity
-    ok = all(chp.ladder_apply("a_plus_dag", chp.ch_recursion(n, k))
+    ok = all(chp.a_plus_dag(chp.ch_recursion(n, k))
              == chp.ch_recursion(n + 1, k) for k in range(7) for n in range(6))
     s.check("ladder_generation", "h[n, k] = (raising)^n h[0, k]",
             0.0 if ok else 1.0, 0.0)

@@ -348,6 +348,9 @@ def ground_state(cut: ModeCut) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+_VACUUM: dict = {}  # cut -> squeezed_vacuum(cut)
+
+
 def squeezed_vacuum(cut: ModeCut) -> np.ndarray:
     """The joint vacuum in closed form, normalised on the cut.
 
@@ -356,14 +359,20 @@ def squeezed_vacuum(cut: ModeCut) -> np.ndarray:
     which vanishes at lambda = 1/3.  This is a two-mode squeezed state with
     tanh r = 1/3 (Caves & Schumaker, PRA 31, 3068, 1985), the outer product
     of the per-mode coefficients c_2m = 6^(-m) sqrt((2m)!) / m!.
+
+    Each cut's vacuum is built once per process and shared, read-only.
     """
-    c = np.zeros(cut.ncut)
-    c[0] = 1.0
-    for m in range(2, cut.ncut, 2):
-        # c_m / c_(m-2) = sqrt(m (m-1)) / (6 (m/2)) = sqrt((m-1)/m) / 3
-        c[m] = c[m - 2] * math.sqrt((m - 1) / m) / 3.0
-    psi = np.kron(c, c).astype(complex)
-    return psi / np.linalg.norm(psi)
+    psi = _VACUUM.get(cut)
+    if psi is None:
+        c = np.zeros(cut.ncut)
+        c[0] = 1.0
+        for m in range(2, cut.ncut, 2):
+            # c_m / c_(m-2) = sqrt(m (m-1)) / (6 (m/2)) = sqrt((m-1)/m) / 3
+            c[m] = c[m - 2] * math.sqrt((m - 1) / m) / 3.0
+        psi = np.kron(c, c).astype(complex)
+        psi = _VACUUM[cut] = psi / np.linalg.norm(psi)
+        psi.flags.writeable = False
+    return psi
 
 
 def fock_psi(cut: ModeCut, n: int, l: int,

@@ -129,7 +129,7 @@ def test_criterion_06_hermite_identity_suite():
         p = chp.ch_recursion(0, k)
         for n in range(9):
             assert p == chp.ch_recursion(n, k)
-            p = chp.ladder_apply("a_plus_dag", p)
+            p = chp.a_plus_dag(p)
 
 
 def test_criterion_07_quadrature_exactness():

@@ -10,11 +10,12 @@ landau checks and one wigner check) have no row of their own and are in
 every row's set of their suite.
 
 The per-process caches (quadrature rules, ladders, the position
-eigensystem, the Hermite tables) are swapped for fresh ones in
-each row, so a mutated object is never read from a clean cache and never
-left behind in one.  Two more tests keep the table whole: one pins every
-suite's ordered check names, so a check that vanishes or is renamed is
-noticed, and one requires a row for each check of every suite.
+eigensystem, the closed-form vacuum, the Hermite tables) are swapped for
+fresh ones in each row, so a mutated object is never read from a clean
+cache and never left behind in one.  Two more tests keep the table whole:
+one pins every suite's ordered check names, so a check that vanishes or
+is renamed is noticed, and one requires a row for each check of every
+suite.
 """
 
 import math
@@ -224,13 +225,6 @@ def _recursion_plus(extra, *entries):
     return mutation
 
 
-def _raising_doubled(ladder_apply):
-    def mutant(which, p):
-        q = ladder_apply(which, p)
-        return q.scale(2) if which == "a_plus_dag" else q
-    return mutant
-
-
 def _number_ops_swapped(number_apply):
     # n_plus and n_minus swapped, as in the printed display
     swap = {"n_plus": "n_minus", "n_minus": "n_plus"}
@@ -336,8 +330,8 @@ ROWS = [
     ("hermite", "contiguous_relations", ch, "ch_recursion",
      _recursion_plus(ch.poly_const(1), (7, 8), (8, 7)),
      {"three_way_equality", "contiguous_relations"}),
-    ("hermite", "ladder_generation", ch, "ladder_apply", _raising_doubled,
-     {"ladder_generation"}),
+    ("hermite", "ladder_generation", ch, "a_plus_dag",
+     lambda a_plus_dag: lambda p: a_plus_dag(p).scale(2), {"ladder_generation"}),
     ("hermite", "number_eigenvalues", ch, "number_apply", _number_ops_swapped,
      {"number_eigenvalues"}),
 
@@ -416,6 +410,7 @@ def _fresh_caches(monkeypatch) -> None:
     monkeypatch.setattr(quad, "_RULES", {})
     monkeypatch.setattr(lm, "_LADDERS", {})
     monkeypatch.setattr(lm, "_POSITION", {})
+    monkeypatch.setattr(lm, "_VACUUM", {})
     monkeypatch.setattr(ch, "_TABLE", {(0, 0): ch.poly_const(1)})
     monkeypatch.setattr(ch, "_RODRIGUES", {(0, 0): ch.poly_const(1)})
 

@@ -102,6 +102,20 @@ def test_banded_matvec_matches_dense_for_each_offset(ncut):
         assert (real @ v.real).dtype == float
 
 
+@pytest.mark.parametrize("ncut", (3, 4))
+def test_smallest_banded_products_match_dense(ncut):
+    # at cuts of 4 and below, h_up @ h_down pairs offsets whose sum lies
+    # outside the matrix; the product keeps no such diagonal
+    cut = lm.ModeCut(ncut)
+    h = lm.hamiltonians(cut)
+    ops = lm.build_A_pm(cut)
+    for left, right in ((h.h_up, h.h_down), (ops.a_plus, ops.a_minus_dag)):
+        product = left @ right
+        assert max(abs(k) for k in product.diags) < cut.dim
+        assert np.allclose(_dense(product), _dense(left) @ _dense(right),
+                           rtol=0, atol=1e-13)
+
+
 def test_banded_rows_at_the_cut_edge_do_not_wrap():
     # a_y shifts the joint index by 1, so the row n_y = ncut - 1 of one x block
     # sits next to n_y = 0 of the next block; the banded diagonal must hold a
@@ -314,6 +328,21 @@ def test_squeezed_vacuum_matches_eigensolve():
     assert residuals[1] < residuals[0] / 10
     assert residuals[2] < residuals[1] / 10
     assert residuals[2] < 1e-7
+
+
+def test_fock_states_at_one_cut_build_one_vacuum(monkeypatch):
+    # np.kron makes the closed-form vacuum from its per-mode coefficients,
+    # once per cut; the shared array is read-only
+    calls = []
+    kron = np.kron
+    monkeypatch.setattr(lm, "_VACUUM", {})
+    monkeypatch.setattr(np, "kron", lambda a, b: calls.append(a.shape) or kron(a, b))
+    states = [lm.fock_psi(lm.ModeCut(24), n, l) for n in range(4) for l in range(4)]
+    assert calls == [(24,)]
+    vacuum = lm.squeezed_vacuum(lm.ModeCut(24))
+    assert np.array_equal(states[0], vacuum)
+    with pytest.raises(ValueError):
+        vacuum[0] = 0
 
 
 def test_fock_eigenvalue_residual_converges_with_cut():
