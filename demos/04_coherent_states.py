@@ -72,8 +72,9 @@ for z, mm in ((1.0, 20), (1.4 - 0.9j, 12)):
           f" bound {bound:.2e}")
 
 print(f"\nmodular data at beta = {BETA}:")
-print("  spectral consistency of Delta with the flow:",
-      f"{cs.modular_spectral_check(BETA, M):.3e}")
+absolute, relative = cs.modular_spectral_errors(BETA, M)
+print("  spectral consistency of Delta with the flow:", f"{absolute:.3e}",
+      f"(relative to the eigenvalues: {relative:.3e})")
 
 # the thermal vector of the coefficient space at cutoff 12 is the Gibbs
 # cyclic vector on 13 levels, and J is the Gibbs conjugation there

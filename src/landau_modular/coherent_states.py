@@ -1,6 +1,7 @@
 """Bi-coherent states on the bivariate Hermite basis, resolutions of the
 identity, the cross-sector partial isometries, the modular conjugation as
-coefficient transposition, and the spectral form of the modular operator.
+coefficient transposition, and the spectral form of the modular operator,
+whose absolute and relative errors read one set of Gibbs weights.
 
 A vector in the truncated function space is a coefficient array c[n, k]
 over the orthonormal basis B[n, k] = h[n, k] / sqrt(n! k!), 0 <= n, k <= M:
@@ -105,7 +106,8 @@ def moment_factorization_check(rule: ComplexGaussRule, g: np.ndarray) -> float:
     same entries summed over the rule's nodes, one integrate_values sum
     each, an independent route."""
     pows = normalized_powers(rule.nodes, g.shape[0] - 1)
-    direct = np.array([[integrate_values(rule, pa * pb.conj()) for pb in pows]
+    conj = pows.conj()
+    direct = np.array([[integrate_values(rule, pa * pb) for pb in conj]
                        for pa in pows])
     return float(np.max(np.abs(g - direct)))
 
@@ -129,7 +131,7 @@ def vector_cs_check(z: complex, cutoff: int) -> tuple[float, float, float]:
     return res_a, res_b, bound
 
 
-# The flow times at which modular_spectral_check samples Delta^(it).
+# The flow times at which modular_spectral_errors samples Delta^(it).
 MODULAR_T_SAMPLES = (0.3, 1.0, -2.0)
 
 
@@ -141,50 +143,45 @@ def _ratio_errors(w: mc.GibbsWeights) -> np.ndarray:
     return np.abs(ref[d + w.n - 1] - np.divide.outer(w.alpha, w.alpha))
 
 
-def modular_spectral_check(beta: float, cutoff: int) -> float:
-    """Consistency of the diagonal modular operator with the Gibbs picture.
+def modular_spectral_errors(beta: float, cutoff: int) -> tuple[float, float]:
+    """Consistency of the diagonal modular operator with the Gibbs picture
+    on cutoff + 1 levels, (absolute, relative), from one Gibbs state.
 
-    Checks three facts and returns the largest deviation: the flow
-    Delta^(it), the multiplier mc.flow_superop(w, -beta t) on the
-    coefficient array, fixes the thermal vector Phi = mc.cyclic_vector(w);
-    it multiplies the first-index raising generator by a pure phase
-    e^(i beta t); and the eigenvalue on B[n, k] equals the Gibbs weight
-    ratio alpha_n / alpha_k.  The last is an absolute error on values up
-    to e^(beta cutoff); modular_spectral_relative_check is its relative
-    form.  A NaN deviation is returned as NaN.
+    absolute is the largest deviation of three facts: the flow Delta^(it),
+    the multiplier mc.flow_superop(w, -beta t) on the coefficient array,
+    fixes the thermal vector Phi = mc.cyclic_vector(w); it multiplies the
+    first-index raising generator by a pure phase e^(i beta t); and the
+    eigenvalue e^(-beta(n-k)) on B[n, k] equals the Gibbs weight ratio
+    alpha_n / alpha_k, an error on values up to e^(beta cutoff).  A NaN
+    deviation is returned as NaN.  relative is the last error scaled by
+    e^(beta(n-k)).
+
+    The relative error is rounding.  alpha_n, alpha_k and the reference
+    each round an exponent of size at most beta * cutoff, which moves the
+    value by up to beta * cutoff * u relative (u = eps / 2): 1.5 beta
+    cutoff eps for the three, and a few eps more from exp, the quotients
+    and the scaling.  beta * cutoff is at most ln(DBL_MAX) wherever
+    build_weights accepts it.  Measured: 1.1e-15 (4.9 eps) at beta 0.7
+    and cutoff 10, 1.46e-14 (66 eps) at cutoff 170, and at most 513 eps at
+    cutoff 170 for beta up to 4.17.
     """
     m = cutoff + 1
     w = mc.build_weights(beta, m)
+    ratio = _ratio_errors(w)
     phi = mc.cyclic_vector(w)
     # the raising generator's only nonzero entries, sqrt(n + 1) from (n, k)
     # to (n + 1, k): conjugating by the diagonal phases multiplies them by
     # p[n + 1, k] and conj(p[n, k])
     root = np.sqrt(np.arange(1.0, m))[:, None]
-    errors = [float(np.max(_ratio_errors(w)))]
+    errors = [float(np.max(ratio))]
     for t in MODULAR_T_SAMPLES:
         p = mc.flow_superop(w, -beta * t)
         conj_raising = (p[1:] * root) * p[:-1].conj()
         errors += [float(np.linalg.norm(p * phi - phi)),
                    float(np.max(np.abs(conj_raising - np.exp(-1j * beta * t) * root)))]
-    return float(np.max(errors, initial=0.0))
-
-
-def modular_spectral_relative_check(beta: float, cutoff: int) -> float:
-    """Largest relative error of the Gibbs ratio alpha_n / alpha_k against
-    the Delta eigenvalue e^(-beta(n-k)) on B[n, k], 0 <= n, k <= cutoff:
-    the absolute error of modular_spectral_check scaled by e^(beta(n-k)).
-
-    The error is rounding.  alpha_n, alpha_k and the reference each round
-    an exponent of size at most beta * cutoff, which moves the value by up
-    to beta * cutoff * u relative (u = eps / 2): 1.5 beta cutoff eps for
-    the three, and a few eps more from exp, the quotients and the scaling.
-    beta * cutoff is at most ln(DBL_MAX) wherever build_weights accepts
-    it.  Measured: 1.1e-15 (4.9 eps) at beta 0.7 and cutoff 10, 1.46e-14
-    (66 eps) at cutoff 170, and at most 513 eps at cutoff 170 for beta up
-    to 4.17."""
-    w = mc.build_weights(beta, cutoff + 1)
-    d = np.subtract.outer(np.arange(cutoff + 1), np.arange(cutoff + 1))
-    return float(np.max(_ratio_errors(w) * np.exp(beta * d)))
+    d = np.subtract.outer(np.arange(m), np.arange(m))
+    return (float(np.max(errors, initial=0.0)),
+            float(np.max(ratio * np.exp(beta * d))))
 
 
 def displacement_operator(alpha: complex, ncut: int) -> np.ndarray:

@@ -99,16 +99,16 @@ def run(cfg: SuiteConfig) -> Report:
             "lowering eta_z = z eta_z up to the certified factorial tail",
             [res_a, res_b], max(bound, 1e-15))
 
+    absolute, relative = cs.modular_spectral_errors(cfg.beta, m)
     s.check("modular_spectral",
             "Delta eigenvalue e^(-beta(n-k)) on B[n, k] matches the Gibbs "
             "ratio alpha_n/alpha_k; the flow fixes chi and rotates the "
             "raising generator by a pure phase",
-            cs.modular_spectral_check(cfg.beta, m), 1e-12)
+            absolute, 1e-12)
     # the rounded exponents cost up to 1.5 beta M eps, and beta M <= ln(DBL_MAX)
     s.check("modular_spectral_relative",
             "e^(-beta(n-k)) = alpha_n/alpha_k relative to its size",
-            cs.modular_spectral_relative_check(cfg.beta, m),
-            (2.0 * mc.LOG_DBL_MAX + 8.0) * np.finfo(float).eps)
+            relative, (2.0 * mc.LOG_DBL_MAX + 8.0) * np.finfo(float).eps)
     s.erratum(
         "modular_generator_sign",
         "One printed display gives the modular generator as -2(N+ - N-); "

@@ -1,7 +1,8 @@
 """The planar charged-particle (Landau) system on a truncated two-mode
 Fock space: ladder matrices, the rotated ladder pair A+/A-, the two level
 Hamiltonians, the joint Fock basis, and the phase-space (Wigner) sampling
-of Hilbert-Schmidt operators.
+of Hilbert-Schmidt operators, with the printed and corrected closed forms
+of the matrix units' samples read from one basis table.
 
 Tensor convention: the two-mode space is the Kronecker product with the
 x-mode as the left factor, so basis index n_x * ncut + n_y labels the
@@ -494,25 +495,26 @@ def wigner_sample(x_op: np.ndarray, x: float, y: float,
 
 
 def wigner_closed_form(labels: list[tuple[int, int]], x: float | np.ndarray,
-                       y: float | np.ndarray, literal: bool = False) -> np.ndarray:
-    """Closed forms for the phase-space samples of the matrix units |n><l|,
-    (n, l) in labels, at one point (x, y) or at the points of two arrays of
-    one shape: entry i of the result, of the shape of x, is labels[i]'s.
+                       y: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The printed and the corrected closed forms for the phase-space
+    samples of the matrix units |n><l|, (n, l) in labels, at one point
+    (x, y) or at the points of two arrays of one shape: entry i of each
+    form, of the shape of x, is labels[i]'s.
 
-    The literal form e^(-|z|^2/2) B[n,l](zbar, z) / sqrt(2 pi) with
+    The printed form e^(-|z|^2/2) B[n,l](zbar, z) / sqrt(2 pi) with
     z = (x - iy)/sqrt2 misses a phase and an index swap; the corrected
     identity, which wigner_sample satisfies to machine precision, is
 
         i^(n+l) e^(-|z|^2/2) B[l,n](zbar, z) / sqrt(2 pi).
 
-    All labels read one basis table, of the largest index.
+    Both forms read one basis table, of the largest index.
     """
     # imported here, so that a library-level Fock build never loads cgauss_quad
     from .cgauss_quad import basis_values
 
     z = np.asarray((x - 1j * y) / math.sqrt(2.0))
     table = basis_values(z, max(max(n, l) for n, l in labels))
-    val = np.array([table[n, l] if literal else table[l, n] for n, l in labels])
-    phase = 1.0 if literal else np.array(
-        [1j ** (n + l) for n, l in labels]).reshape((-1,) + (1,) * z.ndim)
-    return phase * np.exp(-np.abs(z) ** 2 / 2.0) * val / math.sqrt(2.0 * math.pi)
+    gauss, norm = np.exp(-np.abs(z) ** 2 / 2.0), math.sqrt(2.0 * math.pi)
+    phase = np.array([1j ** (n + l) for n, l in labels]).reshape((-1,) + (1,) * z.ndim)
+    return (gauss * np.array([table[n, l] for n, l in labels]) / norm,
+            phase * gauss * np.array([table[l, n] for n, l in labels]) / norm)

@@ -24,19 +24,16 @@ def run(cfg: SuiteConfig) -> Report:
     # samples[:, i] is the sample of the i-th unit at every grid point
     samples = np.array([lm.wigner_sample(units, float(x), float(y), cfg.ncut)
                         for x, y in zip(xs, ys)])
-
-    def closed_form_errors(literal: bool) -> np.ndarray:
-        # row i of the closed forms, like column i of the samples, is labels[i]
-        return np.abs(samples.T - lm.wigner_closed_form(labels, xs, ys, literal=literal))
-
+    # row i of each closed form, like column i of the samples, is labels[i]
+    printed, corrected = lm.wigner_closed_form(labels, xs, ys)
     s.check("closed_form_literal",
             "phase-space sample of |n><l| equals "
             "e^(-|z|^2/2) B[n, l](zbar, z)/sqrt(2 pi) as printed",
-            closed_form_errors(literal=True), 1e-6)
+            np.abs(samples.T - printed), 1e-6)
     s.check("closed_form_corrected",
             "phase-space sample of |n><l| equals "
             "i^(n+l) e^(-|z|^2/2) B[l, n](zbar, z)/sqrt(2 pi)",
-            closed_form_errors(literal=False), 1e-6)
+            np.abs(samples.T - corrected), 1e-6)
     s.erratum(
         "phase_space_closed_form",
         "The printed closed form for the phase-space transform of |n><l| "

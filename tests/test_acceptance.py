@@ -237,19 +237,18 @@ def test_criterion_11_wigner_cross_check():
             for x in grid.tolist():
                 for y in grid.tolist():
                     got = lm.wigner_sample(x_op, x, y, 64)
-                    corrected = lm.wigner_closed_form([(n, l)], x, y)[0]
+                    (stated,), (corrected,) = lm.wigner_closed_form([(n, l)], x, y)
                     reference = (_displacement_element(l, n, x, y)
                                  / math.sqrt(2.0 * math.pi))
                     assert abs(got - corrected) <= 1e-6
                     assert abs(corrected - reference) <= 1e-6
                     if n == l == 1:
-                        stated = lm.wigner_closed_form([(n, l)], x, y, literal=True)[0]
                         assert abs(got + stated) <= 1e-6
 
 
 def test_criterion_12_modular_coherent_consistency():
     m = 10
-    assert cs.modular_spectral_check(BETA, m) <= 1e-12
+    assert cs.modular_spectral_errors(BETA, m)[0] <= 1e-12
     w = mc.build_weights(BETA, m + 1)
     for n in range(m + 1):
         for l in range(m + 1):

@@ -232,9 +232,9 @@ def _number_ops_swapped(number_apply):
 
 
 def _corrected_form_negated(wigner_closed_form):
-    def mutant(labels, x, y, literal=False):
-        v = wigner_closed_form(labels, x, y, literal)
-        return v if literal else -v
+    def mutant(labels, x, y):
+        printed, corrected = wigner_closed_form(labels, x, y)
+        return printed, -corrected
     return mutant
 
 

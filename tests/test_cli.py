@@ -367,11 +367,11 @@ def test_nan_inside_a_check_makes_it_fail(monkeypatch):
         assert not checks[name].passed
     assert report_to_json(report).count('"max_error": NaN') == 2
     assert checks["real_time_agreement"] == clean["real_time_agreement"]
-    # a NaN thermal vector reaches the first fold of modular_spectral_check;
-    # the modular suite below keeps the real one
+    # a NaN thermal vector reaches the first fold of modular_spectral_errors'
+    # absolute error; the modular suite below keeps the real one
     with monkeypatch.context() as patch:
         patch.setattr(mc, "cyclic_vector", lambda w: np.full((w.n, w.n), np.nan))
-        assert math.isnan(cs.modular_spectral_check(0.7, 4))
+        assert math.isnan(cs.modular_spectral_errors(0.7, 4)[0])
     # the fifth inner product, <x, y> in the second of the ten samples that
     # j_antiunitary passes to check, goes NaN: the builtin max would keep
     # the first sample and pass

@@ -377,7 +377,7 @@ def test_vector_cs_residuals():
 
 
 def test_modular_spectral_consistency():
-    assert cs.modular_spectral_check(0.7, 8) < 1e-12
+    assert cs.modular_spectral_errors(0.7, 8)[0] < 1e-12
 
 
 def _ratio_errors_by_entry(w):
@@ -398,9 +398,9 @@ def test_modular_spectral_relative_companion(monkeypatch):
     eps = np.finfo(float).eps
     # the absolute error grows with the ratios, up to e^(0.7 * 170); the
     # relative one stays at rounding (measured 1.46e-14 at cutoff 170)
-    assert cs.modular_spectral_check(0.7, 170) > 1e30
+    assert cs.modular_spectral_errors(0.7, 170)[0] > 1e30
     for cutoff in (10, 16, 64, 170):
-        rel = cs.modular_spectral_relative_check(0.7, cutoff)
+        rel = cs.modular_spectral_errors(0.7, cutoff)[1]
         assert 0.0 < rel <= (2 * 0.7 * cutoff + 8) * eps
     # one Gibbs weight off by 1e-13 relative shows at cutoff 10
     build = mc.build_weights
@@ -412,7 +412,7 @@ def test_modular_spectral_relative_companion(monkeypatch):
         return w._replace(alpha=alpha)
 
     monkeypatch.setattr(mc, "build_weights", perturbed)
-    assert cs.modular_spectral_relative_check(0.7, 10) > 5e-14
+    assert cs.modular_spectral_errors(0.7, 10)[1] > 5e-14
 
 
 def test_displacement_factorization():
@@ -433,6 +433,18 @@ def test_coherent_suite_solves_the_displacement_once(monkeypatch):
                         lambda *args: calls.append(args) or displacement(*args))
     run_suite("coherent", SuiteConfig())
     assert len(calls) == 1  # both displacement checks read the one solve
+
+
+def test_coherent_suite_builds_one_gibbs_state(monkeypatch):
+    from landau_modular.suites import SuiteConfig, run_suite
+    levels = []
+    build = mc.build_weights
+    monkeypatch.setattr(mc, "build_weights",
+                        lambda beta, n: levels.append(n) or build(beta, n))
+    cfg = SuiteConfig()
+    run_suite("coherent", cfg)
+    # the absolute and relative modular-spectrum errors read one Gibbs state
+    assert levels.count(cfg.cutoff + 1) == 1
 
 
 def test_displacement_vacuum_column():

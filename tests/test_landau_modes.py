@@ -387,7 +387,7 @@ def test_wigner_matches_corrected_closed_form():
             x_op = matrix_unit(3, n, l)
             for x, y in ((0.3, -0.7), (1.1, 0.4)):
                 got = lm.wigner_sample(x_op, x, y, 48)
-                assert abs(got - lm.wigner_closed_form([(n, l)], x, y)[0]) < 1e-9
+                assert abs(got - lm.wigner_closed_form([(n, l)], x, y)[1][0]) < 1e-9
 
 
 def test_wigner_sample_of_a_stack_matches_single_samples():
@@ -402,6 +402,17 @@ def test_wigner_sample_of_a_stack_matches_single_samples():
     for bad in (np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.zeros((2, 5, 5))):
         with pytest.raises(ValueError, match="incompatible"):
             lm.wigner_sample(bad, 0.1, 0.2, 4)
+
+
+def test_wigner_suite_reads_both_closed_forms_from_one_basis_table(monkeypatch):
+    from landau_modular import cgauss_quad
+    from landau_modular.suites import SuiteConfig, run_suite
+    calls = []
+    basis_values = cgauss_quad.basis_values
+    monkeypatch.setattr(cgauss_quad, "basis_values",
+                        lambda z, m: calls.append((np.shape(z), m)) or basis_values(z, m))
+    run_suite("wigner", SuiteConfig())
+    assert calls == [((25,), 3)]  # the 25 grid points, to degree 3
 
 
 def test_wigner_suite_forms_one_block_per_grid_point(monkeypatch):
@@ -463,11 +474,12 @@ def _closed_form_per_label(n, l, x, y, literal):
 
 @pytest.mark.parametrize("literal", (True, False))
 def test_closed_forms_from_one_table_have_the_bits_of_per_label_tables(literal):
-    # the wigner suite's 16 labels at its 25 grid points
+    # the wigner suite's 16 labels at its 25 grid points; the printed form
+    # is the first of the pair, the corrected one the second
     grid = np.linspace(-2.0, 2.0, 5)
     xs, ys = np.repeat(grid, 5), np.tile(grid, 5)
     labels = [(n, l) for n in range(4) for l in range(4)]
-    got = lm.wigner_closed_form(labels, xs, ys, literal=literal)
+    got = lm.wigner_closed_form(labels, xs, ys)[0 if literal else 1]
     want = np.array([_closed_form_per_label(n, l, xs, ys, literal) for n, l in labels])
     assert got.dtype == want.dtype and got.shape == want.shape == (16, 25)
     assert got.tobytes() == want.tobytes()
