@@ -195,8 +195,9 @@ def ch_explicit(n: int, k: int, literal: bool = False) -> BivarPoly:
     before it: c_0 = 1 and c_(j+1) = -c_j (n - j)(k - j) / (j + 1), an exact
     integer division, since c_(j+1) is an integer.  With literal=True the
     alternating sign and the 1/j! are dropped, so c_(j+1) = c_j (n - j)(k - j)
-    — a historically printed variant kept only so tests can witness that it
-    disagrees with the Rodrigues construction (at (1, 1) by exactly 2).
+    — a historically printed variant that the hermite suite's
+    literal_sum_erratum check reads, where it disagrees with the Rodrigues
+    construction (at (1, 1) by exactly 2).
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")

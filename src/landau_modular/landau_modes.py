@@ -252,8 +252,9 @@ def build_A_pm(cut: ModeCut, literal: bool = False) -> RotatedLadders:
         A- = (3/4)(a_x + i a_y) - (1/4)(a_x* + i a_y*)
 
     With literal=True the A+ line uses -(1/4)(a_x* + i a_y*) instead — a
-    historically printed variant kept so tests can witness that it breaks
-    the commutation relations ([A+, A-*] = -1/8 instead of 0).
+    historically printed variant that the landau suite's
+    literal_ladder_breaks_ccr check reads, where it breaks the commutation
+    relations ([A+, A-*] = -1/8 instead of 0).
 
     Each (cut, literal) pair is built once per process and shared.
     """
@@ -310,13 +311,21 @@ class Hamiltonians(NamedTuple):
     n_minus: BandedOp
 
 
+_HAMILTONIANS: dict = {}  # cut -> Hamiltonians
+
+
 def hamiltonians(cut: ModeCut) -> Hamiltonians:
-    ops = build_A_pm(cut)
-    n_plus = ops.a_plus_dag @ ops.a_plus
-    n_minus = ops.a_minus_dag @ ops.a_minus
-    eye = BandedOp(cut.dim, {0: np.ones(cut.dim, dtype=complex)})
-    return Hamiltonians(h_up=n_minus + 0.5 * eye, h_down=n_plus + 0.5 * eye,
-                        n_plus=n_plus, n_minus=n_minus)
+    """The Hamiltonians of the cut, built once per process and shared."""
+    h = _HAMILTONIANS.get(cut)
+    if h is None:
+        ops = build_A_pm(cut)
+        n_plus = ops.a_plus_dag @ ops.a_plus
+        n_minus = ops.a_minus_dag @ ops.a_minus
+        eye = BandedOp(cut.dim, {0: np.ones(cut.dim, dtype=complex)})
+        h = _HAMILTONIANS[cut] = Hamiltonians(
+            h_up=n_minus + 0.5 * eye, h_down=n_plus + 0.5 * eye,
+            n_plus=n_plus, n_minus=n_minus)
+    return h
 
 
 def ground_state(cut: ModeCut) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 # sandwich_superop and transpose_permutation are not used here; they stay
-# importable from this module for callers that import them from it
+# importable from this module because perfbench/test_perfbench.py pins them here
 from .hs_space import (  # noqa: F401
     WeightedConjugation,
     conjugation_J,

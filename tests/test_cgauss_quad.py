@@ -15,18 +15,10 @@ def test_rule_invariants():
     assert rule.nodes.shape == (8 * 12,)
 
 
-def test_verify_all_builds_the_default_rule_once(monkeypatch):
-    from landau_modular.suites import SuiteConfig, run_suite
-    monkeypatch.setattr(quad, "_RULES", {}, raising=False)
-    orders = []
-    laguerre = quad.gauss_laguerre
-    monkeypatch.setattr(quad, "gauss_laguerre",
-                        lambda n: orders.append(n) or laguerre(n))
-    run_suite("all", SuiteConfig())
-    # the quadrature and coherent suites share the 40 x 64 rule
-    assert orders.count(40) == 1
+def test_a_rule_is_shared_and_read_only():
+    # BUILDS in test_builds.py counts the Golub-Welsch solves of a run
     rule = quad.build_rule(40, 64)
-    assert quad.build_rule(40, 64) is rule and orders.count(40) == 1
+    assert quad.build_rule(40, 64) is rule
     for arr in (rule.nodes, rule.weights, rule.radii, rule.ring_weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -49,17 +41,6 @@ def test_quadrature_suite_builds_no_basis_by_nodes_array():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
-
-
-def test_quadrature_suite_evaluates_the_basis_on_the_radii(monkeypatch):
-    from landau_modular import suites
-    points = []
-    basis_values = quad.basis_values
-    monkeypatch.setattr(quad, "basis_values",
-                        lambda z, deg: points.append(z.shape[0]) or basis_values(z, deg))
-    cfg = suites.SuiteConfig()
-    suites.run_suite("quadrature", cfg)
-    assert points == [cfg.radial]  # 40 values per basis function, not 2560
 
 
 def _node_sum_gram(rule, deg, block=1024):
@@ -213,14 +194,6 @@ def test_moment_sweep_at_default_orders():
                 rule, rule.nodes.conj() ** m * rule.nodes ** k)
             scale = max(1.0, math.gamma((m + k) / 2.0 + 1.0))
             assert abs(got - quad.gauss_moment(m, k)) / scale < 1e-12
-
-
-def test_basis_values_computes_each_factorial_once(monkeypatch):
-    calls = []
-    factorial = math.factorial
-    monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
-    quad.basis_values(np.array([0.3 + 0.1j, -1.2j]), 12)
-    assert sorted(calls) == list(range(13))  # not 2 * 13^2 calls
 
 
 def test_hermite_basis_norm_via_quadrature():

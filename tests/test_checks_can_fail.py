@@ -9,10 +9,9 @@ weaker row.  The checks that are red at the default configuration (two
 landau checks and one wigner check) have no row of their own and are in
 every row's set of their suite.
 
-The per-process caches (quadrature rules, ladders, the position
-eigensystem, the closed-form vacuum, the Hermite tables) are swapped for
-fresh ones in each row, so a mutated object is never read from a clean
-cache and never left behind in one.  Two more tests keep the table whole:
+Each row runs from fresh per-process caches (the fresh_caches fixture),
+so a mutated object is never read from a clean cache and never left
+behind in one.  Two more tests keep the table whole:
 one pins every suite's ordered check names, so a check that vanishes or
 is renamed is noticed, and one requires a row for each check of every
 suite.
@@ -406,15 +405,6 @@ ROWS = [
 ]
 
 
-def _fresh_caches(monkeypatch) -> None:
-    monkeypatch.setattr(quad, "_RULES", {})
-    monkeypatch.setattr(lm, "_LADDERS", {})
-    monkeypatch.setattr(lm, "_POSITION", {})
-    monkeypatch.setattr(lm, "_VACUUM", {})
-    monkeypatch.setattr(ch, "_TABLE", {(0, 0): ch.poly_const(1)})
-    monkeypatch.setattr(ch, "_RODRIGUES", {(0, 0): ch.poly_const(1)})
-
-
 def failing_checks(suite: str) -> set:
     report = suites.run_suite(suite, suites.SuiteConfig())[0]
     return {c.name for c in report.checks if not c.passed}
@@ -423,10 +413,9 @@ def failing_checks(suite: str) -> set:
 @pytest.mark.parametrize(
     "suite, target, module, attribute, mutation, failing", ROWS,
     ids=[f"{row[0]}/{row[1]}" for row in ROWS])
-def test_mutation_turns_check_red(monkeypatch, suite, target, module, attribute,
-                                  mutation, failing):
+def test_mutation_turns_check_red(monkeypatch, fresh_caches, suite, target, module,
+                                  attribute, mutation, failing):
     assert target in failing
-    _fresh_caches(monkeypatch)
     monkeypatch.setattr(module, attribute, mutation(getattr(module, attribute)))
     assert failing_checks(suite) == failing | DEFAULT_REDS.get(suite, set())
 

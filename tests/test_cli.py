@@ -321,23 +321,6 @@ def test_small_beta_reds_are_only_the_conditioned_ones(suite, beta, failing, tmp
     assert not any(np.isnan(c["max_error"]) for c in checks)
 
 
-def test_only_the_quadrature_and_coherent_suites_build_a_rule(monkeypatch, capsys):
-    # the --radial x --angular rule is built by the require of each suite
-    # that reads it, and the quadrature suite's order_convergence builds
-    # three fixed rules of its own; no other run builds one
-    from landau_modular import cgauss_quad as quad
-
-    built = {}
-    for suite in SUITE_NAMES:
-        monkeypatch.setattr(quad, "_RULES", {})
-        assert main(["verify", suite]) in (0, 1)
-        built[suite] = sorted(quad._RULES)
-    capsys.readouterr()
-    assert built == {"modular": [], "kms": [], "landau": [], "hermite": [],
-                     "quadrature": [(4, 8), (8, 16), (16, 32), (40, 64)],
-                     "coherent": [(40, 64)], "wigner": []}
-
-
 def test_smallest_cuts_run():
     cfg = SuiteConfig(cutoff=2, ncut=8)
     for name in ("coherent", "landau", "wigner"):

@@ -111,34 +111,12 @@ def test_resolution_refuses_uncovered_rule():
             cs.moment_matrix(quad.build_rule(need - 1, 64), cutoff)
 
 
-def test_coherent_suite_builds_one_moment_matrix(monkeypatch):
-    from landau_modular.suites import SuiteConfig, run_suite
-    builds, calls = [], []
-    moments = cs.moment_matrix
-    monkeypatch.setattr(cs, "moment_matrix",
-                        lambda rule, c: builds.append((rule, c)) or moments(rule, c))
-    integrate = cs.integrate_values
-    monkeypatch.setattr(cs, "integrate_values",
-                        lambda rule, v: calls.append(rule) or integrate(rule, v))
-    cfg = SuiteConfig(cutoff=16, radial=48, angular=96)
-    run_suite("coherent", cfg)
-    # one G at the cutoff, read by both resolutions, the bi-coherent block,
-    # both isometries and moment_factorization; the only node sums are the
-    # independent route of moment_factorization, at cutoff 10
-    rule = quad.build_rule(cfg.radial, cfg.angular)
-    assert builds == [(rule, cfg.cutoff)]
-    assert len(calls) == 11 ** 2 and all(r is rule for r in calls)
-    # nothing is kept between runs: the next run builds its own G
-    run_suite("coherent", cfg)
-    assert builds == [(rule, cfg.cutoff)] * 2
-
-
 @pytest.mark.parametrize("warm, cfg", [
     ((40, 64, 63), {}),
     ((86, 171, 170), {"cutoff": 8, "radial": 86, "angular": 171}),
 ])
 def test_coherent_report_does_not_depend_on_earlier_moment_matrices(
-        warm, cfg, monkeypatch):
+        warm, cfg, fresh_caches):
     # a G at a larger cutoff on the same rule sums its ring products in
     # another order; a report read from a block of it would differ in the
     # last bits from a fresh one (the first four checks at the default
@@ -148,8 +126,7 @@ def test_coherent_report_does_not_depend_on_earlier_moment_matrices(
     def report():
         return report_to_json(run_suite("coherent", SuiteConfig(**cfg))[0])
 
-    # new rules, on which nothing has been built yet
-    monkeypatch.setattr(quad, "_RULES", {})
+    # fresh_caches: new rules, on which nothing has been built yet
     fresh = report()
     radial, angular, cutoff = warm
     cs.moment_matrix(quad.build_rule(radial, angular), cutoff)
@@ -423,28 +400,6 @@ def test_displacement_factorization():
         cs.displacement_check(0.5, cs.displacement_operator(0.5, 8))
     with pytest.raises(ValueError):
         cs.displacement_check(2.0, cs.displacement_operator(2.0, 64))
-
-
-def test_coherent_suite_solves_the_displacement_once(monkeypatch):
-    from landau_modular.suites import SuiteConfig, run_suite
-    calls = []
-    displacement = cs.displacement
-    monkeypatch.setattr(cs, "displacement",
-                        lambda *args: calls.append(args) or displacement(*args))
-    run_suite("coherent", SuiteConfig())
-    assert len(calls) == 1  # both displacement checks read the one solve
-
-
-def test_coherent_suite_builds_one_gibbs_state(monkeypatch):
-    from landau_modular.suites import SuiteConfig, run_suite
-    levels = []
-    build = mc.build_weights
-    monkeypatch.setattr(mc, "build_weights",
-                        lambda beta, n: levels.append(n) or build(beta, n))
-    cfg = SuiteConfig()
-    run_suite("coherent", cfg)
-    # the absolute and relative modular-spectrum errors read one Gibbs state
-    assert levels.count(cfg.cutoff + 1) == 1
 
 
 def test_displacement_vacuum_column():

@@ -245,20 +245,13 @@ def test_ladders_built_once_per_cut():
     assert lm.build_A_pm_from_qp(cut) is not lm.build_A_pm_from_qp(cut)
 
 
-def test_equal_cuts_share_one_ladder_build(monkeypatch):
+def test_equal_cuts_share_one_ladder_build():
     # two separately made ModeCut(16) are one cache key: equal, with equal
-    # hashes, so the second build_A_pm builds nothing; a cut of 17 is not
-    calls = []
-    mode_ops = lm.mode_ops
-    monkeypatch.setattr(lm, "_LADDERS", {})
-    monkeypatch.setattr(lm, "mode_ops", lambda cut: calls.append(cut.ncut) or mode_ops(cut))
+    # hashes; a cut of 17 is not (BUILDS in test_builds.py counts the builds)
     first, second = lm.ModeCut(16), lm.ModeCut(16)
     assert first is not second and first == second and hash(first) == hash(second)
     assert lm.ModeCut(17) != first
     assert lm.build_A_pm(first) is lm.build_A_pm(second)
-    assert calls == [16] and len(lm._LADDERS) == 1
-    lm.build_A_pm(lm.ModeCut(17))
-    assert calls == [16, 17]
 
 
 def test_hamiltonian_relations():
@@ -330,17 +323,12 @@ def test_squeezed_vacuum_matches_eigensolve():
     assert residuals[2] < 1e-7
 
 
-def test_fock_states_at_one_cut_build_one_vacuum(monkeypatch):
-    # np.kron makes the closed-form vacuum from its per-mode coefficients,
-    # once per cut; the shared array is read-only
-    calls = []
-    kron = np.kron
-    monkeypatch.setattr(lm, "_VACUUM", {})
-    monkeypatch.setattr(np, "kron", lambda a, b: calls.append(a.shape) or kron(a, b))
-    states = [lm.fock_psi(lm.ModeCut(24), n, l) for n in range(4) for l in range(4)]
-    assert calls == [(24,)]
+def test_fock_states_at_one_cut_build_one_vacuum():
+    # one closed-form vacuum per cut, shared and read-only (BUILDS in
+    # test_builds.py counts the builds)
     vacuum = lm.squeezed_vacuum(lm.ModeCut(24))
-    assert np.array_equal(states[0], vacuum)
+    assert lm.squeezed_vacuum(lm.ModeCut(24)) is vacuum
+    assert np.array_equal(lm.fock_psi(lm.ModeCut(24), 0, 0), vacuum)
     with pytest.raises(ValueError):
         vacuum[0] = 0
 
@@ -402,44 +390,6 @@ def test_wigner_sample_of_a_stack_matches_single_samples():
     for bad in (np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.zeros((2, 5, 5))):
         with pytest.raises(ValueError, match="incompatible"):
             lm.wigner_sample(bad, 0.1, 0.2, 4)
-
-
-def test_wigner_suite_reads_both_closed_forms_from_one_basis_table(monkeypatch):
-    from landau_modular import cgauss_quad
-    from landau_modular.suites import SuiteConfig, run_suite
-    calls = []
-    basis_values = cgauss_quad.basis_values
-    monkeypatch.setattr(cgauss_quad, "basis_values",
-                        lambda z, m: calls.append((np.shape(z), m)) or basis_values(z, m))
-    run_suite("wigner", SuiteConfig())
-    assert calls == [((25,), 3)]  # the 25 grid points, to degree 3
-
-
-def test_wigner_suite_forms_one_block_per_grid_point(monkeypatch):
-    from landau_modular.suites import SuiteConfig, run_suite
-    sizes, full, direct = [], [], []
-    block, displacement = lm.displacement_block, lm.displacement
-
-    def counted_block(ncut, x, y, n):
-        sizes.append(n)
-        if n == ncut:
-            full.append((x, y))
-        return block(ncut, x, y, n)
-
-    monkeypatch.setattr(lm, "displacement_block", counted_block)
-    monkeypatch.setattr(lm, "displacement",
-                        lambda ncut, x, y: direct.append((x, y)) or displacement(ncut, x, y))
-    run_suite("wigner", SuiteConfig())
-    # 25 grid points for the 16 matrix units, the origin and 8 full-size
-    # rotations against the direct route
-    assert len(sizes) == 34
-    assert (sizes.count(4), sizes.count(1), sizes.count(64)) == (25, 1, 8)
-    # every point but the origin of the 3 x 3 grid is rotated, and one direct
-    # eigensolve serves each pair +-p
-    corners = {(x, y) for x in (-2.0, 0.0, 2.0) for y in (-2.0, 0.0, 2.0)} - {(0.0, 0.0)}
-    assert len(full) == 8 and set(full) == corners
-    assert len(direct) == 4
-    assert {p for x, y in direct for p in ((x, y), (-x, -y))} == corners
 
 
 def _dense_generator(ncut, x, y):
@@ -519,20 +469,6 @@ def test_wigner_rotation_matches_direct_displacement():
                 rotated = lm.displacement_block(ncut, x, y, n)
                 assert rotated.shape == (n, n)
                 assert np.max(np.abs(rotated - direct)) < 1e-12
-
-
-def test_position_eigensystem_built_once_per_cut(monkeypatch):
-    from landau_modular.hs_space import matrix_unit
-    calls = []
-    solve = lm.hermitian_eig
-    monkeypatch.setattr(lm, "_POSITION", {})
-    monkeypatch.setattr(lm, "hermitian_eig",
-                        lambda a: calls.append(a.shape) or solve(a))
-    for x, y in ((0.5, -1.0), (2.0, 1.5), (-1.0, 0.0)):
-        for n, l in ((0, 0), (1, 2)):
-            lm.wigner_sample(matrix_unit(3, n, l), x, y, 40)
-    lm.wigner_sample(matrix_unit(2, 1, 1), 0.2, 0.1, 24)
-    assert calls == [(40, 40), (24, 24)]
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))

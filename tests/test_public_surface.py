@@ -23,7 +23,6 @@ from pathlib import Path
 
 from landau_modular.cli import main
 from landau_modular.suites import SUITE_NAMES
-from test_checks_can_fail import _fresh_caches
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "landau_modular"
 # every module of the package but __main__, whose main only a fresh process
@@ -147,8 +146,7 @@ def _unexecuted(hits) -> dict:
     return out
 
 
-def test_every_statement_is_run_by_the_cli_or_held(tmp_path, monkeypatch):
-    _fresh_caches(monkeypatch)
+def test_every_statement_is_run_by_the_cli_or_held(tmp_path, fresh_caches):
     unexecuted = _unexecuted(_traced_lines(RUNS, tmp_path))
     unheld = [f"{scope}: line {n}: {source}"
               for scope in sorted(unexecuted.keys() - HELD.keys())
