@@ -186,16 +186,6 @@ def test_certificate_matches_observed_exactness():
                 assert err / scale < 1e-13, (m, k)
 
 
-def test_moment_sweep_at_default_orders():
-    rule = quad.build_rule(40, 64)
-    for m in range(13):
-        for k in range(13):
-            got = quad.integrate_values(
-                rule, rule.nodes.conj() ** m * rule.nodes ** k)
-            scale = max(1.0, math.gamma((m + k) / 2.0 + 1.0))
-            assert abs(got - quad.gauss_moment(m, k)) / scale < 1e-12
-
-
 def test_hermite_basis_norm_via_quadrature():
     rule = quad.build_rule(8, 9)
     got = quad.integrate_values(rule, np.abs(quad.basis_values(rule.nodes, 3)[2, 3]) ** 2)
@@ -208,18 +198,6 @@ def test_integrate_rejects_non_finite():
         quad.integrate_values(rule, np.full(rule.nodes.shape, np.nan))
     with pytest.raises(ValueError, match="align"):
         quad.integrate_values(rule, np.ones(rule.nodes.shape[0] - 1))
-
-
-def test_monotone_convergence_on_kernel():
-    w = 0.9 + 0.3j
-    exact = math.exp(abs(w) ** 2)
-    errs = []
-    for r, k in ((4, 8), (8, 16), (16, 32)):
-        rule = quad.build_rule(r, k)
-        z = rule.nodes
-        got = quad.integrate_values(rule, np.exp(z.conj() * w + z * np.conj(w)))
-        errs.append(abs(got - exact))
-    assert errs[0] > errs[1] > errs[2]
 
 
 def test_export_csv(tmp_path):

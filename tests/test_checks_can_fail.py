@@ -12,9 +12,12 @@ every row's set of their suite.
 Each row runs from fresh per-process caches (the fresh_caches fixture),
 so a mutated object is never read from a clean cache and never left
 behind in one.  Two more tests keep the table whole:
-one pins every suite's ordered check names, so a check that vanishes or
-is renamed is noticed, and one requires a row for each check of every
-suite.
+one pins every suite's ordered check names and its exact set of checks
+that are red at the default configuration, so a check that vanishes, is
+renamed or turns red is noticed, and one requires a row for each check of
+every suite.  A row proves its check can fail; the pin is the one tier-1
+statement that the check holds, so a unit test that only restates a check
+through the same library calls is deleted.
 """
 
 import math
@@ -449,10 +452,14 @@ CHECK_NAMES = {
 }
 
 
-def test_check_names_are_pinned():
+def test_check_names_are_pinned(fresh_caches):
     reports = suites.run_suite("all", suites.SuiteConfig())
     assert {r.suite: [c.name for c in r.checks] for r in reports} == CHECK_NAMES
     assert list(CHECK_NAMES) == list(suites.SUITE_NAMES)
+    # the default `verify all` fails exactly DEFAULT_REDS: a mutation that
+    # turns a green check red fails here, naming its suite and check
+    assert {r.suite: {c.name for c in r.checks if not c.passed} for r in reports} \
+        == {suite: DEFAULT_REDS.get(suite, set()) for suite in CHECK_NAMES}
 
 
 def test_every_check_of_the_covered_suites_has_a_row():

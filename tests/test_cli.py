@@ -305,9 +305,14 @@ def test_an_unallocatable_run_is_a_config_error(monkeypatch, capsys):
     ("kms", "1e-4", set()), ("kms", "1e-9", set()), ("kms", "1e-310", set()),
     ("modular", "1e-4", {"generator_eigenvalues"}),
     ("modular", "1e-9", {"generator_eigenvalues"}),
-    # rho is I / N to double precision: the weights carry no energy, and no
-    # off-diagonal B fails to commute with them
+    # centralizer_predicate holds 8 levels, where [B, rho]_ij = b_ij (alpha_j
+    # - alpha_i) is about b_ij beta (i - j) / 8 at small beta: once that is
+    # under the absolute CENTRALIZER_TOL = 1e-10 for every seeded entry, an
+    # off-diagonal B passes as a member.  Green at 2e-10, red from 1e-10 on;
+    # rho = I / N at 1e-310 is only the far end
     ("modular", "1e-310", {"generator_eigenvalues", "centralizer_predicate"}),
+    ("modular", "2e-10", {"generator_eigenvalues"}),
+    ("modular", "1e-10", {"generator_eigenvalues", "centralizer_predicate"}),
 ])
 def test_small_beta_reds_are_only_the_conditioned_ones(suite, beta, failing, tmp_path):
     # the flows and the KMS kernel read the spectrum E_n = n, not energies

@@ -89,15 +89,6 @@ def test_reproducing_kernel_pointwise():
     assert abs(val - np.conj(cs.coeff_eval(cs.eta(w, m), z))) < 1e-10
 
 
-def test_resolutions_of_identity():
-    # the anti-holomorphic resolution is G, its holomorphic mirror conj(G),
-    # and the bi-coherent one kron(G, conj(G))
-    g = cs.moment_matrix(rule_default(), 8)
-    assert np.max(np.abs(g - np.eye(9))) < 1e-10
-    assert np.max(np.abs(g.conj() - np.eye(9))) < 1e-10
-    assert np.max(np.abs(np.kron(g, g.conj()) - np.eye(81))) < 1e-10
-
-
 def test_resolution_refuses_uncovered_rule():
     small = quad.build_rule(2, 3)
     with pytest.raises(ValueError, match="certificate"):
@@ -221,15 +212,6 @@ def test_partial_isometry_mapping():
     assert abs(img[3] + 1j) < 1e-10
 
 
-def test_partial_isometries_compose_to_projector():
-    rule = rule_default()
-    m = 6
-    rev = cs.moment_matrix(rule, m)
-    iso = rev.conj()
-    # on the source sector, which is all the composition reads
-    assert np.max(np.abs(rev @ iso.conj() - np.eye(m + 1))) < 1e-10
-
-
 def _coherent_columns(nodes, cutoff, kind):
     """Flattened eta_z (kind 'a-hol') or eta_breve(zbar) (kind 'hol') at
     every node, one column per node."""
@@ -351,10 +333,6 @@ def test_vector_cs_residuals():
     assert max(res_a, res_b) <= bound
     res_a, res_b, bound = cs.vector_cs_check(1.4 - 0.9j, 12)
     assert max(res_a, res_b) <= bound
-
-
-def test_modular_spectral_consistency():
-    assert cs.modular_spectral_errors(0.7, 8)[0] < 1e-12
 
 
 def _ratio_errors_by_entry(w):

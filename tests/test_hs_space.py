@@ -169,19 +169,6 @@ def test_weighted_conjugation_adjoint_and_composition():
     assert np.allclose(p(q(x)), (p @ q) * x, rtol=0, atol=1e-12)
 
 
-def test_commutant_of_left_matrix_units():
-    n = 2
-    eye = np.eye(n)
-    gens = [sandwich_superop(matrix_unit(n, i, j), eye)
-            for i in range(n) for j in range(n)]
-    dim, basis = commutant_basis(gens)
-    assert dim == 4
-    for i in range(n):
-        for j in range(n):
-            target = sandwich_superop(eye, matrix_unit(n, i, j))
-            assert in_span(basis, target)
-
-
 def test_commutant_of_rotated_left_matrix_units():
     # complex generators: U E_ij U* v I with U a seeded non-real unitary
     n = 3

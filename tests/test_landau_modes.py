@@ -203,41 +203,6 @@ def test_ground_state_block_matches_dense_slice(monkeypatch):
     assert np.array_equal(seen[0], 0.5 * (dense + dense.conj().T))
 
 
-def test_ccr_on_interior():
-    cut = lm.ModeCut(16)
-    mask = lm.interior_mask(cut)
-    ops = lm.build_A_pm(cut)
-    eye = lm.BandedOp(cut.dim, {0: np.ones(cut.dim)})
-    for p, q, target in [
-        (ops.a_plus, ops.a_plus_dag, eye),
-        (ops.a_minus, ops.a_minus_dag, eye),
-        (ops.a_plus, ops.a_minus, 0 * eye),
-        (ops.a_plus, ops.a_minus_dag, 0 * eye),
-        (ops.a_plus_dag, ops.a_minus, 0 * eye),
-        (ops.a_plus_dag, ops.a_minus_dag, 0 * eye),
-    ]:
-        comm = p @ q - q @ p
-        assert lm.interior_deviation(comm, target, mask) < 1e-12
-
-
-def test_literal_variant_breaks_ccr():
-    cut = lm.ModeCut(12)
-    mask = lm.interior_mask(cut)
-    lit = lm.build_A_pm(cut, literal=True)
-    good = lm.build_A_pm(cut)
-    comm = lit.a_plus @ good.a_minus_dag - good.a_minus_dag @ lit.a_plus
-    eye = lm.BandedOp(cut.dim, {0: np.ones(cut.dim)})
-    assert lm.interior_deviation(comm, -0.125 * eye, mask) < 1e-12
-
-
-def test_two_constructions_agree():
-    cut = lm.ModeCut(10)
-    a = lm.build_A_pm(cut)
-    b = lm.build_A_pm_from_qp(cut)
-    assert np.max(np.abs(_dense(a.a_plus - b.a_plus))) < 1e-12
-    assert np.max(np.abs(_dense(a.a_minus - b.a_minus))) < 1e-12
-
-
 def test_ladders_built_once_per_cut():
     cut = lm.ModeCut(24)
     assert lm.build_A_pm(cut) is lm.build_A_pm(lm.ModeCut(24))
@@ -252,14 +217,6 @@ def test_equal_cuts_share_one_ladder_build():
     assert first is not second and first == second and hash(first) == hash(second)
     assert lm.ModeCut(17) != first
     assert lm.build_A_pm(first) is lm.build_A_pm(second)
-
-
-def test_hamiltonian_relations():
-    cut = lm.ModeCut(12)
-    mask = lm.interior_mask(cut)
-    h = lm.hamiltonians(cut)
-    comm = h.h_up @ h.h_down - h.h_down @ h.h_up
-    assert lm.interior_deviation(comm, 0 * comm, mask) < 1e-12
 
 
 def test_interior_spectrum_is_half_integers():

@@ -52,6 +52,12 @@ ROWS = [
     ("verify modular --dim 512", BOTH, 1, J),
     ("verify modular --dim 1024 --beta 0.3", ONE, 1, J),
     ("verify modular --beta 1e-9", ONE, 1, "modular/generator_eigenvalues"),
+    # centralizer_predicate's absolute tolerance 1e-10 on [B, rho]_ij =
+    # b_ij (alpha_j - alpha_i), about b_ij beta (i - j) / 8 on its 8 levels:
+    # green at beta 2e-10, red from 1e-10 on (seeds 42 and 7)
+    ("verify modular --beta 2e-10", ONE, 1, "modular/generator_eigenvalues"),
+    ("verify modular --beta 1e-10", ONE, 1,
+     "modular/generator_eigenvalues modular/centralizer_predicate"),
     ("verify kms --beta 1e-9", ONE, 0, ""),
     ("verify kms --dim 512", BOTH, 0, ""),
     # the largest rules the quadrature accepts
