@@ -110,7 +110,7 @@ def _export_delta_spectrum(args):
 
 
 def _export_wigner_grid(args):
-    from . import landau_modes as lm
+    from . import phase_space as ps
 
     check_flags({"ncut": args.ncut})
     grid = np.linspace(-2.0, 2.0, 5)
@@ -119,7 +119,7 @@ def _export_wigner_grid(args):
     def rows():
         for x in grid:
             for y in grid:
-                v = lm.wigner_sample(x00, float(x), float(y), args.ncut)
+                v = ps.wigner_sample(x00, float(x), float(y), args.ncut)
                 yield (f"{x:.17g}", f"{y:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}")
     return ("x", "y", "re", "im"), rows()
 

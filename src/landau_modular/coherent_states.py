@@ -18,7 +18,7 @@ matrix G of the quadrature rule, its conjugate or a block of it, built
 once per coherent run and passed to every sector check.  G comes from
 cgauss_quad.ring_angle_sum, which also gives the quadrature suite's basis
 Gram; moment_factorization_check compares it with its node sums by
-integrate_values.  The Weyl displacement is landau_modes.displacement.
+integrate_values.  The Weyl displacement is phase_space.displacement.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ import numpy as np
 from . import modular_core as mc
 from .cgauss_quad import (ComplexGaussRule, basis_values, integrate_values,
                           require_coverage, ring_angle_sum)
-from .landau_modes import displacement, ladder
+# ladder, the one name this layer reads from the two-mode layer, stays
+# landau_modes's because perfbench/test_perfbench.py pins it there
+from .landau_modes import ladder
+from .phase_space import displacement
 
 # importable from this module because perfbench/test_perfbench.py pins it here
 from .cgauss_quad import covers_degree  # noqa: F401
@@ -186,7 +189,7 @@ def modular_spectral_errors(beta: float, cutoff: int) -> tuple[float, float]:
 
 def displacement_operator(alpha: complex, ncut: int) -> np.ndarray:
     """e^(alpha a* - conj(alpha) a) = U(-sqrt2 Im alpha, sqrt2 Re alpha), the
-    phase-space displacement of landau_modes from one eigensolve."""
+    phase-space displacement of phase_space from one eigensolve."""
     s2 = math.sqrt(2.0)
     return displacement(ncut, -s2 * alpha.imag, s2 * alpha.real)
 

@@ -3,11 +3,11 @@
 The modular flow, Delta^(it) and the KMS function are exponentials of the
 Gibbs energies (modular_core.GibbsWeights.energies), taken entrywise.  The
 Weyl displacement is the one operator exponential routed through an
-eigendecomposition of a Hermitian matrix: hermitian_function for the
-direct route, and one shared eigensystem of the position operator for the
-rotated block.  The nilpotent displacement factors e^(alpha a*) and
-e^(-conj(alpha) a) in coherent_states are summed as series, which are
-finite on the truncation.
+eigendecomposition of a Hermitian matrix: in phase_space,
+hermitian_function for the direct route, and one shared eigensystem of
+the position operator (hermitian_eig) for the rotated block.  The
+nilpotent displacement factors e^(alpha a*) and e^(-conj(alpha) a) in
+coherent_states are summed as series, which are finite on the truncation.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ limits, the configuration, the check and report records, the JSON writer
 and the dispatch.  Each suite <name> of SUITE_NAMES is the function run of
 its own module <name>_suite, imported on the first run of that suite,
 together with the layers that the suites read and this module does not
-(modular_core, landau_modes, complex_hermite, coherent_states): a process
-that runs one suite, or only imports the CLI, compiles no other suite.  A
+(modular_core, phase_space, landau_modes, complex_hermite,
+coherent_states): a process that runs one suite, or only imports the CLI,
+compiles no other suite.  A
 suite module whose run needs more of the configuration than each flag's
 own limit, such as a Gibbs weight ratio that must stay a finite double,
 states it in its require(cfg), which run_suite applies before the first

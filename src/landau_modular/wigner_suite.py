@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from . import landau_modes as lm
+from . import phase_space as ps
 from .hs_space import matrix_unit
 from .suites import Report, SuiteConfig
 
@@ -22,10 +22,10 @@ def run(cfg: SuiteConfig) -> Report:
     units = np.array([matrix_unit(4, n, l) for n, l in labels])
     xs, ys = np.repeat(grid, 5), np.tile(grid, 5)
     # samples[:, i] is the sample of the i-th unit at every grid point
-    samples = np.array([lm.wigner_sample(units, float(x), float(y), cfg.ncut)
+    samples = np.array([ps.wigner_sample(units, float(x), float(y), cfg.ncut)
                         for x, y in zip(xs, ys)])
     # row i of each closed form, like column i of the samples, is labels[i]
-    printed, corrected = lm.wigner_closed_form(labels, xs, ys)
+    printed, corrected = ps.wigner_closed_form(labels, xs, ys)
     s.check("closed_form_literal",
             "phase-space sample of |n><l| equals "
             "e^(-|z|^2/2) B[n, l](zbar, z)/sqrt(2 pi) as printed",
@@ -45,7 +45,7 @@ def run(cfg: SuiteConfig) -> Report:
     x00 = matrix_unit(1, 0, 0)
     s.check("origin_normalization", "sample of |0><0| at the origin is "
             "1/sqrt(2 pi)",
-            abs(lm.wigner_sample(x00, 0.0, 0.0, cfg.ncut)
+            abs(ps.wigner_sample(x00, 0.0, 0.0, cfg.ncut)
                 - 1.0 / math.sqrt(2.0 * math.pi)), 1e-12)
 
     # corners and edge midpoints of the grid: every quadrant and both axes.
@@ -55,7 +55,7 @@ def run(cfg: SuiteConfig) -> Report:
               if not x == y == 0.0]
 
     def rotation_error(point, u, adjoint):
-        block = lm.displacement_block(cfg.ncut, *point, cfg.ncut)
+        block = ps.displacement_block(cfg.ncut, *point, cfg.ncut)
         if adjoint:
             np.conj(block, out=block)
             block = block.T
@@ -63,7 +63,7 @@ def run(cfg: SuiteConfig) -> Report:
         return float(np.max(np.abs(block)))
 
     def pair_errors(i):
-        u = lm.displacement(cfg.ncut, *points[i])
+        u = ps.displacement(cfg.ncut, *points[i])
         return (rotation_error(points[i], u, adjoint=False),
                 rotation_error(points[-1 - i], u, adjoint=True))
 

@@ -3,6 +3,7 @@ import pytest
 from landau_modular import cgauss_quad as quad
 from landau_modular import complex_hermite as ch
 from landau_modular import landau_modes as lm
+from landau_modular import phase_space as ps
 
 
 @pytest.fixture
@@ -13,7 +14,7 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(quad, "_RULES", {})
     monkeypatch.setattr(lm, "_LADDERS", {})
     monkeypatch.setattr(lm, "_HAMILTONIANS", {})
-    monkeypatch.setattr(lm, "_POSITION", {})
     monkeypatch.setattr(lm, "_VACUUM", {})
+    monkeypatch.setattr(ps, "_POSITION", {})
     monkeypatch.setattr(ch, "_TABLE", {(0, 0): ch.poly_const(1)})
     monkeypatch.setattr(ch, "_RODRIGUES", {(0, 0): ch.poly_const(1)})

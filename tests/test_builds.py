@@ -16,6 +16,7 @@ import pytest
 
 from landau_modular import complex_hermite as ch
 from landau_modular import landau_modes as lm
+from landau_modular import phase_space as ps
 from landau_modular.cgauss_quad import basis_values
 from landau_modular.cli import main
 from landau_modular.hs_space import matrix_unit
@@ -57,8 +58,8 @@ def fock_states_at_cut_24():
 def wigner_samples_at_two_cuts():
     for x, y in ((0.5, -1.0), (2.0, 1.5), (-1.0, 0.0)):
         for n, l in ((0, 0), (1, 2)):
-            lm.wigner_sample(matrix_unit(3, n, l), x, y, 40)
-    lm.wigner_sample(matrix_unit(2, 1, 1), 0.2, 0.1, 24)
+            ps.wigner_sample(matrix_unit(3, n, l), x, y, 40)
+    ps.wigner_sample(matrix_unit(2, 1, 1), 0.2, 0.1, 24)
 
 
 def rule_orders(radii, ring_weights, angular_order):
@@ -114,7 +115,7 @@ BUILDS = [
     # coefficients, once per cut
     (fock_states_at_cut_24, "numpy.kron", lambda a, b: a.shape, [(24,)]),
     # the position eigensystem, once per cut
-    (wigner_samples_at_two_cuts, "landau_modes.hermitian_eig", lambda a: a.shape,
+    (wigner_samples_at_two_cuts, "phase_space.hermitian_eig", lambda a: a.shape,
      [(40, 40), (24, 24)]),
     # both closed forms from one table: the 25 grid points, to degree 3
     ("verify wigner", "cgauss_quad.basis_values",
@@ -122,10 +123,10 @@ BUILDS = [
     # one block per grid point for the 16 matrix units, one at the origin,
     # and a full-size rotation of each point but the origin against the
     # direct route; each call records its block size, or its point at full size
-    ("verify wigner", "landau_modes.displacement_block",
+    ("verify wigner", "phase_space.displacement_block",
      lambda ncut, x, y, n: (x, y) if n == ncut else n, [4] * 25 + [1] + CORNERS),
     # the direct route solves the first point of each pair
-    ("verify wigner", "landau_modes.displacement", lambda ncut, x, y: (x, y), CORNERS[::2]),
+    ("verify wigner", "phase_space.displacement", lambda ncut, x, y: (x, y), CORNERS[::2]),
     # the suite's Hamiltonians of the cut-16 space, which ground_state reads
     # too; each call records the dimension of the two-mode space
     ("verify landau", "landau_modes.Hamiltonians",
@@ -180,8 +181,8 @@ def test_fresh_caches_resets_every_cache(request):
     caches = _caches()
     assert sorted(f"{stem}.{name}" for stem, name, _ in caches) == [
         "cgauss_quad._RULES", "complex_hermite._RODRIGUES", "complex_hermite._TABLE",
-        "landau_modes._HAMILTONIANS", "landau_modes._LADDERS", "landau_modes._POSITION",
-        "landau_modes._VACUUM"]
+        "landau_modes._HAMILTONIANS", "landau_modes._LADDERS", "landau_modes._VACUUM",
+        "phase_space._POSITION"]
     warm = [getattr(_module(stem), name) for stem, name, _ in caches]
     request.getfixturevalue("fresh_caches")
     stale = []

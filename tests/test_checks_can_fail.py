@@ -32,6 +32,7 @@ from landau_modular import complex_hermite as ch
 from landau_modular import landau_modes as lm
 from landau_modular import modular_core as mc
 from landau_modular import modular_suite
+from landau_modular import phase_space as ps
 from landau_modular import suites
 from landau_modular.hs_space import WeightedConjugation
 
@@ -394,15 +395,15 @@ ROWS = [
      lambda displacement: lambda ncut, x, y: displacement(ncut, x, -y),
      {"displacement_factorization", "displacement_vacuum_column"}),
 
-    ("wigner", "closed_form_corrected", lm, "wigner_closed_form",
+    ("wigner", "closed_form_corrected", ps, "wigner_closed_form",
      _corrected_form_negated, {"closed_form_corrected"}),
     # every sample 1e-9 too large: under the 1e-6 bounds, over the 1e-12 one
-    ("wigner", "origin_normalization", lm, "wigner_sample",
+    ("wigner", "origin_normalization", ps, "wigner_sample",
      lambda wigner_sample: lambda x_op, x, y, ncut: (
          wigner_sample(x_op, x, y, ncut) * (1.0 + 1e-9)),
      {"origin_normalization"}),
     # the eigensolved displacement at (x, -y)
-    ("wigner", "displacement_rotation", lm, "displacement",
+    ("wigner", "displacement_rotation", ps, "displacement",
      lambda displacement: lambda ncut, x, y: displacement(ncut, x, -y),
      {"displacement_rotation"}),
 ]

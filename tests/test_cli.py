@@ -466,8 +466,8 @@ for step in steps:
 
 # no row but the control loads a module of NEVER, and only an export loads csv
 NEVER = ("scipy", "fractions", "decimal", "numpy.polynomial", "dataclasses")
-LIBRARY = ("cli", "rng", "modular_core", "landau_modes", "complex_hermite",
-           "coherent_states", *(f"{name}_suite" for name in SUITE_NAMES))
+LIBRARY = ("cli", "rng", "modular_core", "phase_space", "landau_modes",
+           "complex_hermite", "coherent_states", *(f"{name}_suite" for name in SUITE_NAMES))
 WATCHED = (*NEVER, "csv", "numpy", *(f"landau_modular.{m}" for m in LIBRARY))
 
 # one fresh process per row, a list of steps: (step, its exit code or None
@@ -480,22 +480,25 @@ PROBES = {
     # and only the hermite suite reads the exact Hermite tables
     "modular": [CLI, ("verify modular", 0, "rng modular_core modular_suite", False)],
     "kms": [CLI, ("verify kms", 0, "rng modular_core kms_suite", False)],
-    "landau": [CLI, ("verify landau", 1, "landau_modes landau_suite", False)],
+    "landau": [CLI, ("verify landau", 1, "phase_space landau_modes landau_suite",
+                      False)],
     "hermite": [CLI, ("verify hermite", 0, "complex_hermite hermite_suite", False)],
     "quadrature": [CLI, ("verify quadrature", 0, "quadrature_suite", False)],
-    "coherent": [CLI, ("verify coherent", 0, "rng modular_core landau_modes "
-                       "coherent_states coherent_suite", False)],
-    "wigner": [CLI, ("verify wigner", 1, "landau_modes wigner_suite", False)],
-    "all": [CLI, ("verify all", 1, "rng modular_core landau_modes complex_hermite "
-                  "coherent_states "
+    "coherent": [CLI, ("verify coherent", 0, "rng modular_core phase_space "
+                       "landau_modes coherent_states coherent_suite", False)],
+    # a wigner run reads only the single mode: it compiles no two-mode layer
+    "wigner": [CLI, ("verify wigner", 1, "phase_space wigner_suite", False)],
+    "all": [CLI, ("verify all", 1, "rng modular_core phase_space landau_modes "
+                  "complex_hermite coherent_states "
                   + " ".join(f"{name}_suite" for name in SUITE_NAMES), False)],
     "exports": [CLI, ("export hermite_coeffs", 0, "csv complex_hermite", False),
                 ("export quad_rule", 0, "", False),
                 ("export delta_spectrum", 0, "modular_core", False),
-                ("export wigner_grid", 0, "landau_modes", False)],
-    # the Fock driver's path, which imports the library without the CLI
+                ("export wigner_grid", 0, "phase_space", False)],
+    # the Fock driver's path, which imports the library without the CLI;
+    # landau_modes loads phase_space for the two names it re-exports
     "fock": [("from landau_modular import landau_modes as lm", None,
-              "numpy landau_modes", False),
+              "numpy phase_space landau_modes", False),
              ("lm.hamiltonians(lm.ModeCut(24))", None, "", False),
              ("lm.fock_psi(lm.ModeCut(24), 2, 1)", None, "", False)],
     # tests and tools import the library in-process, so no module but the
@@ -504,7 +507,7 @@ PROBES = {
         ("import importlib, pkgutil, landau_modular", None, "", False),
         ("names = sorted(m.name for m in pkgutil.iter_modules(landau_modular.__path__)"
          " if m.name != '__main__')", None, "", False),
-        ("assert (len(names), 'cli' in names, 'suites' in names) == (17, True, True)",
+        ("assert (len(names), 'cli' in names, 'suites' in names) == (18, True, True)",
          None, "", False),
         ("for name in names: importlib.import_module('landau_modular.' + name)", None,
          "numpy " + " ".join(LIBRARY), False)],

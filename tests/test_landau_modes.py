@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from landau_modular import landau_modes as lm
+from landau_modular import phase_space as ps
+from landau_modular.dense_linalg import adjoint
 from landau_modular.rng import SplitMix64
 
 
@@ -315,14 +317,16 @@ def test_degenerate_level_structure():
             assert abs(got - (1.0 if a == b else 0.0)) < tol
 
 
+# the single-mode layer, phase_space
+
 def test_wigner_origin_and_vacuum():
     from landau_modular.hs_space import matrix_unit
     x00 = matrix_unit(1, 0, 0)
-    got = lm.wigner_sample(x00, 0.0, 0.0, 48)
+    got = ps.wigner_sample(x00, 0.0, 0.0, 48)
     assert abs(got - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-12
     for x, y in ((0.5, -1.0), (2.0, 1.5)):
         expect = math.exp(-(x * x + y * y) / 4.0) / math.sqrt(2.0 * math.pi)
-        assert abs(lm.wigner_sample(x00, x, y, 48) - expect) < 1e-6
+        assert abs(ps.wigner_sample(x00, x, y, 48) - expect) < 1e-6
 
 
 def test_wigner_matches_corrected_closed_form():
@@ -331,8 +335,8 @@ def test_wigner_matches_corrected_closed_form():
         for l in range(3):
             x_op = matrix_unit(3, n, l)
             for x, y in ((0.3, -0.7), (1.1, 0.4)):
-                got = lm.wigner_sample(x_op, x, y, 48)
-                assert abs(got - lm.wigner_closed_form([(n, l)], x, y)[1][0]) < 1e-9
+                got = ps.wigner_sample(x_op, x, y, 48)
+                assert abs(got - ps.wigner_closed_form([(n, l)], x, y)[1][0]) < 1e-9
 
 
 def test_wigner_sample_of_a_stack_matches_single_samples():
@@ -340,13 +344,13 @@ def test_wigner_sample_of_a_stack_matches_single_samples():
     stack = np.array([matrix_unit(3, n, l) for n in range(3) for l in range(3)])
     stack = stack + SplitMix64(5).complex_matrix(3)
     for x, y in ((0.3, -0.7), (0.0, 0.0)):
-        got = lm.wigner_sample(stack, x, y, 24)
+        got = ps.wigner_sample(stack, x, y, 24)
         assert got.shape == (9,)
-        assert all(got[i] == lm.wigner_sample(op, x, y, 24)
+        assert all(got[i] == ps.wigner_sample(op, x, y, 24)
                    for i, op in enumerate(stack))
     for bad in (np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.zeros((2, 5, 5))):
         with pytest.raises(ValueError, match="incompatible"):
-            lm.wigner_sample(bad, 0.1, 0.2, 4)
+            ps.wigner_sample(bad, 0.1, 0.2, 4)
 
 
 def _dense_generator(ncut, x, y):
@@ -364,9 +368,20 @@ def test_banded_generator_has_the_bits_of_the_dense_sum(ncut):
     points = ((0.0, 0.0), (1.5, 0.0), (-1.5, 0.0), (0.0, 0.7), (0.0, -0.7),
               (1.3, 0.4), (-0.3, 2.2), (-2.0, -2.0), (0.6, -1.7))
     for x, y in points:
-        got, want = lm._generator(ncut, x, y), _dense_generator(ncut, x, y)
+        got, want = ps._generator(ncut, x, y), _dense_generator(ncut, x, y)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (x, y)
+
+
+@pytest.mark.parametrize("ncut", (8, 64, 128, 257))
+def test_position_operator_has_the_bits_of_the_ladder_sum(ncut):
+    # phase_space writes out the ladder's expression, since importing
+    # landau_modes.ladder would load the two-mode layer; the copy must not
+    # drift from it
+    a = lm.ladder(ncut)
+    got, want = ps._position(ncut), (a + adjoint(a)) / math.sqrt(2.0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _closed_form_per_label(n, l, x, y, literal):
@@ -386,7 +401,7 @@ def test_closed_forms_from_one_table_have_the_bits_of_per_label_tables(literal):
     grid = np.linspace(-2.0, 2.0, 5)
     xs, ys = np.repeat(grid, 5), np.tile(grid, 5)
     labels = [(n, l) for n in range(4) for l in range(4)]
-    got = lm.wigner_closed_form(labels, xs, ys)[0 if literal else 1]
+    got = ps.wigner_closed_form(labels, xs, ys)[0 if literal else 1]
     want = np.array([_closed_form_per_label(n, l, xs, ys, literal) for n, l in labels])
     assert got.dtype == want.dtype and got.shape == want.shape == (16, 25)
     assert got.tobytes() == want.tobytes()
@@ -397,17 +412,17 @@ def test_mirrored_displacement_is_the_adjoint(ncut):
     # U(-x, -y) = exp(i(xQ + yP)) = U(x, y)*, the identity that lets the
     # wigner suite's rotation check share one direct eigensolve per pair +-p
     for x, y in ((-2.0, -2.0), (-2.0, 0.0), (-2.0, 2.0), (0.0, -2.0)):
-        u = lm.displacement(ncut, x, y)
-        assert np.max(np.abs(lm.displacement(ncut, -x, -y) - u.conj().T)) < 1e-13
+        u = ps.displacement(ncut, x, y)
+        assert np.max(np.abs(ps.displacement(ncut, -x, -y) - u.conj().T)) < 1e-13
 
 
 def test_displacement_frees_its_generator_before_the_product():
     ncut = 256
-    lm.displacement(ncut, 2.0, 2.0)  # first-call allocations stay outside
+    ps.displacement(ncut, 2.0, 2.0)  # first-call allocations stay outside
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        lm.displacement(ncut, 2.0, 2.0)
+        ps.displacement(ncut, 2.0, 2.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -422,8 +437,8 @@ def test_wigner_rotation_matches_direct_displacement():
     for ncut in (16, 48):
         for n in (1, 4, ncut):
             for x, y in points:
-                direct = lm.displacement(ncut, x, y)[:n, :n]
-                rotated = lm.displacement_block(ncut, x, y, n)
+                direct = ps.displacement(ncut, x, y)[:n, :n]
+                rotated = ps.displacement_block(ncut, x, y, n)
                 assert rotated.shape == (n, n)
                 assert np.max(np.abs(rotated - direct)) < 1e-12
 
@@ -434,8 +449,8 @@ def test_non_finite_coordinates_rejected(bad):
     x00 = matrix_unit(1, 0, 0)
     for name, x, y in (("x", bad, 0.5), ("y", 0.5, bad)):
         with pytest.raises(ValueError, match=f"coordinate {name}"):
-            lm.wigner_sample(x00, x, y, 16)
+            ps.wigner_sample(x00, x, y, 16)
         with pytest.raises(ValueError, match=f"coordinate {name}"):
-            lm.displacement(16, x, y)
+            ps.displacement(16, x, y)
         with pytest.raises(ValueError, match=f"coordinate {name}"):
-            lm.displacement_block(16, x, y, 4)
+            ps.displacement_block(16, x, y, 4)
