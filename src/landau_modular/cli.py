@@ -4,6 +4,10 @@ tables.  Exit status: 0 all checks passed, 1 at least one check failed,
 2 usage or configuration error, a run whose arrays cannot be allocated,
 or an output file that cannot be written.
 
+`verify` takes every flag of suites.FLAGS, since each report echoes the
+whole configuration; each export table takes only the flags it reads,
+plus --out, and any other flag is a usage error.
+
 An export streams its CSV rows to `--out` or stdout as it computes them,
 so no table is held in memory: `export hermite_coeffs` peaks at about
 30 MB RSS at every cutoff from 12 to 170.  On one BLAS thread of a 2-vCPU
@@ -26,8 +30,9 @@ from .hs_space import matrix_unit
 from .suites import FLAGS, SUITE_NAMES, SuiteConfig, check_flags, report_to_json, run_suite
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    for name, (default, text) in FLAGS.items():
+def _add_config_args(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        default, text = FLAGS[name]
         p.add_argument(f"--{name}", type=type(default), default=default, help=text)
     p.add_argument("--out", default=None, help="output file path")
 
@@ -124,21 +129,22 @@ def _export_wigner_grid(args):
     return ("x", "y", "re", "im"), rows()
 
 
-# each exporter checks every flag it reads before it returns its header
-# and a lazy iterable of rows, so a rejected export leaves no file and
-# prints nothing
+# table -> (its exporter, the flags it reads: the only flags its parser
+# takes).  Each exporter checks every flag it reads before it returns its
+# header and a lazy iterable of rows, so a rejected export leaves no file
+# and prints nothing
 _EXPORTS = {
-    "hermite_coeffs": _export_hermite_coeffs,
-    "quad_rule": _export_quad_rule,
-    "delta_spectrum": _export_delta_spectrum,
-    "wigner_grid": _export_wigner_grid,
+    "hermite_coeffs": (_export_hermite_coeffs, ("cutoff",)),
+    "quad_rule": (_export_quad_rule, ("radial", "angular")),
+    "delta_spectrum": (_export_delta_spectrum, ("dim", "beta")),
+    "wigner_grid": (_export_wigner_grid, ("ncut",)),
 }
 
 
 def _cmd_export(args) -> int:
     import csv  # here, so that a `verify` process does not load it
 
-    header, rows = _EXPORTS[args.what](args)
+    header, rows = _EXPORTS[args.what][0](args)
     with _output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -156,12 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    _add_config_args(p_verify)
+    _add_config_args(p_verify, FLAGS)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_export = sub.add_parser("export", help="write a data table")
-    p_export.add_argument("what", choices=tuple(_EXPORTS))
-    _add_config_args(p_export)
+    tables = p_export.add_subparsers(dest="what", required=True)
+    for what, (_, names) in _EXPORTS.items():
+        _add_config_args(tables.add_parser(what), names)
     p_export.set_defaults(fn=_cmd_export)
     return parser
 

@@ -15,10 +15,8 @@ Each two-mode operator is banded in the joint index (a_x shifts it by
 ncut, a_y by 1), so it is a BandedOp: a few diagonals of length ncut^2,
 and cuts of 64 and beyond stay cheap.
 
-Three imported names stay importable from here only for their readers:
-hermitian_function for perfbench/test_perfbench.py's FROM_IMPORTS, and
-wigner_sample and wigner_closed_form for acceptance criterion 11, which
-calls them as landau_modes.*.
+One imported name stays importable from here only for its reader:
+hermitian_function, for perfbench/test_perfbench.py's FROM_IMPORTS.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dense_linalg import hermitian_function  # noqa: F401
-from .phase_space import wigner_closed_form, wigner_sample  # noqa: F401
 
 
 class ModeCut:

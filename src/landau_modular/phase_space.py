@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import cgauss_quad as quad
 from .dense_linalg import adjoint, hermitian_eig, hermitian_function
 
 
@@ -132,11 +133,8 @@ def wigner_closed_form(labels: list[tuple[int, int]], x: float | np.ndarray,
 
     Both forms read one basis table, of the largest index.
     """
-    # imported here, so that a library-level Fock build never loads cgauss_quad
-    from .cgauss_quad import basis_values
-
     z = np.asarray((x - 1j * y) / math.sqrt(2.0))
-    table = basis_values(z, max(max(n, l) for n, l in labels))
+    table = quad.basis_values(z, max(max(n, l) for n, l in labels))
     gauss, norm = np.exp(-np.abs(z) ** 2 / 2.0), math.sqrt(2.0 * math.pi)
     phase = np.array([1j ** (n + l) for n, l in labels]).reshape((-1,) + (1,) * z.ndim)
     return (gauss * np.array([table[n, l] for n, l in labels]) / norm,

@@ -64,9 +64,9 @@ def check_flags(flags: dict) -> None:
     quad.check_flags(flags)
 
 
-# name -> (default, help) of each config flag: the CLI option --<name> of
-# `verify` and `export`, and the attribute of SuiteConfig, in the order in
-# which a report echoes them
+# name -> (default, help) of each config flag: the CLI option --<name>
+# and the attribute of SuiteConfig, in the order in which a report echoes
+# them
 FLAGS = {
     "dim": (16, "Gibbs truncation dimension"),
     "beta": (0.7, "inverse temperature"),

@@ -16,6 +16,7 @@ from landau_modular import coherent_states as cs
 from landau_modular import complex_hermite as chp
 from landau_modular import landau_modes as lm
 from landau_modular import modular_core as mc
+from landau_modular import phase_space as ps
 from landau_modular.dense_linalg import frob
 from landau_modular.hs_space import (
     commutant_basis,
@@ -236,8 +237,8 @@ def test_criterion_11_wigner_cross_check():
             x_op = matrix_unit(4, n, l)
             for x in grid.tolist():
                 for y in grid.tolist():
-                    got = lm.wigner_sample(x_op, x, y, 64)
-                    (stated,), (corrected,) = lm.wigner_closed_form([(n, l)], x, y)
+                    got = ps.wigner_sample(x_op, x, y, 64)
+                    (stated,), (corrected,) = ps.wigner_closed_form([(n, l)], x, y)
                     reference = (_displacement_element(l, n, x, y)
                                  / math.sqrt(2.0 * math.pi))
                     assert abs(got - corrected) <= 1e-6

@@ -436,10 +436,30 @@ def test_export_checks_only_the_flags_it_reads(tmp_path):
     out = tmp_path / "table.csv"
     for args in (("hermite_coeffs", "--cutoff", "0"),
                  ("hermite_coeffs", "--cutoff", "1"),
-                 ("quad_rule", "--radial", "3", "--angular", "4"),
-                 ("wigner_grid", "--ncut", "8", "--dim", "1", "--seed", "-1")):
+                 ("quad_rule", "--radial", "3", "--angular", "4")):
         assert main(["export", *args, "--out", str(out)]) == 0
         assert out.read_text().count("\n") > 1
+
+
+# the flags each export table reads; it takes no other but --out
+READS = {"hermite_coeffs": ("cutoff",), "quad_rule": ("radial", "angular"),
+         "delta_spectrum": ("dim", "beta"), "wigner_grid": ("ncut",)}
+
+
+@pytest.mark.parametrize("what", READS)
+def test_export_rejects_each_flag_it_does_not_read(what, tmp_path, capsys):
+    # every other flag of `verify`, even at its default, is a usage error
+    # that writes nothing, not a value silently ignored
+    out = tmp_path / "table.csv"
+    for name in sorted(FLAGS.keys() - set(READS[what])):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", what, f"--{name}", str(FLAGS[name][0]), "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+    # its parser takes exactly the flags it reads, and --out
+    args = build_parser().parse_args(["export", what])
+    assert sorted(vars(args)) == sorted(("command", "what", "fn", "out", *READS[what]))
 
 
 # Fresh processes, since the tests import every module into this one.  A probe
@@ -480,8 +500,7 @@ PROBES = {
     # and only the hermite suite reads the exact Hermite tables
     "modular": [CLI, ("verify modular", 0, "rng modular_core modular_suite", False)],
     "kms": [CLI, ("verify kms", 0, "rng modular_core kms_suite", False)],
-    "landau": [CLI, ("verify landau", 1, "phase_space landau_modes landau_suite",
-                      False)],
+    "landau": [CLI, ("verify landau", 1, "landau_modes landau_suite", False)],
     "hermite": [CLI, ("verify hermite", 0, "complex_hermite hermite_suite", False)],
     "quadrature": [CLI, ("verify quadrature", 0, "quadrature_suite", False)],
     "coherent": [CLI, ("verify coherent", 0, "rng modular_core phase_space "
@@ -495,10 +514,10 @@ PROBES = {
                 ("export quad_rule", 0, "", False),
                 ("export delta_spectrum", 0, "modular_core", False),
                 ("export wigner_grid", 0, "phase_space", False)],
-    # the Fock driver's path, which imports the library without the CLI;
-    # landau_modes loads phase_space for the two names it re-exports
+    # the Fock driver's path, which imports the library without the CLI
+    # and loads no single-mode layer
     "fock": [("from landau_modular import landau_modes as lm", None,
-              "numpy phase_space landau_modes", False),
+              "numpy landau_modes", False),
              ("lm.hamiltonians(lm.ModeCut(24))", None, "", False),
              ("lm.fock_psi(lm.ModeCut(24), 2, 1)", None, "", False)],
     # tests and tools import the library in-process, so no module but the

@@ -1,9 +1,9 @@
 """Every CLI run that CI makes, one row each, and the one runner that checks them:
 `python -W error tools/ci_runs.py`.  A row runs `python -W error -m landau_modular
-<arguments>` with PYTHONPATH=src, at --seed 42 unless it gives one, writing to a
-scratch file where it ends in --out.  Its exit code and its report's failing
-checks (suite/check) are checked, then the assertions between rows; a failure
-names its row.
+<arguments>` with PYTHONPATH=src, writing to a scratch file where it ends in
+--out; a `verify` row runs at --seed 42 unless it gives one (an export takes no
+--seed).  Its exit code and its report's failing checks (suite/check) are
+checked, then the assertions between rows; a failure names its row.
 """
 
 import hashlib
@@ -17,6 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 from landau_modular import __version__  # noqa: E402
+from landau_modular.cli import _EXPORTS as EXPORTS  # noqa: E402
 from landau_modular.suites import SUITE_NAMES  # noqa: E402
 
 LANDAU = "landau/fock_eigenvalues landau/fock_orthonormality"
@@ -25,7 +26,6 @@ DEFAULT_REDS = f"{LANDAU} {WIGNER}"
 J, SPECTRAL = "modular/j_antiunitary", "coherent/modular_spectral"
 ORTHONORMALITY = "quadrature/basis_orthonormality"
 ONE, BOTH = (1,), (1, 2)  # BLAS threads; BOTH must write the same bytes (criterion 13)
-EXPORTS = ("hermite_coeffs", "quad_rule", "delta_spectrum", "wigner_grid")
 # a row that starts with this runs the console script's target, __main__.main
 MAIN = "main()"
 MAIN_CODE = "import sys; from landau_modular.__main__ import main; sys.exit(main())"
@@ -110,6 +110,9 @@ ROWS = [
     *[(f"export {what}{out}", ONE, 0, None) for what in EXPORTS for out in ("", " --out")],
     # the explicit sum far past the suite's 13 x 13 block: 348,552 lines
     ("export hermite_coeffs --cutoff 100", ONE, 0, None),
+    # an export takes only the flags it reads: verify's default --dim is
+    # not a value out of range but an option the table does not have
+    ("export wigner_grid --dim 16", ONE, 2, None),
 ]
 
 
@@ -120,7 +123,7 @@ def run(args: str, threads: int, out: Path) -> tuple:
         argv, entry = argv[1:], ["-c", MAIN_CODE]
     if args.endswith("--out"):
         argv.append(str(out))
-    if argv[:1] in (["verify"], ["export"]) and "--seed" not in argv:
+    if argv[:1] == ["verify"] and "--seed" not in argv:
         argv += ["--seed", "42"]
     env = dict(os.environ, PYTHONPATH=str(SRC), OMP_NUM_THREADS=str(threads),
                OPENBLAS_NUM_THREADS=str(threads))
