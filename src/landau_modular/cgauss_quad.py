@@ -188,10 +188,18 @@ def ring_angle_sum(rule: ComplexGaussRule, ring_values: np.ndarray,
                    freqs: np.ndarray) -> np.ndarray:
     """[a, b] = node sum of w f_a conj(f_b), f_a(rho_r e^(i theta)) = F[a, r]
     e^(i freqs[a] theta) with F = ring_values: the ring sum (F w) F* times the
-    angular mean A[freqs[a] - freqs[b]], with no array of the node count."""
+    angular mean A[freqs[a] - freqs[b]], with no array of the node count.
+    Each row of the ring sum is multiplied in place by its row of angular
+    means, so no (n+1)^2 index or angular matrix is formed either; the ring
+    sum is the left operand of every product."""
     span = int(freqs.max() - freqs.min())
-    a = _angular_means(rule, span)[np.subtract.outer(freqs, freqs) + span]
-    return ((ring_values * rule.ring_weights) @ ring_values.conj().T) * a
+    means = _angular_means(rule, span)
+    out = (ring_values * rule.ring_weights) @ ring_values.conj().T
+    # complex before the row products: real ring values give a real ring sum
+    out = out.astype(complex, copy=False)
+    for row, f in zip(out, freqs):
+        row *= means[f - freqs + span]
+    return out
 
 
 def integrate_values(rule: ComplexGaussRule, values: np.ndarray) -> complex:

@@ -6,7 +6,8 @@ or an output file that cannot be written.
 
 `verify` takes every flag of suites.FLAGS, since each report echoes the
 whole configuration; each export table takes only the flags it reads,
-plus --out, and any other flag is a usage error.
+plus --out, and any other flag is a usage error, reported with the usage
+of the table or of `verify`.
 
 An export streams its CSV rows to `--out` or stdout as it computes them,
 so no table is held in memory: `export hermite_coeffs` peaks at about
@@ -163,19 +164,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     _add_config_args(p_verify, FLAGS)
-    p_verify.set_defaults(fn=_cmd_verify)
+    # parser: the one that reports an argument it does not take, with its usage
+    p_verify.set_defaults(fn=_cmd_verify, parser=p_verify)
 
     p_export = sub.add_parser("export", help="write a data table")
     tables = p_export.add_subparsers(dest="what", required=True)
     for what, (_, names) in _EXPORTS.items():
-        _add_config_args(tables.add_parser(what), names)
+        p_table = tables.add_parser(what)
+        _add_config_args(p_table, names)
+        p_table.set_defaults(parser=p_table)
     p_export.set_defaults(fn=_cmd_export)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.fn(args)
     except (ValueError, OverflowError, MemoryError) as exc:

@@ -41,8 +41,13 @@ from .cgauss_quad import covers_degree  # noqa: F401
 
 def normalized_powers(z, cutoff: int) -> np.ndarray:
     """Row n holds z^n / sqrt(n!), 0 <= n <= cutoff, for a number or an
-    array z."""
-    return np.array([z**n / math.sqrt(math.factorial(n)) for n in range(cutoff + 1)])
+    array z.  The rows are written into one table as they are formed; z**n
+    is taken of z as passed, since a Python complex and its numpy scalar
+    round their powers differently."""
+    out = np.empty((cutoff + 1,) + np.shape(z), dtype=np.result_type(z, 1.0))
+    for n in range(cutoff + 1):
+        out[n] = z**n / math.sqrt(math.factorial(n))
+    return out
 
 
 def bcs(u: complex, v: complex, cutoff: int) -> np.ndarray:
@@ -109,8 +114,7 @@ def moment_factorization_check(rule: ComplexGaussRule, g: np.ndarray) -> float:
     same entries summed over the rule's nodes, one integrate_values sum
     each, an independent route."""
     pows = normalized_powers(rule.nodes, g.shape[0] - 1)
-    conj = pows.conj()
-    direct = np.array([[integrate_values(rule, pa * pb) for pb in conj]
+    direct = np.array([[integrate_values(rule, pa * pb.conj()) for pb in pows]
                        for pa in pows])
     return float(np.max(np.abs(g - direct)))
 

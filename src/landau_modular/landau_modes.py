@@ -346,7 +346,9 @@ def ground_state(cut: ModeCut) -> np.ndarray:
     h = hamiltonians(cut)
     total = h.n_plus + h.n_minus
     sub = total.block(np.flatnonzero(mask))
-    vals, vecs = np.linalg.eigh(0.5 * (sub + sub.conj().T))
+    sub += sub.conj().T  # symmetrized in place: the block is this call's own
+    sub *= 0.5
+    vals, vecs = np.linalg.eigh(sub)
     if vals.shape[0] > 1 and vals[1] < 0.5:
         raise ValueError(
             f"kernel of the total number operator is not one-dimensional "

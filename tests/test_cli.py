@@ -449,17 +449,34 @@ READS = {"hermite_coeffs": ("cutoff",), "quad_rule": ("radial", "angular"),
 @pytest.mark.parametrize("what", READS)
 def test_export_rejects_each_flag_it_does_not_read(what, tmp_path, capsys):
     # every other flag of `verify`, even at its default, is a usage error
-    # that writes nothing, not a value silently ignored
+    # that writes nothing, not a value silently ignored; the table's own
+    # parser reports it, with the usage that lists the flags it does take
     out = tmp_path / "table.csv"
     for name in sorted(FLAGS.keys() - set(READS[what])):
         with pytest.raises(SystemExit) as exc:
             main(["export", what, f"--{name}", str(FLAGS[name][0]), "--out", str(out)])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: landau-modular export {what} ")
+        assert f"unrecognized arguments: --{name} {FLAGS[name][0]}" in captured.err
         assert not out.exists()
     # its parser takes exactly the flags it reads, and --out
     args = build_parser().parse_args(["export", what])
-    assert sorted(vars(args)) == sorted(("command", "what", "fn", "out", *READS[what]))
+    assert sorted(vars(args)) == sorted(("command", "what", "fn", "parser", "out",
+                                         *READS[what]))
+
+
+def test_verify_reports_an_unknown_flag_with_its_own_usage(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--bogus", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: landau-modular verify ")
+    assert "unrecognized arguments: --bogus 1" in captured.err
+    assert not out.exists()
 
 
 # Fresh processes, since the tests import every module into this one.  A probe

@@ -10,6 +10,7 @@ from landau_modular import landau_modes as lm
 from landau_modular import modular_core as mc
 from landau_modular.dense_linalg import adjoint, frob
 from landau_modular.rng import SplitMix64
+from test_cgauss_quad import _suite_peak
 
 
 def rule_default():
@@ -322,6 +323,27 @@ def test_coherent_suite_stays_at_sector_size():
     finally:
         tracemalloc.stop()
     assert peak < 16 * (cfg.cutoff + 1) ** 4
+
+
+@pytest.mark.parametrize("flags, bound", [
+    # measured traced peak, cold caches: 1.12 MB and 7.08 MB with the index
+    # and angular matrices of ring_angle_sum, the list of power rows beside
+    # its array and a conjugated copy of the node powers; 0.75 MB and 4.49 MB
+    # with each held once
+    ({}, 9.2e5),
+    ({"cutoff": 170, "radial": 86, "angular": 171}, 5.4e6),
+])
+def test_coherent_suite_holds_each_large_array_once(flags, bound, fresh_caches):
+    assert _suite_peak("coherent", **flags) < bound
+
+
+@pytest.mark.parametrize("z", [0.7 - 1.1j, np.linspace(0.0, 3.0, 7),
+                               np.linspace(0.0, 3.0, 7) * (0.6 + 0.8j)])
+def test_normalized_powers_match_the_list_of_rows_bitwise(z):
+    got = cs.normalized_powers(z, 30)
+    expect = np.array([z**n / math.sqrt(math.factorial(n)) for n in range(31)])
+    assert got.dtype == expect.dtype
+    assert np.array_equal(got, expect)
 
 
 def test_vector_cs_residuals():

@@ -3,10 +3,11 @@
 One traced in-process run of the CLI records each line of
 src/landau_modular that executes.  It runs each suite alone and `verify
 all`, `verify kms --out FILE`, the four exports to stdout and `export
-quad_rule --out FILE`, one configuration error and one `--out` that cannot
-be written, from fresh per-process caches.  A statement inside a function
-or method body that no traced line reached is code that no `verify` or
-`export` run reads: it is deleted, or HELD names the reader that keeps it.
+quad_rule --out FILE`, one configuration error, one flag that `verify` does
+not take and one `--out` that cannot be written, from fresh per-process
+caches.  A statement inside a function or method body that no traced line
+reached is code that no `verify` or `export` run reads: it is deleted, or
+HELD names the reader that keeps it.
 
 Not counted: docstrings, imports and nested def or class lines; every
 `raise`, and every statement of an if/elif/else or except block that ends
@@ -72,8 +73,17 @@ RUNS = [
     ("export wigner_grid", 0),
     ("export quad_rule --out FILE", 0),
     ("verify modular --beta -1", 2),
+    ("verify all --bogus 1", 2),
     ("export delta_spectrum --out MISSING/table.csv", 2),
 ]
+
+
+def _exit_code(argv) -> int:
+    """main's exit code for argv, also where argparse exits for it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _traced_lines(runs, scratch) -> dict:
@@ -94,8 +104,8 @@ def _traced_lines(runs, scratch) -> dict:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        codes = [main(argv.replace("FILE", str(scratch / "out"))
-                      .replace("MISSING", str(scratch / "missing")).split())
+        codes = [_exit_code(argv.replace("FILE", str(scratch / "out"))
+                            .replace("MISSING", str(scratch / "missing")).split())
                  for argv, _ in runs]
     finally:
         sys.settrace(previous)
